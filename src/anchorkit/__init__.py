@@ -15,13 +15,11 @@ from .ams import (
     run_ams,
 )
 from .anchors import (
-    Anchor,
     AnchorDesign,
     PyramidLevel,
     ams_design,
     detector_design,
     generate_anchor_boxes,
-    generate_anchors,
     ladder_design,
 )
 from .corpus import (
@@ -36,7 +34,7 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, CropResult, FaceSimStat, SimOutcome, random_crop, simulate
-from .geometry import Box, aspect_ratio, ideal_max_intersection, intersection_area, iou
+from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix
 from .matching import (
     IGNORE,
     NEGATIVE,
@@ -48,14 +46,12 @@ from .matching import (
     arsd_contains,
     arsd_contains_left,
     arsd_contains_right,
-    assign_labels,
     assign_labels_xywh,
     extreme_domain_contains,
-    iou_matrix,
     theta,
     warm_threshold,
 )
-from .reports import emit_reports
+from .reports import MatchReport, emit_reports
 from .rfd import (
     ConvSpec,
     RfdSpec,
@@ -72,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmsReport",
-    "Anchor",
     "AnchorDesign",
     "Box",
     "ConvSpec",
@@ -88,6 +83,7 @@ __all__ = [
     "ImageRecord",
     "LogUniformAR",
     "MatchConfig",
+    "MatchReport",
     "MatchResult",
     "NEGATIVE",
     "PyramidLevel",
@@ -103,19 +99,16 @@ __all__ = [
     "arsd_contains_left",
     "arsd_contains_right",
     "aspect_ratio",
-    "assign_labels",
     "assign_labels_xywh",
     "boundary_ar",
     "detector_design",
     "emit_reports",
     "extreme_domain_contains",
     "generate_anchor_boxes",
-    "generate_anchors",
     "generate_synthetic",
     "ideal_max_intersection",
     "ideal_max_iou",
     "iou",
-    "intersection_area",
     "iou_matrix",
     "ladder_design",
     "parse_wider",

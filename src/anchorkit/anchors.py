@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .geometry import Box
-
 SQRT2 = math.sqrt(2.0)
+# Longest size ladder ladder_design builds: steps near 1 would otherwise ask
+# for millions of rungs (1.0000001 gives about 48.5M).
+MAX_LADDER_RUNGS = 1024
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class PyramidLevel:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
+        if not all(map(math.isfinite, (self.stride, *self.sizes))):
+            raise ValueError(f"level {self.name!r}: stride and sizes must be finite")
         if self.stride <= 0:
             raise ValueError(f"level {self.name!r}: stride must be positive")
         if not self.sizes:
@@ -51,8 +53,8 @@ class AnchorDesign:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("design needs at least one level")
-        if self.aspect_ratio <= 0:
-            raise ValueError("aspect_ratio must be positive")
+        if not math.isfinite(self.aspect_ratio) or self.aspect_ratio <= 0:
+            raise ValueError("aspect_ratio must be positive and finite")
         pooled = sorted(s for lv in self.levels for s in lv.sizes)
         if any(b <= a for a, b in zip(pooled, pooled[1:])):
             raise ValueError("anchor sizes must be distinct across levels")
@@ -73,11 +75,18 @@ class AnchorDesign:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnchorDesign":
-        levels = tuple(
-            PyramidLevel(lv["name"], float(lv["stride"]), tuple(lv["sizes"]))
-            for lv in data["levels"]
-        )
-        return cls(levels=levels, aspect_ratio=float(data["aspect_ratio"]))
+        """Build a design from its JSON form. A missing field, or a field of
+        the wrong type, raises ValueError naming it."""
+        levels = []
+        for i, lv in enumerate(_field(data, "levels", list, "design")):
+            where = f"levels[{i}]"
+            sizes = _field(lv, "sizes", list, where)
+            if any(isinstance(s, bool) or not isinstance(s, _NUMBER) for s in sizes):
+                raise ValueError(f"{where}.sizes must hold numbers only")
+            stride = float(_field(lv, "stride", _NUMBER, where))
+            levels.append(PyramidLevel(_field(lv, "name", str, where), stride, tuple(sizes)))
+        aspect_ratio = float(_field(data, "aspect_ratio", _NUMBER, "design"))
+        return cls(levels=tuple(levels), aspect_ratio=aspect_ratio)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -87,13 +96,20 @@ class AnchorDesign:
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """A concrete anchor: its box, the level it came from, and its side length."""
+_NUMBER = (int, float)
 
-    box: Box
-    level_index: int
-    size: float
+
+def _field(obj, key: str, kind, where: str):
+    """obj[key] of type kind, where obj is the JSON value at path `where` in
+    a design file. true and false are no numbers, though bool is an int."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} is missing field {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}.{key} has the wrong type: {value!r}")
+    return value
 
 
 def detector_design() -> AnchorDesign:
@@ -120,8 +136,11 @@ def ladder_design(
     """Single-level geometric scale ladder, min_size up to max_size.
 
     Spatial stride is irrelevant for ideal-placement analysis; it is set to 1
-    so the design can still be instantiated on a grid when needed.
+    so the design can still be instantiated on a grid when needed. A ladder
+    longer than MAX_LADDER_RUNGS is refused before any size is computed.
     """
+    if not all(map(math.isfinite, (aspect_ratio, scale_step, min_size, max_size))):
+        raise ValueError("ladder parameters must be finite")
     if aspect_ratio <= 0:
         raise ValueError("aspect_ratio must be positive")
     if scale_step <= 1:
@@ -129,6 +148,9 @@ def ladder_design(
     if min_size <= 0 or max_size < min_size:
         raise ValueError("need 0 < min_size <= max_size")
     count = math.floor(math.log(max_size / min_size) / math.log(scale_step) + 1e-9) + 1
+    if count > MAX_LADDER_RUNGS:
+        raise ValueError(f"scale_step {scale_step!r} asks for {count} sizes, "
+                         f"over the cap of {MAX_LADDER_RUNGS}")
     if scale_step == SQRT2:
         # Half-power-of-two rungs keep the integer sizes (4, 8, ..., 512)
         # exact; the accumulated power form would drift by a few ulps.
@@ -146,17 +168,6 @@ def ams_design(aspect_ratio: float) -> AnchorDesign:
     return ladder_design(aspect_ratio)
 
 
-def _level_cells(level: PyramidLevel, image_w: float, image_h: float) -> tuple[int, int]:
-    nx = math.floor(image_w / level.stride)
-    ny = math.floor(image_h / level.stride)
-    if nx <= 0 or ny <= 0:
-        raise ValueError(
-            f"level {level.name!r}: stride {level.stride} leaves no grid cells "
-            f"in a {image_w}x{image_h} image"
-        )
-    return nx, ny
-
-
 def generate_anchor_boxes(
     design: AnchorDesign, image_w: float, image_h: float
 ) -> np.ndarray:
@@ -170,7 +181,13 @@ def generate_anchor_boxes(
         raise ValueError("image dimensions must be positive")
     blocks = []
     for level in design.levels:
-        nx, ny = _level_cells(level, image_w, image_h)
+        nx = math.floor(image_w / level.stride)
+        ny = math.floor(image_h / level.stride)
+        if nx <= 0 or ny <= 0:
+            raise ValueError(
+                f"level {level.name!r}: stride {level.stride} leaves no grid cells "
+                f"in a {image_w}x{image_h} image"
+            )
         xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
         ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
         sizes = np.asarray(level.sizes, dtype=np.float64)
@@ -183,38 +200,7 @@ def generate_anchor_boxes(
     return np.concatenate(blocks, axis=0)
 
 
-def generate_anchors(
-    design: AnchorDesign, image_w: float, image_h: float
-) -> list[Anchor]:
-    """Anchor objects in the same deterministic order as generate_anchor_boxes."""
-    if image_w <= 0 or image_h <= 0:
-        raise ValueError("image dimensions must be positive")
-    out: list[Anchor] = []
-    for li, level in enumerate(design.levels):
-        nx, ny = _level_cells(level, image_w, image_h)
-        for j in range(ny):
-            cy = (j + 0.5) * level.stride
-            for i in range(nx):
-                cx = (i + 0.5) * level.stride
-                for s in level.sizes:
-                    w = s
-                    h = s * design.aspect_ratio
-                    out.append(Anchor(Box(cx - w / 2.0, cy - h / 2.0, w, h), li, s))
-    return out
-
-
-def anchor_count(design: AnchorDesign, image_w: float, image_h: float) -> int:
-    """Number of anchors generate_anchors would produce, without generating them."""
-    total = 0
-    for level in design.levels:
-        nx, ny = _level_cells(level, image_w, image_h)
-        total += nx * ny * len(level.sizes)
-    return total
-
-
-def load_design(source: str | IO[str]) -> AnchorDesign:
-    """Load an AnchorDesign from a JSON file path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return AnchorDesign.from_json(fh.read())
-    return AnchorDesign.from_json(source.read())
+def load_design(path: str) -> AnchorDesign:
+    """Load an AnchorDesign from a JSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return AnchorDesign.from_json(fh.read())

@@ -15,11 +15,10 @@ import sys
 from typing import Sequence
 
 from .ams import run_ams
-from .anchors import AnchorDesign, ams_design, detector_design, generate_anchor_boxes, ladder_design
+from .anchors import AnchorDesign, ams_design, detector_design, generate_anchor_boxes, ladder_design, load_design
 from .corpus import (
     FixedListAR,
     LogUniformAR,
-    WiderParseError,
     ar_coverage,
     attach_dims,
     corpus_counts,
@@ -31,7 +30,7 @@ from .corpus import (
 )
 from .cropsim import CropParams, simulate
 from .matching import MatchConfig, Strategy, assign_labels_xywh
-from .reports import SCHEMA_VERSION, emit_reports
+from .reports import SCHEMA_VERSION, MatchReport, emit_reports
 from .rfd import rfd_param_count, rfd_receptive_fields, rfd_spec
 
 _SQRT2_TEXT = "1.4142135624"
@@ -95,20 +94,16 @@ def _load_records(args: argparse.Namespace):
 
 
 def _design_for(args: argparse.Namespace) -> AnchorDesign:
-    name = getattr(args, "design", "detector")
-    if name == "detector":
+    if args.design == "detector":
         return detector_design()
-    if name == "ams":
-        step = getattr(args, "scale_step", None)
-        if step is not None and abs(step - math.sqrt(2.0)) > 1e-12:
+    if args.design == "ams":
+        # simulate has no --scale-step. A step within 1e-12 of sqrt(2) (the
+        # help text prints it rounded) gets the exact half-power ladder.
+        step = getattr(args, "scale_step", math.sqrt(2.0))
+        if abs(step - math.sqrt(2.0)) > 1e-12:
             return ladder_design(args.anchor_ar, scale_step=step)
         return ams_design(args.anchor_ar)
-    return _load_design_file(name)
-
-
-def _load_design_file(path: str) -> AnchorDesign:
-    with open(path, "r", encoding="utf-8") as fh:
-        return AnchorDesign.from_json(fh.read())
+    return load_design(args.design)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -121,11 +116,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_ams(args: argparse.Namespace) -> int:
     records = _load_records(args)
-    if abs(args.scale_step - math.sqrt(2.0)) > 1e-12:
-        design = ladder_design(args.anchor_ar, scale_step=args.scale_step)
-    else:
-        design = ams_design(args.anchor_ar)
-    report, stats = run_ams(records, design, args.tp)
+    report, stats = run_ams(records, _design_for(args), args.tp)
     if args.format == "csv":
         # CSV is the per-face schema; the summary lives in table/json output.
         text = emit_reports(stats, "csv")
@@ -142,12 +133,12 @@ def _cmd_ams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _canvas_for(rec, faces, max_stride: float) -> tuple[float, float]:
+def _canvas_for(rec, boxes, max_stride: float) -> tuple[float, float]:
     if rec.width is not None and rec.height is not None:
         return rec.width, rec.height
     # Fall back to the smallest stride-aligned canvas covering the faces.
-    max_x = max(f.box.x2 for f in faces)
-    max_y = max(f.box.y2 for f in faces)
+    max_x = max(b.x2 for b in boxes)
+    max_y = max(b.y2 for b in boxes)
     w = max(max_stride, math.ceil(max_x / max_stride) * max_stride)
     h = max(max_stride, math.ceil(max_y / max_stride) * max_stride)
     return float(w), float(h)
@@ -159,71 +150,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
     design = _design_for(args)
     max_stride = max(lv.stride for lv in design.levels)
 
-    rows = []
-    totals = {"positive": 0, "negative": 0, "ignore": 0, "compensated": 0}
-    n_faces = 0
-    n_matched = 0
-    n_anchors = 0
-    n_images = 0
+    report = MatchReport(cfg)
     for rec in records:
-        faces = [(idx, face) for _, idx, face in iter_faces([rec])]
+        faces = [(idx, face.box) for _, idx, face in iter_faces([rec])]
         if not faces:
             continue
-        n_images += 1
-        canvas_w, canvas_h = _canvas_for(rec, [f for _, f in faces], max_stride)
+        canvas_w, canvas_h = _canvas_for(rec, [box for _, box in faces], max_stride)
         anchor_arr = generate_anchor_boxes(design, canvas_w, canvas_h)
-        n_anchors += anchor_arr.shape[0]
-        face_arr = [[f.box.x, f.box.y, f.box.w, f.box.h] for _, f in faces]
-        result = assign_labels_xywh(anchor_arr, face_arr, cfg)
-        counts = result.label_counts()
-        for key in totals:
-            totals[key] += counts[key]
-        for (idx, face), fm in zip(faces, result.per_face):
-            n_faces += 1
-            if fm.positive_count > 0:
-                n_matched += 1
-            rows.append(
-                {
-                    "image": rec.path,
-                    "face": idx,
-                    "ar": face.box.h / face.box.w,
-                    "max_iou": fm.max_iou,
-                    "positive_count": fm.positive_count,
-                    "effective_tp": fm.effective_tp,
-                }
-            )
-
-    if args.format == "csv":
-        lines = ["image,face,ar,max_iou,positive_count,effective_tp"]
-        for r in rows:
-            lines.append(
-                f"{r['image']},{r['face']},{r['ar']:.6f},{r['max_iou']:.6f},"
-                f"{r['positive_count']},{r['effective_tp']:.6f}"
-            )
-        text = "\n".join(lines) + "\n"
-    elif args.format == "table":
-        lines = [
-            f"images    {n_images}",
-            f"anchors   {n_anchors}",
-            f"faces     {n_faces} (matched {n_matched})",
-            f"positive  {totals['positive']} (compensated {totals['compensated']})",
-            f"negative  {totals['negative']}",
-            f"ignore    {totals['ignore']}",
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_json_dict(),
-            "n_images": n_images,
-            "n_anchors": n_anchors,
-            "n_faces": n_faces,
-            "n_faces_matched": n_matched,
-            "labels": totals,
-            "per_face": rows,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_out(text, args.out)
+        face_arr = [[box.x, box.y, box.w, box.h] for _, box in faces]
+        report.add(rec.path, faces, assign_labels_xywh(anchor_arr, face_arr, cfg))
+    _write_out(emit_reports(report, args.format), args.out)
     return 0
 
 
@@ -325,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ams.add_argument("--per-face", action=argparse.BooleanOptionalAction, default=True,
                        help="append per-face stats (default: enabled)")
     p_ams.add_argument("--out", help="write output to this path instead of stdout")
-    p_ams.set_defaults(func=_cmd_ams)
+    # ams always analyses the size ladder; the default routes it through the
+    # same design rule as `match --design ams`.
+    p_ams.set_defaults(func=_cmd_ams, design="ams")
 
     p_match = sub.add_parser("match", help="audit label assignment over a corpus")
     p_match.add_argument("--annotations", help="WIDER-format annotation file")
@@ -336,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="anchor design: detector, ams, or a JSON file (default: detector)")
     p_match.add_argument("--scale-step", type=float, default=math.sqrt(2.0),
                          help=f"size ladder step for --design ams (default: {_SQRT2_TEXT})")
-    p_match.add_argument("--threads", type=int, default=1,
-                         help="worker cap; results are identical at any value (default: 1)")
     p_match.add_argument("--format", choices=["json", "table", "csv"], default="json",
                          help="report format (default: json)")
     p_match.add_argument("--out", help="write output to this path instead of stdout")
@@ -356,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated crop scales (default: 0.3,0.45,0.6,0.8,1.0)")
     p_sim.add_argument("--output-side", type=float, default=640.0,
                        help="output canvas side in px (default: 640)")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are identical at any value (default: 1)")
     p_sim.add_argument("--format", choices=["json", "csv"], default="json",
                        help="report format (default: json)")
     p_sim.add_argument("--out", help="write output to this path instead of stdout")
@@ -399,15 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
-    except WiderParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a number too large for a float, e.g. in a design file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

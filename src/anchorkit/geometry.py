@@ -1,5 +1,6 @@
-"""Axis-aligned box arithmetic: areas, intersections, IoU, aspect ratio, and
-the best-possible intersection of two box shapes under free placement.
+"""Axis-aligned box arithmetic: areas, IoU (one pair or a broadcast matrix),
+aspect ratio, and the best-possible intersection of two box shapes under
+free placement.
 
 Boxes are real-valued: annotation files carry integers, but crops and resizes
 produce fractional coordinates, and integer quantization would distort IoU
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Absolute tolerance for area comparisons, in px^2.
-ABS_TOL = 1e-9
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,35 @@ def aspect_ratio(box: Box) -> float:
     return box.h / box.w
 
 
-def intersection_area(a: Box, b: Box) -> float:
-    """Overlap area of two boxes; zero when they are disjoint.
+def iou_matrix(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two xywh box arrays, shape (len(a), len(b)).
 
-    Each axis overlap is clamped by both boxes' extents: the subtraction of
-    rounded corner coordinates can otherwise exceed the true width by an ulp,
-    which would push the IoU of identical thin boxes above 1.
+    Each axis overlap is clamped at zero and by both boxes' extents: the
+    subtraction of rounded corner coordinates can otherwise exceed the true
+    width by an ulp, which would push the IoU of identical thin boxes above 1.
+    Materializes the full matrix; anchor-scale assignment streams over faces
+    in matching.assign_labels_xywh instead.
     """
-    _check_valid(a)
-    _check_valid(b)
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return min(iw, a.w, b.w) * min(ih, a.h, b.h)
+    a = np.asarray(a_xywh, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b_xywh, dtype=np.float64).reshape(-1, 4)
+    ax1, ay1 = a[:, 0:1], a[:, 1:2]
+    ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
+    bx1, by1 = b[:, 0], b[:, 1]
+    bx2, by2 = bx1 + b[:, 2], by1 + b[:, 3]
+    iw = np.clip(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0, None)
+    ih = np.clip(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0, None)
+    iw = np.minimum(iw, np.minimum(a[:, 2:3], b[:, 2]))
+    ih = np.minimum(ih, np.minimum(a[:, 3:4], b[:, 3]))
+    inter = iw * ih
+    union = (a[:, 2:3] * a[:, 3:4]) + (b[:, 2] * b[:, 3]) - inter
+    return inter / union
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union, in [0, 1]. Symmetric; 1 only for identical boxes."""
-    inter = intersection_area(a, b)
-    return inter / (a.area + b.area - inter)
+    _check_valid(a)
+    _check_valid(b)
+    return float(iou_matrix([a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h])[0, 0])
 
 
 def ideal_max_intersection(

@@ -2,24 +2,21 @@
 strategy, the anchor-compensation baseline, and aspect-ratio sampling-domain
 membership tests.
 
-Label semantics: an anchor is POSITIVE for the face that maximizes IoU among
-faces whose per-face positive threshold it strictly exceeds, NEGATIVE when its
-best IoU over all faces is strictly below the negative threshold, and IGNORE
-otherwise. WARM lowers the positive threshold linearly for faces whose aspect
-ratio falls in the extreme-AR domain; with amplitude zero it degenerates to
-SAM exactly.
+assign_labels_xywh states the label contract. WARM lowers the positive
+threshold linearly for faces whose aspect ratio falls in the extreme-AR
+domain; with amplitude zero it degenerates to SAM exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .anchors import Anchor
-from .geometry import Box
+from .geometry import iou_matrix
 
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
@@ -56,6 +53,9 @@ class MatchConfig:
     anchor_ar: float = 1.0
 
     def __post_init__(self):
+        for name in ("t0", "tn", "delta", "eta0", "eta1", "anchor_ar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.t0 <= 1.0:
             raise ValueError("t0 must be in (0, 1]")
         if not 0.0 <= self.tn < 1.0:
@@ -98,12 +98,9 @@ class MatchConfig:
 
 
 def arsd_contains(r: float, anchor_ar: float, eta: float) -> bool:
-    """Whether aspect ratio r lies in the open sampling domain D(anchor_ar, eta)."""
-    if r <= 0 or anchor_ar <= 0:
-        raise ValueError("aspect ratios must be positive")
-    if eta <= 1:
-        raise ValueError("eta must be greater than 1")
-    return anchor_ar / eta < r < anchor_ar * eta
+    """Whether aspect ratio r lies in the open sampling domain D(anchor_ar, eta),
+    the union of its two halves."""
+    return arsd_contains_left(r, anchor_ar, eta) or arsd_contains_right(r, anchor_ar, eta)
 
 
 def arsd_contains_left(r: float, anchor_ar: float, eta: float) -> bool:
@@ -218,33 +215,19 @@ def effective_thresholds(face_ars: Sequence[float], cfg: MatchConfig) -> np.ndar
     return np.full(len(face_ars), cfg.t0, dtype=np.float64)
 
 
-def iou_matrix(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
-    """Pairwise IoU matrix between two xywh box arrays, shape (len(a), len(b)).
-
-    Materializes the full matrix; for anchor-scale assignment use
-    assign_labels, which streams over faces and prunes instead.
-    """
-    a = np.asarray(a_xywh, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b_xywh, dtype=np.float64).reshape(-1, 4)
-    ax1, ay1 = a[:, 0:1], a[:, 1:2]
-    ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
-    bx1, by1 = b[:, 0], b[:, 1]
-    bx2, by2 = bx1 + b[:, 2], by1 + b[:, 3]
-    # Clamp each axis overlap by both extents: corner-coordinate rounding can
-    # otherwise exceed the true width by an ulp and push self-IoU above 1.
-    iw = np.clip(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0, None)
-    ih = np.clip(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0, None)
-    iw = np.minimum(iw, np.minimum(a[:, 2:3], b[:, 2]))
-    ih = np.minimum(ih, np.minimum(a[:, 3:4], b[:, 3]))
-    inter = iw * ih
-    union = (a[:, 2:3] * a[:, 3:4]) + (b[:, 2] * b[:, 3]) - inter
-    return inter / union
-
-
 def assign_labels_xywh(
     anchor_xywh: np.ndarray, face_xywh: np.ndarray, cfg: MatchConfig
 ) -> MatchResult:
-    """Array-based assignment kernel; see assign_labels for the contract.
+    """Assign positive/negative/ignore labels to (n, 4) xywh anchors against
+    (m, 4) xywh faces.
+
+    An anchor is positive for the face maximizing IoU among faces whose
+    effective positive threshold it strictly exceeds (lowest face index on
+    ties), negative when its best IoU over all faces is strictly below
+    cfg.tn, and ignore otherwise. Under SAM_COMPENSATE, each face left
+    without positives additionally claims its argmax-IoU anchor (lowest
+    anchor index on ties) unless that anchor is already positive for another
+    face; such anchors are flagged in MatchResult.compensated.
 
     Streams over faces rather than materializing the full IoU matrix, and
     prunes each face's column to the anchors whose boxes actually overlap it.
@@ -278,7 +261,6 @@ def assign_labels_xywh(
     ay1 = anchors[:, 1]
     ax2 = ax1 + anchors[:, 2]
     ay2 = ay1 + anchors[:, 3]
-    a_area = anchors[:, 2] * anchors[:, 3]
 
     best_iou = np.zeros(n, dtype=np.float64)
     best_pos_iou = np.zeros(n, dtype=np.float64)
@@ -293,13 +275,7 @@ def assign_labels_xywh(
         idx = np.flatnonzero(cand)
         if idx.size == 0:
             continue
-        # Same ulp clamp as iou_matrix so both routes agree bit-for-bit.
-        iw = np.minimum(ax2[idx], fx2) - np.maximum(ax1[idx], fx1)
-        ih = np.minimum(ay2[idx], fy2) - np.maximum(ay1[idx], fy1)
-        iw = np.minimum(iw, np.minimum(anchors[idx, 2], fw))
-        ih = np.minimum(ih, np.minimum(anchors[idx, 3], fh))
-        inter = iw * ih
-        vals = inter / (a_area[idx] + fw * fh - inter)
+        vals = iou_matrix(anchors[idx], faces[j])[:, 0]
 
         k = int(np.argmax(vals))
         face_max[j] = vals[k]
@@ -336,25 +312,3 @@ def assign_labels_xywh(
         for j in range(m)
     ]
     return MatchResult(labels=labels, compensated=compensated, per_face=per_face)
-
-
-def assign_labels(
-    anchors: Sequence[Anchor], faces: Sequence[Box], cfg: MatchConfig
-) -> MatchResult:
-    """Assign positive/negative/ignore labels to anchors against faces.
-
-    An anchor is positive for the face maximizing IoU among faces whose
-    effective positive threshold it strictly exceeds (lowest face index on
-    ties), negative when its best IoU over all faces is strictly below
-    cfg.tn, and ignore otherwise. Under SAM_COMPENSATE, each face left
-    without positives additionally claims its argmax-IoU anchor (lowest
-    anchor index on ties) unless that anchor is already positive for another
-    face; such anchors are flagged in MatchResult.compensated.
-    """
-    if len(anchors) == 0:
-        raise ValueError("anchor list must be non-empty")
-    anchor_arr = np.array(
-        [[a.box.x, a.box.y, a.box.w, a.box.h] for a in anchors], dtype=np.float64
-    )
-    face_arr = np.array([[f.x, f.y, f.w, f.h] for f in faces], dtype=np.float64)
-    return assign_labels_xywh(anchor_arr, face_arr.reshape(-1, 4), cfg)

@@ -9,16 +9,51 @@ inputs emit identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from .ams import AmsReport, FaceMatchStat
 from .cropsim import SimOutcome
-from .matching import MatchResult
+from .matching import MatchConfig, MatchResult
 
 SCHEMA_VERSION = 1
 
 FACE_STATS_CSV_HEADER = "image,face,ar,width,max_iou,matched"
 SIM_CSV_HEADER = "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
-MATCH_CSV_HEADER = "face,max_iou,positive_count,effective_tp"
+MATCH_CSV_HEADER = "image,face,ar,max_iou,positive_count,effective_tp"
+LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
+
+
+@dataclass
+class MatchReport:
+    """Label-assignment audit of a corpus: one row per kept face, and label
+    tallies summed over every image's anchor grid."""
+
+    config: MatchConfig
+    n_images: int = 0
+    n_anchors: int = 0
+    n_matched: int = 0
+    labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
+    per_face: list[dict] = field(default_factory=list)
+
+    def add(self, image: str, faces, result: MatchResult) -> None:
+        """Fold in one image: faces are its (face index, Box) pairs, in the
+        order they were passed to the assignment that produced result."""
+        self.n_images += 1
+        self.n_anchors += result.n_anchors
+        for kind, count in result.label_counts().items():
+            self.labels[kind] += count
+        for (idx, box), fm in zip(faces, result.per_face):
+            self.n_matched += fm.positive_count > 0
+            self.per_face.append(
+                {
+                    "image": image,
+                    "face": idx,
+                    "ar": box.h / box.w,
+                    "max_iou": fm.max_iou,
+                    "positive_count": fm.positive_count,
+                    "effective_tp": fm.effective_tp,
+                }
+            )
 
 
 def _f6(v: float | None) -> str:
@@ -121,50 +156,39 @@ def _sim_csv(outcome: SimOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _match_result_dict(result: MatchResult) -> dict:
-    counts = result.label_counts()
+def _match_dict(report: MatchReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "n_anchors": result.n_anchors,
-        "n_positive": counts["positive"],
-        "n_negative": counts["negative"],
-        "n_ignore": counts["ignore"],
-        "n_compensated": counts["compensated"],
-        "per_face": [
-            {
-                "face": fm.face_index,
-                "max_iou": fm.max_iou,
-                "positive_count": fm.positive_count,
-                "effective_tp": fm.effective_tp,
-            }
-            for fm in result.per_face
-        ],
+        "config": report.config.to_json_dict(),
+        "n_images": report.n_images,
+        "n_anchors": report.n_anchors,
+        "n_faces": len(report.per_face),
+        "n_faces_matched": report.n_matched,
+        "labels": report.labels,
+        "per_face": report.per_face,
     }
 
 
-def _match_result_csv(result: MatchResult) -> str:
+def _match_csv(report: MatchReport) -> str:
     lines = [MATCH_CSV_HEADER]
-    for fm in result.per_face:
+    for r in report.per_face:
         lines.append(
-            f"{fm.face_index},{_f6(fm.max_iou)},{fm.positive_count},{_f6(fm.effective_tp)}"
+            f"{r['image']},{r['face']},{_f6(r['ar'])},{_f6(r['max_iou'])},"
+            f"{r['positive_count']},{_f6(r['effective_tp'])}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _match_result_table(result: MatchResult) -> str:
-    counts = result.label_counts()
+def _match_table(report: MatchReport) -> str:
+    labels = report.labels
     lines = [
-        f"anchors   {result.n_anchors}",
-        f"positive  {counts['positive']} (compensated {counts['compensated']})",
-        f"negative  {counts['negative']}",
-        f"ignore    {counts['ignore']}",
-        f"{'face':>5} {'max_iou':>10} {'positives':>10} {'tp':>9}",
+        f"images    {report.n_images}",
+        f"anchors   {report.n_anchors}",
+        f"faces     {len(report.per_face)} (matched {report.n_matched})",
+        f"positive  {labels['positive']} (compensated {labels['compensated']})",
+        f"negative  {labels['negative']}",
+        f"ignore    {labels['ignore']}",
     ]
-    for fm in result.per_face:
-        lines.append(
-            f"{fm.face_index:>5} {fm.max_iou:>10.6f} {fm.positive_count:>10} "
-            f"{fm.effective_tp:>9.6f}"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +196,7 @@ def emit_reports(stats, fmt: str) -> str:
     """Render an analysis output in the requested format.
 
     Accepts an AmsReport, a list of FaceMatchStat (possibly empty), a
-    MatchResult, or a SimOutcome; formats are "json", "csv", and "table".
+    MatchReport, or a SimOutcome; formats are "json", "csv", and "table".
     """
     if fmt not in ("json", "csv", "table"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -184,12 +208,12 @@ def emit_reports(stats, fmt: str) -> str:
             return _ams_csv(stats)
         return _ams_table(stats)
 
-    if isinstance(stats, MatchResult):
+    if isinstance(stats, MatchReport):
         if fmt == "json":
-            return _json(_match_result_dict(stats))
+            return _json(_match_dict(stats))
         if fmt == "csv":
-            return _match_result_csv(stats)
-        return _match_result_table(stats)
+            return _match_csv(stats)
+        return _match_table(stats)
 
     if isinstance(stats, SimOutcome):
         payload = {"schema_version": SCHEMA_VERSION, **stats.to_json_dict()}

@@ -97,13 +97,13 @@ def rfd_output_shape(spec: RfdSpec, h: int, w: int) -> tuple[int, int, int]:
 
 
 def rfd_param_count(channels: int, include_bias: bool = False) -> int:
-    """Weight count for the block: 3.5 * C^2, plus 2C biases when counted."""
-    if channels <= 0 or channels % 4 != 0:
-        raise ValueError("channels must be a positive multiple of 4")
-    count = 7 * channels * channels // 2
-    if include_bias:
-        count += 2 * channels
-    return count
+    """Weight count for the block, summed over its convolution layers:
+    3.5 * C^2, plus 2C biases when counted."""
+    return sum(
+        conv.param_count(include_bias)
+        for p in rfd_spec(channels).paths
+        for conv in (p.reduce, p.body)
+    )
 
 
 def rfd_receptive_fields(spec: RfdSpec) -> list[tuple[int, int]]:

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 from anchorkit.anchors import (
     AnchorDesign,
     PyramidLevel,
+    MAX_LADDER_RUNGS,
     ams_design,
-    anchor_count,
     detector_design,
     generate_anchor_boxes,
-    generate_anchors,
     ladder_design,
 )
 
@@ -68,25 +67,51 @@ class TestLadderDesign:
         with pytest.raises(ValueError):
             ladder_design(1.0, min_size=0)
 
+    @pytest.mark.parametrize("field", ["aspect_ratio", "scale_step", "min_size", "max_size"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        args = dict(aspect_ratio=1.0, scale_step=2.0, min_size=4.0, max_size=512.0)
+        args[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ladder_design(**args)
+
+    def test_ams_design_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ams_design(math.nan)
+
+    def test_length_cap(self):
+        # 4 * step**(n - 1) == 512 puts the top rung on max_size, so a step
+        # of 128**(1/(n-1)) asks for exactly n sizes.
+        at_cap = 128.0 ** (1.0 / (MAX_LADDER_RUNGS - 1))
+        assert len(ladder_design(1.0, scale_step=at_cap).sizes) == MAX_LADDER_RUNGS
+        over_cap = 128.0 ** (1.0 / MAX_LADDER_RUNGS)
+        with pytest.raises(ValueError, match=f"{MAX_LADDER_RUNGS + 1} sizes"):
+            ladder_design(1.0, scale_step=over_cap)
+
+    def test_length_cap_refuses_before_building(self):
+        # About 48.5M rungs: the count alone must trigger the refusal.
+        with pytest.raises(ValueError, match="48520306 sizes"):
+            ladder_design(1.0, scale_step=1.0000001)
+
 
 class TestGenerateAnchors:
     def test_detector_count_at_640(self):
         # 3 sizes x (160^2 + 80^2 + 40^2 + 20^2 + 10^2) cells
-        anchors = generate_anchors(detector_design(), 640, 640)
-        assert len(anchors) == 102300
-        assert anchor_count(detector_design(), 640, 640) == 102300
+        anchors = generate_anchor_boxes(detector_design(), 640, 640)
+        assert anchors.shape == (102300, 4)
 
     def test_p2_contribution(self):
-        anchors = generate_anchors(detector_design(), 640, 640)
-        assert sum(1 for a in anchors if a.level_index == 0) == 76800
+        # Rows are level-major: the first 76800 are P2's, then P3 starts.
+        anchors = generate_anchor_boxes(detector_design(), 640, 640)
+        p2_sizes = detector_design().levels[0].sizes
+        assert set(anchors[:76800, 2]) == set(p2_sizes)
+        assert anchors[76800, 2] == detector_design().levels[1].sizes[0]
 
     def test_single_cell(self):
         design = AnchorDesign(levels=(PyramidLevel("L", 64, (64.0,)),))
-        anchors = generate_anchors(design, 64, 64)
-        assert len(anchors) == 1
-        a = anchors[0]
-        assert (a.box.cx, a.box.cy) == (32.0, 32.0)
-        assert (a.box.w, a.box.h) == (64.0, 64.0)
+        anchors = generate_anchor_boxes(design, 64, 64)
+        # Centered at (32, 32): corner (0, 0), side 64.
+        assert anchors.tolist() == [[0.0, 0.0, 64.0, 64.0]]
 
     def test_count_formula(self):
         design = detector_design()
@@ -95,55 +120,47 @@ class TestGenerateAnchors:
                 math.floor(w / lv.stride) * math.floor(h / lv.stride) * len(lv.sizes)
                 for lv in design.levels
             )
-            assert len(generate_anchors(design, w, h)) == expected
+            assert generate_anchor_boxes(design, w, h).shape[0] == expected
 
     def test_zero_cells_rejected(self):
         design = AnchorDesign(levels=(PyramidLevel("L", 64, (64.0,)),))
         with pytest.raises(ValueError):
-            generate_anchors(design, 63, 64)
+            generate_anchor_boxes(design, 63, 64)
         with pytest.raises(ValueError):
             generate_anchor_boxes(design, 64, 63)
 
     def test_bad_image_dims_rejected(self):
         with pytest.raises(ValueError):
-            generate_anchors(detector_design(), 0, 640)
+            generate_anchor_boxes(detector_design(), 0, 640)
 
     def test_aspect_ratio_invariant(self):
         design = ladder_design(1.3, min_size=8, max_size=64)
         design = AnchorDesign(levels=(PyramidLevel("L", 16, design.sizes),), aspect_ratio=1.3)
-        for a in generate_anchors(design, 128, 96):
-            assert a.box.h / a.box.w == pytest.approx(1.3, abs=1e-12)
+        anchors = generate_anchor_boxes(design, 128, 96)
+        assert np.allclose(anchors[:, 3] / anchors[:, 2], 1.3, rtol=0, atol=1e-12)
 
     def test_deterministic_regeneration(self):
-        a1 = generate_anchors(detector_design(), 256, 192)
-        a2 = generate_anchors(detector_design(), 256, 192)
-        assert a1 == a2
-
-    def test_array_matches_objects_exactly(self):
-        design = detector_design()
-        objs = generate_anchors(design, 256, 192)
-        arr = generate_anchor_boxes(design, 256, 192)
-        assert arr.shape == (len(objs), 4)
-        obj_arr = np.array([[a.box.x, a.box.y, a.box.w, a.box.h] for a in objs])
-        assert np.array_equal(arr, obj_arr)
+        a1 = generate_anchor_boxes(detector_design(), 256, 192)
+        a2 = generate_anchor_boxes(detector_design(), 256, 192)
+        assert np.array_equal(a1, a2)
 
     def test_ordering_contract(self):
         # level, then row-major cell, then size
         design = AnchorDesign(
             levels=(PyramidLevel("A", 32, (8.0, 16.0)), PyramidLevel("B", 64, (32.0,))),
         )
-        anchors = generate_anchors(design, 64, 64)
-        centers = [(a.box.cx, a.box.cy, a.size, a.level_index) for a in anchors]
+        anchors = generate_anchor_boxes(design, 64, 64)
+        centers = [(x + w / 2, y + h / 2, w) for x, y, w, h in anchors.tolist()]
         assert centers == [
-            (16.0, 16.0, 8.0, 0),
-            (16.0, 16.0, 16.0, 0),
-            (48.0, 16.0, 8.0, 0),
-            (48.0, 16.0, 16.0, 0),
-            (16.0, 48.0, 8.0, 0),
-            (16.0, 48.0, 16.0, 0),
-            (48.0, 48.0, 8.0, 0),
-            (48.0, 48.0, 16.0, 0),
-            (32.0, 32.0, 32.0, 1),
+            (16.0, 16.0, 8.0),
+            (16.0, 16.0, 16.0),
+            (48.0, 16.0, 8.0),
+            (48.0, 16.0, 16.0),
+            (16.0, 48.0, 8.0),
+            (16.0, 48.0, 16.0),
+            (48.0, 48.0, 8.0),
+            (48.0, 48.0, 16.0),
+            (32.0, 32.0, 32.0),
         ]
 
 
@@ -167,6 +184,18 @@ class TestDesignValidation:
                 ),
             )
 
+    @pytest.mark.parametrize("stride, sizes", [
+        (math.nan, (8.0,)), (math.inf, (8.0,)), (8, (math.nan,)), (8, (4.0, math.inf)),
+    ])
+    def test_level_rejects_non_finite(self, stride, sizes):
+        with pytest.raises(ValueError, match="finite"):
+            PyramidLevel("L", stride, sizes)
+
+    @pytest.mark.parametrize("ar", [math.nan, math.inf])
+    def test_design_rejects_non_finite_ar(self, ar):
+        with pytest.raises(ValueError, match="finite"):
+            AnchorDesign(levels=(PyramidLevel("A", 8, (8.0,)),), aspect_ratio=ar)
+
     def test_design_needs_levels_and_positive_ar(self):
         with pytest.raises(ValueError):
             AnchorDesign(levels=())
@@ -188,3 +217,26 @@ class TestDesignJson:
     def test_round_trip_any_ar(self, ar):
         d = ams_design(ar)
         assert AnchorDesign.from_json(d.to_json()) == d
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"levels": [{"stride": 8, "sizes": [8]}], "aspect_ratio": 1}', "'name'"),
+        ('{"aspect_ratio": 1}', "'levels'"),
+        ('[1, 2]', "JSON object"),
+        ('{"levels": [3], "aspect_ratio": 1}', "levels[0] must be a JSON object"),
+        ('{"levels": [{"name": "A", "stride": 8, "sizes": [8]}]}', "'aspect_ratio'"),
+        ('{"levels": [{"name": 1, "stride": 8, "sizes": [8]}], "aspect_ratio": 1}',
+         "levels[0].name"),
+        ('{"levels": [{"name": "A", "stride": "8", "sizes": [8]}], "aspect_ratio": 1}',
+         "levels[0].stride"),
+        ('{"levels": [{"name": "A", "stride": 8, "sizes": [8, true]}], "aspect_ratio": 1}',
+         "levels[0].sizes"),
+        ('{"levels": {"name": "A"}, "aspect_ratio": 1}', "design.levels"),
+        ('{"levels": [{"name": "A", "stride": 8, "sizes": [8]}], "aspect_ratio": "nan"}',
+         "design.aspect_ratio"),
+        ('{"levels": [{"name": "A", "stride": 8, "sizes": [8]}], "aspect_ratio": NaN}',
+         "aspect_ratio must be positive and finite"),
+    ])
+    def test_malformed_json_names_the_field(self, text, field):
+        with pytest.raises(ValueError) as exc:
+            AnchorDesign.from_json(text)
+        assert field in str(exc.value)

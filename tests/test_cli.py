@@ -152,11 +152,57 @@ class TestMatchCommand:
         assert lines[0] == "image,face,ar,max_iou,positive_count,effective_tp"
         assert len(lines) == 3
 
-    def test_threads_validated(self, mini_file, capsys):
-        assert main(["match", "--annotations", mini_file, "--threads", "0"]) == 1
-
     def test_bad_config_exit_1(self, mini_file, capsys):
         assert main(["match", "--annotations", mini_file, "--tp", "0.3", "--tn", "0.4"]) == 1
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+LEVEL = '{"name": "P3", "stride": 8, "sizes": [8, 16]}'
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["match", "--delta", "nan"],
+        ["match", "--eta0", "nan"],
+        ["match", "--anchor-ar", "inf"],
+        ["simulate", "--eta1", "inf"],
+        ["ams", "--anchor-ar", "inf"],
+        ["ams", "--anchor-ar", "nan"],
+        ["match", "--design", "NaN"],
+        ["match", "--design", '"nan"'],
+    ])
+    def test_non_finite_rejected(self, argv, mini_file, tmp_path, capsys):
+        if argv[1] == "--design":
+            # The parameter is the design file's aspect_ratio literal.
+            design = tmp_path / "design.json"
+            design.write_text('{"levels": [%s], "aspect_ratio": %s}' % (LEVEL, argv[2]),
+                              encoding="utf-8")
+            argv = argv[:2] + [str(design)]
+        assert main(argv + ["--annotations", mini_file]) == 1
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"levels": [{"stride": 8, "sizes": [8]}], "aspect_ratio": 1}', "'name'"),
+        ('{"aspect_ratio": 1}', "'levels'"),
+        ('["P3", 8]', "JSON object"),
+        ('{"levels": [%s], "aspect_ratio": %s}' % (LEVEL, "9" * 400), "too large"),
+    ])
+    def test_malformed_design_names_field(self, text, field, mini_file, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(text, encoding="utf-8")
+        assert main(["match", "--annotations", mini_file, "--design", str(design)]) == 1
+        _one_error_line(capsys, field)
+
+    def test_ladder_length_capped(self, mini_file, capsys):
+        # 1.0000001 would ask for about 48.5M rungs; refused by arithmetic alone.
+        assert main(["ams", "--annotations", mini_file, "--scale-step", "1.0000001"]) == 1
+        _one_error_line(capsys, "48520306")
 
 
 class TestSimulateCommand:

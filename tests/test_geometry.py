@@ -5,7 +5,6 @@ from anchorkit.geometry import (
     Box,
     aspect_ratio,
     ideal_max_intersection,
-    intersection_area,
     iou,
 )
 
@@ -19,30 +18,33 @@ def boxes():
 
 
 class TestIntersectionArea:
+    """The intersection term of iou, on boxes whose overlap is known exactly."""
+
     def test_identity(self):
         b = Box(0, 0, 10, 10)
-        assert intersection_area(b, b) == 100.0
+        assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert intersection_area(Box(0, 0, 2, 2), Box(5, 5, 2, 2)) == 0.0
+        assert iou(Box(0, 0, 2, 2), Box(5, 5, 2, 2)) == 0.0
 
     def test_unit_overlap(self):
-        assert intersection_area(Box(0, 0, 2, 2), Box(1, 1, 2, 2)) == 1.0
+        # 1 px^2 of overlap over a 7 px^2 union.
+        assert iou(Box(0, 0, 2, 2), Box(1, 1, 2, 2)) == 1 / 7
 
     def test_touching_edges_do_not_overlap(self):
-        assert intersection_area(Box(0, 0, 2, 2), Box(2, 0, 2, 2)) == 0.0
+        assert iou(Box(0, 0, 2, 2), Box(2, 0, 2, 2)) == 0.0
 
     @pytest.mark.parametrize("bad", [Box(0, 0, 0, 5), Box(0, 0, 5, 0), Box(0, 0, -1, 5)])
     def test_invalid_box_rejected(self, bad):
         good = Box(0, 0, 1, 1)
         with pytest.raises(ValueError):
-            intersection_area(bad, good)
+            iou(bad, good)
         with pytest.raises(ValueError):
-            intersection_area(good, bad)
+            iou(good, bad)
 
     @given(boxes(), boxes())
     def test_symmetric(self, a, b):
-        assert intersection_area(a, b) == intersection_area(b, a)
+        assert iou(a, b) == iou(b, a)
 
 
 class TestIou:
@@ -126,4 +128,5 @@ class TestIdealMaxIntersection:
         face = Box(0, 0, fw, fw * fr)
         anchor = Box(ox, oy, aw, aw * ar)
         bound = ideal_max_intersection(fw, fr, aw, ar)
-        assert intersection_area(face, anchor) <= bound + 1e-9
+        # IoU rises with the intersection, so the bound caps it too.
+        assert iou(face, anchor) <= bound / (face.area + anchor.area - bound) + 1e-9

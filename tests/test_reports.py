@@ -5,8 +5,9 @@ import pytest
 
 from anchorkit.ams import AmsReport, FaceMatchStat
 from anchorkit.cropsim import FaceSimStat, SimOutcome
-from anchorkit.matching import FaceMatch, MatchResult
-from anchorkit.reports import FACE_STATS_CSV_HEADER, emit_reports
+from anchorkit.geometry import Box
+from anchorkit.matching import FaceMatch, MatchConfig, MatchResult
+from anchorkit.reports import FACE_STATS_CSV_HEADER, MATCH_CSV_HEADER, MatchReport, emit_reports
 
 REPORT = AmsReport(
     t_p=0.5,
@@ -81,29 +82,36 @@ class TestFaceStatsFormats:
 
 
 class TestMatchResultFormats:
-    def result(self):
-        return MatchResult(
+    """The corpus match report, folded from per-image assignment results."""
+
+    def report(self):
+        result = MatchResult(
             labels=np.array([0, -1, -2, 1]),
             compensated=np.array([False, False, False, True]),
             per_face=[FaceMatch(0, 0.81, 1, 0.5), FaceMatch(1, 0.42, 1, 0.46)],
         )
+        report = MatchReport(MatchConfig())
+        report.add("a.jpg", [(0, Box(0, 0, 10, 20)), (2, Box(5, 5, 4, 12))], result)
+        return report
 
     def test_json(self):
-        data = json.loads(emit_reports(self.result(), "json"))
-        assert data["n_anchors"] == 4
-        assert data["n_positive"] == 2
-        assert data["n_negative"] == 1
-        assert data["n_ignore"] == 1
-        assert data["n_compensated"] == 1
+        data = json.loads(emit_reports(self.report(), "json"))
+        assert data["config"] == MatchConfig().to_json_dict()
+        assert (data["n_images"], data["n_anchors"]) == (1, 4)
+        assert (data["n_faces"], data["n_faces_matched"]) == (2, 2)
+        assert data["labels"] == {"positive": 2, "negative": 1, "ignore": 1, "compensated": 1}
+        assert data["per_face"][1]["face"] == 2
         assert data["per_face"][1]["effective_tp"] == 0.46
 
     def test_csv(self):
-        lines = emit_reports(self.result(), "csv").strip().split("\n")
-        assert lines[0] == "face,max_iou,positive_count,effective_tp"
-        assert lines[1] == "0,0.810000,1,0.500000"
+        lines = emit_reports(self.report(), "csv").strip().split("\n")
+        assert lines[0] == MATCH_CSV_HEADER == "image,face,ar,max_iou,positive_count,effective_tp"
+        assert lines[1] == "a.jpg,0,2.000000,0.810000,1,0.500000"
+        assert lines[2] == "a.jpg,2,3.000000,0.420000,1,0.460000"
 
     def test_table(self):
-        text = emit_reports(self.result(), "table")
+        text = emit_reports(self.report(), "table")
+        assert "faces     2 (matched 2)" in text
         assert "positive  2 (compensated 1)" in text
 
 
