@@ -18,6 +18,9 @@ SQRT2 = math.sqrt(2.0)
 # Longest size ladder ladder_design builds: steps near 1 would otherwise ask
 # for millions of rungs (1.0000001 gives about 48.5M).
 MAX_LADDER_RUNGS = 1024
+# Most anchors generate_anchor_boxes builds for one canvas (512 MiB as
+# float64 xywh): a long ladder at stride 1 would otherwise ask for tens of GB.
+MAX_GRID_ROWS = 2**24
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,12 @@ def generate_anchor_boxes(
 
     Rows are ordered by (level, row-major grid cell, size); anchors are
     centered at ((i+0.5)*stride, (j+0.5)*stride) and are not clipped to the
-    image (clipping would change IoU values).
+    image (clipping would change IoU values). A grid of more than
+    MAX_GRID_ROWS anchors is refused before any is built.
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError("image dimensions must be positive")
-    blocks = []
+    grids = []
     for level in design.levels:
         nx = math.floor(image_w / level.stride)
         ny = math.floor(image_h / level.stride)
@@ -188,6 +192,13 @@ def generate_anchor_boxes(
                 f"level {level.name!r}: stride {level.stride} leaves no grid cells "
                 f"in a {image_w}x{image_h} image"
             )
+        grids.append((level, nx, ny))
+    rows = sum(nx * ny * len(level.sizes) for level, nx, ny in grids)
+    if rows > MAX_GRID_ROWS:
+        raise ValueError(f"a {image_w}x{image_h} canvas asks for {rows} anchors, "
+                         f"over the cap of {MAX_GRID_ROWS}")
+    blocks = []
+    for level, nx, ny in grids:
         xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
         ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
         sizes = np.asarray(level.sizes, dtype=np.float64)

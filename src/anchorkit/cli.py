@@ -9,7 +9,6 @@ coverage). Exit codes: 0 success, 1 validation or parse error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Sequence
@@ -30,7 +29,7 @@ from .corpus import (
 )
 from .cropsim import CropParams, simulate
 from .matching import MatchConfig, Strategy, assign_labels_xywh
-from .reports import SCHEMA_VERSION, MatchReport, emit_reports
+from .reports import MatchReport, emit_reports, json_text
 from .rfd import rfd_param_count, rfd_receptive_fields, rfd_spec
 
 _SQRT2_TEXT = "1.4142135624"
@@ -117,19 +116,7 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_ams(args: argparse.Namespace) -> int:
     records = _load_records(args)
     report, stats = run_ams(records, _design_for(args), args.tp)
-    if args.format == "csv":
-        # CSV is the per-face schema; the summary lives in table/json output.
-        text = emit_reports(stats, "csv")
-    elif args.format == "json":
-        payload = json.loads(emit_reports(report, "json"))
-        if args.per_face:
-            payload["per_face"] = json.loads(emit_reports(stats, "json"))["per_face"]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = emit_reports(report, "table")
-        if args.per_face:
-            text += emit_reports(stats, "csv")
-    _write_out(text, args.out)
+    _write_out(emit_reports(report, args.format, stats if args.per_face else None), args.out)
     return 0
 
 
@@ -179,8 +166,7 @@ def _cmd_rfd(args: argparse.Namespace) -> int:
     params = rfd_param_count(args.channels, include_bias=args.bias)
     fields = rfd_receptive_fields(spec)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
+        text = json_text({
             "channels": args.channels,
             "include_bias": args.bias,
             "param_count": params,
@@ -192,8 +178,7 @@ def _cmd_rfd(args: argparse.Namespace) -> int:
                 }
                 for p in spec.paths
             ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        })
     else:
         lines = [
             f"channels        {args.channels}",
@@ -218,8 +203,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     if args.emit:
         _write_out(serialize_wider(records), args.out)
         return 0
-    payload = {"schema_version": SCHEMA_VERSION, **corpus_counts(records)}
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_out(json_text(corpus_counts(records)), args.out)
     return 0
 
 
@@ -227,13 +211,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     records = _load_records(args)
     frac = ar_coverage(records, args.anchor_ar, args.eta)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "anchor_ar": args.anchor_ar,
-            "eta": args.eta,
-            "coverage": frac,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text({"anchor_ar": args.anchor_ar, "eta": args.eta, "coverage": frac})
     else:
         text = f"{frac:.6f}\n"
     _write_out(text, args.out)
@@ -259,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ams.add_argument("--format", choices=["table", "json", "csv"], default="table",
                        help="report format (default: table)")
     p_ams.add_argument("--per-face", action=argparse.BooleanOptionalAction, default=True,
-                       help="append per-face stats (default: enabled)")
+                       help="add per-face stats: a per_face list in json, the per-face "
+                            "CSV after the table or in place of the summary CSV (default: enabled)")
     p_ams.add_argument("--out", help="write output to this path instead of stdout")
     # ams always analyses the size ladder; the default routes it through the
     # same design rule as `match --design ams`.

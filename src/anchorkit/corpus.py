@@ -186,9 +186,7 @@ def serialize_wider(records: Iterable[ImageRecord]) -> str:
 
 
 def iter_faces(
-    records: Iterable[ImageRecord],
-    include_invalid: bool = False,
-    include_degenerate: bool = False,
+    records: Iterable[ImageRecord], include_invalid: bool = False
 ) -> Iterator[tuple[ImageRecord, int, FaceAnnotation]]:
     """Yield (record, face_index, face) applying the default corpus filter.
 
@@ -199,7 +197,7 @@ def iter_faces(
         for idx, face in enumerate(rec.faces):
             if face.invalid and not include_invalid:
                 continue
-            if face.degenerate and not include_degenerate:
+            if face.degenerate:
                 continue
             yield rec, idx, face
 
@@ -316,7 +314,11 @@ def ar_coverage(
 
 
 def read_dims_csv(source: str | IO[str]) -> dict[str, tuple[float, float]]:
-    """Read a `path,width,height` sidecar CSV mapping image paths to pixel dims."""
+    """Read a `path,width,height` sidecar CSV mapping image paths to pixel dims.
+
+    A dimension that is not a positive finite number, or a path listed
+    twice, raises ValueError naming the line.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -333,9 +335,14 @@ def read_dims_csv(source: str | IO[str]) -> dict[str, tuple[float, float]]:
         if len(parts) != 3:
             raise ValueError(f"dims CSV line {line_no}: expected path,width,height")
         try:
-            dims[parts[0]] = (float(parts[1]), float(parts[2]))
+            w, h = float(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"dims CSV line {line_no}: non-numeric dimension") from None
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError(f"dims CSV line {line_no}: dimensions must be positive and finite")
+        if parts[0] in dims:
+            raise ValueError(f"dims CSV line {line_no}: duplicate path {parts[0]!r}")
+        dims[parts[0]] = (w, h)
     return dims
 
 

@@ -24,17 +24,14 @@ from .geometry import Box
 from .matching import MatchConfig, assign_labels_xywh
 from .prng import SplitMix64, substream
 
-RETENTION_CENTER_IN_PATCH = "center_in_patch"
-
 
 @dataclass(frozen=True)
 class CropParams:
-    """Crop recipe: patch side as a fraction of the shorter image side, the
-    output canvas side, and the face retention rule."""
+    """Crop recipe: patch side as a fraction of the shorter image side, and
+    the output canvas side."""
 
     scale_options: tuple[float, ...] = (0.3, 0.45, 0.6, 0.8, 1.0)
     output_side: float = 640.0
-    retention: str = RETENTION_CENTER_IN_PATCH
 
     def __post_init__(self):
         object.__setattr__(
@@ -46,8 +43,6 @@ class CropParams:
             raise ValueError("scale options must lie in (0, 1]")
         if self.output_side <= 0:
             raise ValueError("output_side must be positive")
-        if self.retention != RETENTION_CENTER_IN_PATCH:
-            raise ValueError(f"unknown retention rule {self.retention!r}")
 
 
 @dataclass(frozen=True)
@@ -133,23 +128,6 @@ class SimOutcome:
     seed: int
     n_crops: int
     per_face: tuple[FaceSimStat, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_crops": self.n_crops,
-            "per_face": [
-                {
-                    "image": s.image,
-                    "face": s.face,
-                    "crops_seen": s.crops_seen,
-                    "crops_positive": s.crops_positive,
-                    "best_observed_iou": s.best_observed_iou,
-                    "best_ideal_iou": s.best_ideal_iou,
-                }
-                for s in self.per_face
-            ],
-        }
 
 
 def simulate(

@@ -252,6 +252,8 @@ def assign_labels_xywh(
             compensated=np.zeros(n, dtype=bool),
             per_face=[],
         )
+    if not np.isfinite(faces).all():
+        raise ValueError("faces must be finite")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
         raise ValueError("faces must have positive dimensions")
 

@@ -1,26 +1,71 @@
 """Report emission: JSON, CSV, and aligned-text renderings of analysis outputs.
 
-CSV and table output print numeric values with six decimal places (the
-precision annotation aspect ratios are quoted at); JSON carries full
-precision plus a schema_version field. Field order is fixed so identical
-inputs emit identical bytes.
+Per-face rows are frozen dataclasses, and one writer per format renders
+every kind of row from its fields. The CSV header is the row type's field
+names, and each cell is formatted by its field's annotation: floats with six
+decimal places (the precision annotation aspect ratios are quoted at), bools
+as 1/0, anything else as str. JSON carries full precision plus a
+schema_version field. Field order is fixed so identical inputs emit
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import starmap
+from operator import attrgetter
 
 from .ams import AmsReport, FaceMatchStat
-from .cropsim import SimOutcome
+from .cropsim import FaceSimStat, SimOutcome
 from .matching import MatchConfig, MatchResult
 
 SCHEMA_VERSION = 1
-
-FACE_STATS_CSV_HEADER = "image,face,ar,width,max_iou,matched"
-SIM_CSV_HEADER = "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
-MATCH_CSV_HEADER = "image,face,ar,max_iou,positive_count,effective_tp"
 LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
+# CSV cell format by the name of a field's annotation.
+_CELL_FORMAT = {"float": "{:.6f}", "bool": "{:d}"}
+
+
+@dataclass(frozen=True)
+class MatchRow:
+    """One kept face of a match report."""
+
+    image: str
+    face: int
+    ar: float
+    max_iou: float
+    positive_count: int
+    effective_tp: float
+
+
+def _columns(row_type) -> tuple[list[str], attrgetter]:
+    """A row type's field names, and a getter returning a row's values in that order."""
+    names = [f.name for f in fields(row_type)]
+    return names, attrgetter(*names)
+
+
+def csv_text(row_type, rows) -> str:
+    """A header of row_type's field names, then one line per row."""
+    names, values = _columns(row_type)
+    # An annotation is a string in a module with postponed annotations.
+    kinds = (getattr(f.type, "__name__", f.type) for f in fields(row_type))
+    template = ",".join(_CELL_FORMAT.get(kind, "{}") for kind in kinds)
+    return "\n".join([",".join(names), *starmap(template.format, map(values, rows))]) + "\n"
+
+
+def json_text(summary: dict, rows=None) -> str:
+    """{"schema_version": 1, **summary} as indented JSON, plus "per_face" with
+    each row's fields in order when rows are given."""
+    payload = {"schema_version": SCHEMA_VERSION, **summary}
+    if rows is not None:
+        names, values = _columns(type(rows[0])) if rows else ((), None)
+        payload["per_face"] = [dict(zip(names, values(r))) for r in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+FACE_STATS_CSV_HEADER = csv_text(FaceMatchStat, ()).rstrip("\n")
+SIM_CSV_HEADER = csv_text(FaceSimStat, ()).rstrip("\n")
+MATCH_CSV_HEADER = csv_text(MatchRow, ()).rstrip("\n")
 
 
 @dataclass
@@ -33,7 +78,7 @@ class MatchReport:
     n_anchors: int = 0
     n_matched: int = 0
     labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
-    per_face: list[dict] = field(default_factory=list)
+    per_face: list[MatchRow] = field(default_factory=list)
 
     def add(self, image: str, faces, result: MatchResult) -> None:
         """Fold in one image: faces are its (face index, Box) pairs, in the
@@ -45,28 +90,12 @@ class MatchReport:
         for (idx, box), fm in zip(faces, result.per_face):
             self.n_matched += fm.positive_count > 0
             self.per_face.append(
-                {
-                    "image": image,
-                    "face": idx,
-                    "ar": box.h / box.w,
-                    "max_iou": fm.max_iou,
-                    "positive_count": fm.positive_count,
-                    "effective_tp": fm.effective_tp,
-                }
+                MatchRow(image, idx, box.h / box.w, fm.max_iou, fm.positive_count, fm.effective_tp)
             )
 
 
-def _f6(v: float | None) -> str:
-    return "-" if v is None else f"{v:.6f}"
-
-
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def ams_report_dict(report: AmsReport) -> dict:
+def _ams_summary(report: AmsReport) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "t_p": report.t_p,
         "anchor_ar": report.anchor_ar,
         "n_faces": report.n_faces,
@@ -76,6 +105,16 @@ def ams_report_dict(report: AmsReport) -> dict:
         "fitted_eta": report.fitted_eta,
         "analytic_eta": report.analytic_eta,
     }
+
+
+def _ams_csv(report: AmsReport) -> str:
+    """The summary as a one-row CSV: counts as integers, None as "-"."""
+    summary = _ams_summary(report)
+    cells = (
+        str(v) if k.startswith("n_") else "-" if v is None else f"{v:.6f}"
+        for k, v in summary.items()
+    )
+    return ",".join(summary) + "\n" + ",".join(cells) + "\n"
 
 
 def _ams_table(report: AmsReport) -> str:
@@ -92,93 +131,6 @@ def _ams_table(report: AmsReport) -> str:
     return header + "\n" + row + "\n"
 
 
-def _ams_csv(report: AmsReport) -> str:
-    header = "t_p,anchor_ar,n_faces,n_matched,matched_ar_min,matched_ar_max,fitted_eta,analytic_eta"
-    row = ",".join(
-        [
-            _f6(report.t_p),
-            _f6(report.anchor_ar),
-            str(report.n_faces),
-            str(report.n_matched),
-            _f6(report.matched_ar_min),
-            _f6(report.matched_ar_max),
-            _f6(report.fitted_eta),
-            _f6(report.analytic_eta),
-        ]
-    )
-    return header + "\n" + row + "\n"
-
-
-def _face_stats_csv(stats: list[FaceMatchStat]) -> str:
-    lines = [FACE_STATS_CSV_HEADER]
-    for s in stats:
-        lines.append(
-            f"{s.image},{s.face},{_f6(s.ar)},{_f6(s.width)},{_f6(s.max_iou)},"
-            f"{1 if s.matched else 0}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _face_stats_table(stats: list[FaceMatchStat]) -> str:
-    lines = [f"{'image':<32}{'face':>5} {'ar':>10} {'width':>12} {'max_iou':>10} {'matched':>8}"]
-    for s in stats:
-        lines.append(
-            f"{s.image:<32}{s.face:>5} {s.ar:>10.6f} {s.width:>12.6f} "
-            f"{s.max_iou:>10.6f} {1 if s.matched else 0:>8}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _face_stats_json(stats: list[FaceMatchStat]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "per_face": [
-            {
-                "image": s.image,
-                "face": s.face,
-                "ar": s.ar,
-                "width": s.width,
-                "max_iou": s.max_iou,
-                "matched": s.matched,
-            }
-            for s in stats
-        ],
-    }
-
-
-def _sim_csv(outcome: SimOutcome) -> str:
-    lines = [SIM_CSV_HEADER]
-    for s in outcome.per_face:
-        lines.append(
-            f"{s.image},{s.face},{s.crops_seen},{s.crops_positive},"
-            f"{_f6(s.best_observed_iou)},{_f6(s.best_ideal_iou)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _match_dict(report: MatchReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": report.config.to_json_dict(),
-        "n_images": report.n_images,
-        "n_anchors": report.n_anchors,
-        "n_faces": len(report.per_face),
-        "n_faces_matched": report.n_matched,
-        "labels": report.labels,
-        "per_face": report.per_face,
-    }
-
-
-def _match_csv(report: MatchReport) -> str:
-    lines = [MATCH_CSV_HEADER]
-    for r in report.per_face:
-        lines.append(
-            f"{r['image']},{r['face']},{_f6(r['ar'])},{_f6(r['max_iou'])},"
-            f"{r['positive_count']},{_f6(r['effective_tp'])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _match_table(report: MatchReport) -> str:
     labels = report.labels
     lines = [
@@ -192,45 +144,48 @@ def _match_table(report: MatchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(stats, fmt: str) -> str:
-    """Render an analysis output in the requested format.
+def emit_reports(report, fmt: str, per_face=None) -> str:
+    """Render an AmsReport, a MatchReport or a SimOutcome as "json", "csv"
+    or "table" (a SimOutcome has no table form).
 
-    Accepts an AmsReport, a list of FaceMatchStat (possibly empty), a
-    MatchReport, or a SimOutcome; formats are "json", "csv", and "table".
+    per_face, an AmsReport's FaceMatchStat rows, adds them to its report:
+    as the "per_face" list in JSON, as the per-face CSV in place of the
+    one-row summary CSV, and as that CSV after the table. A MatchReport or
+    a SimOutcome always renders the rows it carries.
     """
     if fmt not in ("json", "csv", "table"):
         raise ValueError(f"unknown report format {fmt!r}")
+    if per_face is not None and not isinstance(report, AmsReport):
+        raise TypeError("per_face rows go with an AmsReport only")
 
-    if isinstance(stats, AmsReport):
+    if isinstance(report, AmsReport):
         if fmt == "json":
-            return _json(ams_report_dict(stats))
-        if fmt == "csv":
-            return _ams_csv(stats)
-        return _ams_table(stats)
+            return json_text(_ams_summary(report), per_face)
+        if per_face is None:
+            return _ams_csv(report) if fmt == "csv" else _ams_table(report)
+        rows = csv_text(FaceMatchStat, per_face)
+        return rows if fmt == "csv" else _ams_table(report) + rows
 
-    if isinstance(stats, MatchReport):
+    if isinstance(report, MatchReport):
         if fmt == "json":
-            return _json(_match_dict(stats))
+            summary = {
+                "config": report.config.to_json_dict(),
+                "n_images": report.n_images,
+                "n_anchors": report.n_anchors,
+                "n_faces": len(report.per_face),
+                "n_faces_matched": report.n_matched,
+                "labels": report.labels,
+            }
+            return json_text(summary, report.per_face)
         if fmt == "csv":
-            return _match_csv(stats)
-        return _match_table(stats)
+            return csv_text(MatchRow, report.per_face)
+        return _match_table(report)
 
-    if isinstance(stats, SimOutcome):
-        payload = {"schema_version": SCHEMA_VERSION, **stats.to_json_dict()}
+    if isinstance(report, SimOutcome):
         if fmt == "json":
-            return _json(payload)
+            return json_text({"seed": report.seed, "n_crops": report.n_crops}, report.per_face)
         if fmt == "csv":
-            return _sim_csv(stats)
+            return csv_text(FaceSimStat, report.per_face)
         raise ValueError("simulation outcomes render as json or csv")
 
-    if isinstance(stats, (list, tuple)):
-        items = list(stats)
-        if any(not isinstance(s, FaceMatchStat) for s in items):
-            raise TypeError("list reports must contain FaceMatchStat entries")
-        if fmt == "json":
-            return _json(_face_stats_json(items))
-        if fmt == "csv":
-            return _face_stats_csv(items)
-        return _face_stats_table(items)
-
-    raise TypeError(f"no report emitter for {type(stats).__name__}")
+    raise TypeError(f"no report emitter for {type(report).__name__}")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import anchorkit.anchors
 from anchorkit.anchors import (
     AnchorDesign,
     PyramidLevel,
+    MAX_GRID_ROWS,
     MAX_LADDER_RUNGS,
     ams_design,
     detector_design,
@@ -132,6 +134,30 @@ class TestGenerateAnchors:
     def test_bad_image_dims_rejected(self):
         with pytest.raises(ValueError):
             generate_anchor_boxes(detector_design(), 0, 640)
+
+    def test_row_cap(self, monkeypatch):
+        # The detector grid on 64x64 has 3 * (16^2 + 8^2 + 4^2 + 2^2 + 1^2) = 1023 rows.
+        monkeypatch.setattr(anchorkit.anchors, "MAX_GRID_ROWS", 1023)
+        assert generate_anchor_boxes(detector_design(), 64, 64).shape == (1023, 4)
+        monkeypatch.setattr(anchorkit.anchors, "MAX_GRID_ROWS", 1022)
+        with pytest.raises(ValueError, match="1023 anchors, over the cap of 1022"):
+            generate_anchor_boxes(detector_design(), 64, 64)
+
+    def test_row_cap_refuses_before_building(self, monkeypatch):
+        # One row over the real cap, and a 1024-rung stride-1 ladder on
+        # 1000x800 (819.2M rows, about 26 GB): both refused by the count
+        # alone. Without numpy, any attempt to build the grid fails loudly.
+        monkeypatch.setattr(anchorkit.anchors, "np", None)
+        one_size = AnchorDesign(levels=(PyramidLevel("L", 1.0, (1.0,)),))
+        with pytest.raises(ValueError, match=f"{MAX_GRID_ROWS + 1} anchors"):
+            generate_anchor_boxes(one_size, MAX_GRID_ROWS + 1, 1)
+        longest = ladder_design(1.0, scale_step=128.0 ** (1.0 / (MAX_LADDER_RUNGS - 1)))
+        with pytest.raises(ValueError, match="819200000 anchors"):
+            generate_anchor_boxes(longest, 1000, 800)
+
+    def test_row_cap_leaves_detector_canvases(self):
+        # 3 * (256^2 + 128^2 + 64^2 + 32^2 + 16^2) rows on a 1024x1024 canvas.
+        assert generate_anchor_boxes(detector_design(), 1024, 1024).shape == (261888, 4)
 
     def test_aspect_ratio_invariant(self):
         design = ladder_design(1.3, min_size=8, max_size=64)

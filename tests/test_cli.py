@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import anchorkit.anchors
 from anchorkit.cli import build_parser, main
 from anchorkit.matching import MatchConfig
 
@@ -108,6 +109,15 @@ class TestAmsCommand:
         assert lines[0] == "image,face,ar,width,max_iou,matched"
         assert len(lines) == 3
 
+    def test_no_per_face_means_summary_only(self, mini_file, capsys):
+        assert main(["ams", "--annotations", mini_file, "--format", "csv", "--no-per-face"]) == 0
+        assert capsys.readouterr().out == (
+            "t_p,anchor_ar,n_faces,n_matched,matched_ar_min,matched_ar_max,fitted_eta,analytic_eta\n"
+            "0.500000,1.000000,2,2,1.333333,2.200000,2.200000,2.250000\n"
+        )
+        assert main(["ams", "--annotations", mini_file, "--format", "json", "--no-per-face"]) == 0
+        assert "per_face" not in json.loads(capsys.readouterr().out)
+
     def test_byte_identical_invocations(self, mini_file, capsys):
         main(["ams", "--annotations", mini_file])
         first = capsys.readouterr().out
@@ -203,6 +213,31 @@ class TestBadInput:
         # 1.0000001 would ask for about 48.5M rungs; refused by arithmetic alone.
         assert main(["ams", "--annotations", mini_file, "--scale-step", "1.0000001"]) == 1
         _one_error_line(capsys, "48520306")
+
+    def test_grid_rows_capped(self, mini_file, tmp_path, capsys, monkeypatch):
+        # A 488-rung ladder at stride 1 on 1000x800 is 390.4M anchors;
+        # refused before any is built (without numpy, building fails loudly).
+        monkeypatch.setattr(anchorkit.anchors, "np", None)
+        dims = tmp_path / "dims.csv"
+        dims.write_text("a.jpg,1000,800\n", encoding="utf-8")
+        argv = ["match", "--annotations", mini_file, "--dims", str(dims),
+                "--design", "ams", "--scale-step", "1.01"]
+        assert main(argv) == 1
+        _one_error_line(capsys, "390400000")
+
+    @pytest.mark.parametrize("rows, needle", [
+        ("a.jpg,nan,480", "line 1"),
+        ("path,width,height\na.jpg,640,-3", "line 2"),
+        ("a.jpg,inf,480", "line 1"),
+        ("a.jpg,640,1e400", "line 1"),
+        ("a.jpg,640,0", "line 1"),
+        ("a.jpg,640,480\nb.jpg,64,64\na.jpg,640,480", "line 3"),
+    ], ids=["nan", "negative", "inf", "overflow", "zero", "duplicate"])
+    def test_bad_dims_rejected(self, rows, needle, mini_file, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text(rows + "\n", encoding="utf-8")
+        assert main(["match", "--annotations", mini_file, "--dims", str(dims)]) == 1
+        _one_error_line(capsys, needle)
 
 
 class TestSimulateCommand:

@@ -99,7 +99,7 @@ CASES = {
 }
 
 GOLDEN = {
-    "ams-csv-no-per-face": (0, "ffe790e40d3f0fb1eb2cb723290d63f0f9c691dc77c23ace7e4509c57cd7fdcb"),
+    "ams-csv-no-per-face": (0, "ba27f25a5eee12d7e8fd32b39a52e7279948b272379c3a3d033e40376373de55"),
     "ams-csv-per-face": (0, "ffe790e40d3f0fb1eb2cb723290d63f0f9c691dc77c23ace7e4509c57cd7fdcb"),
     "ams-json-no-per-face": (0, "5e86b228d73140704d0834567978810bbd9c073887ad0f54ead8bcdfe63698fb"),
     "ams-json-per-face": (0, "9278aef9dbc15ebab28dbfb2d588d12252e07660053722159ecf48a6af588ee7"),

@@ -245,3 +245,15 @@ class TestDimsSidecar:
             read_dims_csv(io.StringIO("a.jpg,12\n"))
         with pytest.raises(ValueError):
             read_dims_csv(io.StringIO("a.jpg,x,y\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("a.jpg,nan,-3\na.jpg,640,480\n", 1),
+        ("path,width,height\nb.jpg,inf,1e400\n", 2),
+        ("b.jpg,640,1e400\n", 1),
+        ("b.jpg,-640,480\n", 1),
+        ("b.jpg,640,0\n", 1),
+        ("a.jpg,640,480\n\nb.jpg,64,64\na.jpg,640,480\n", 4),
+    ], ids=["nan-and-negative", "inf", "overflow", "negative", "zero", "duplicate"])
+    def test_read_rejects_bad_dimensions_and_duplicates(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            read_dims_csv(io.StringIO(text))

@@ -259,6 +259,15 @@ class TestAssignLabels:
         with pytest.raises(ValueError):
             assign_labels_xywh(anchors, [[0, 0, 0, 4]], SAM)
 
+    @pytest.mark.parametrize("face", [
+        [0, 0, math.nan, 4], [math.inf, 0, 4, 4], [0, -math.inf, 4, 4], [0, 0, 4, math.inf],
+    ])
+    def test_non_finite_face_rejected(self, face):
+        # A NaN width would otherwise overlap nothing and report max IoU 0.
+        anchors, _ = small_scene(0)
+        with pytest.raises(ValueError, match="finite"):
+            assign_labels_xywh(anchors, [[10, 10, 8, 8], face], SAM)
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_matches_naive_oracle(self, seed, strategy):

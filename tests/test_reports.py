@@ -7,7 +7,14 @@ from anchorkit.ams import AmsReport, FaceMatchStat
 from anchorkit.cropsim import FaceSimStat, SimOutcome
 from anchorkit.geometry import Box
 from anchorkit.matching import FaceMatch, MatchConfig, MatchResult
-from anchorkit.reports import FACE_STATS_CSV_HEADER, MATCH_CSV_HEADER, MatchReport, emit_reports
+from anchorkit.reports import (
+    FACE_STATS_CSV_HEADER,
+    MATCH_CSV_HEADER,
+    SIM_CSV_HEADER,
+    MatchReport,
+    MatchRow,
+    emit_reports,
+)
 
 REPORT = AmsReport(
     t_p=0.5,
@@ -56,29 +63,29 @@ class TestAmsReportFormats:
 
 
 class TestFaceStatsFormats:
+    """The per-face rows of the ams report."""
+
     def test_csv_header_and_precision(self):
-        text = emit_reports(STATS, "csv")
+        text = emit_reports(REPORT, "csv", STATS)
         lines = text.strip().split("\n")
-        assert lines[0] == FACE_STATS_CSV_HEADER
+        assert lines[0] == FACE_STATS_CSV_HEADER == "image,face,ar,width,max_iou,matched"
         assert lines[1] == "a.jpg,0,0.449275,31.500000,0.512300,1"
         assert lines[2] == "a.jpg,2,4.000000,12.000000,0.333333,0"
 
     def test_empty_stats_header_only(self):
-        assert emit_reports([], "csv") == FACE_STATS_CSV_HEADER + "\n"
+        assert emit_reports(REPORT, "csv", []) == FACE_STATS_CSV_HEADER + "\n"
 
     def test_json(self):
-        data = json.loads(emit_reports(STATS, "json"))
+        data = json.loads(emit_reports(REPORT, "json", STATS))
         assert data["schema_version"] == 1
+        assert data["n_faces"] == 100
         assert len(data["per_face"]) == 2
+        assert list(data["per_face"][0]) == FACE_STATS_CSV_HEADER.split(",")
         assert data["per_face"][0]["matched"] is True
 
-    def test_table(self):
-        text = emit_reports(STATS, "table")
-        assert "0.449275" in text
-
-    def test_mixed_list_rejected(self):
-        with pytest.raises(TypeError):
-            emit_reports([STATS[0], "nope"], "csv")
+    def test_table_then_csv(self):
+        text = emit_reports(REPORT, "table", STATS)
+        assert text == emit_reports(REPORT, "table") + emit_reports(REPORT, "csv", STATS)
 
 
 class TestMatchResultFormats:
@@ -106,6 +113,7 @@ class TestMatchResultFormats:
     def test_csv(self):
         lines = emit_reports(self.report(), "csv").strip().split("\n")
         assert lines[0] == MATCH_CSV_HEADER == "image,face,ar,max_iou,positive_count,effective_tp"
+        assert self.report().per_face[1] == MatchRow("a.jpg", 2, 3.0, 0.42, 1, 0.46)
         assert lines[1] == "a.jpg,0,2.000000,0.810000,1,0.500000"
         assert lines[2] == "a.jpg,2,3.000000,0.420000,1,0.460000"
 
@@ -133,7 +141,9 @@ class TestSimOutcomeFormats:
 
     def test_csv(self):
         lines = emit_reports(self.outcome(), "csv").strip().split("\n")
-        assert lines[0] == "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
+        assert lines[0] == SIM_CSV_HEADER == (
+            "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
+        )
         assert lines[1] == "a.jpg,0,154,153,0.476557,0.476557"
 
     def test_table_unsupported(self):
@@ -149,7 +159,13 @@ class TestDispatch:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             emit_reports(object(), "json")
+        with pytest.raises(TypeError):
+            emit_reports(STATS, "csv")
+
+    def test_per_face_only_with_ams(self):
+        with pytest.raises(TypeError):
+            emit_reports(MatchReport(MatchConfig()), "csv", STATS)
 
     def test_deterministic_bytes(self):
         assert emit_reports(REPORT, "json") == emit_reports(REPORT, "json")
-        assert emit_reports(STATS, "csv") == emit_reports(STATS, "csv")
+        assert emit_reports(REPORT, "csv", STATS) == emit_reports(REPORT, "csv", STATS)
