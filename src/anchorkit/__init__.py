@@ -16,6 +16,7 @@ from .ams import (
 )
 from .anchors import (
     AnchorDesign,
+    AnchorGrid,
     PyramidLevel,
     ams_design,
     detector_design,
@@ -34,7 +35,7 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, CropResult, FaceSimStat, SimOutcome, random_crop, simulate
-from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix
+from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix, iou_pairs
 from .matching import (
     IGNORE,
     NEGATIVE,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmsReport",
     "AnchorDesign",
+    "AnchorGrid",
     "Box",
     "ConvSpec",
     "CropParams",
@@ -110,6 +112,7 @@ __all__ = [
     "ideal_max_iou",
     "iou",
     "iou_matrix",
+    "iou_pairs",
     "ladder_design",
     "parse_wider",
     "random_crop",

@@ -171,44 +171,77 @@ def ams_design(aspect_ratio: float) -> AnchorDesign:
     return ladder_design(aspect_ratio)
 
 
-def generate_anchor_boxes(
-    design: AnchorDesign, image_w: float, image_h: float
-) -> np.ndarray:
-    """(N, 4) float64 xywh anchor array.
+class AnchorGrid:
+    """The anchors of one design on one canvas, held as arithmetic.
 
-    Rows are ordered by (level, row-major grid cell, size); anchors are
-    centered at ((i+0.5)*stride, (j+0.5)*stride) and are not clipped to the
-    image (clipping would change IoU values). A grid of more than
-    MAX_GRID_ROWS anchors is refused before any is built.
+    One plane per (level, size), in the arrays stride, size (w, h), cells
+    (nx, ny), first and step: the plane's anchor in cell (i, j) is centred
+    at ((i+0.5)*stride, (j+0.5)*stride), w wide and h = w * aspect_ratio
+    high, not clipped to the image (clipping would change IoU values), and
+    is row first + (j*nx + i)*step. Rows are thus ordered by (level,
+    row-major grid cell, size). len() and shape come from the plane table;
+    np.asarray(grid) builds the (N, 4) float64 xywh rows. A canvas with no
+    cells, more than MAX_GRID_ROWS anchors, or an anchor height of 0 or inf
+    is refused before any array is built.
     """
-    if image_w <= 0 or image_h <= 0:
-        raise ValueError("image dimensions must be positive")
-    grids = []
-    for level in design.levels:
-        nx = math.floor(image_w / level.stride)
-        ny = math.floor(image_h / level.stride)
-        if nx <= 0 or ny <= 0:
-            raise ValueError(
-                f"level {level.name!r}: stride {level.stride} leaves no grid cells "
-                f"in a {image_w}x{image_h} image"
-            )
-        grids.append((level, nx, ny))
-    rows = sum(nx * ny * len(level.sizes) for level, nx, ny in grids)
-    if rows > MAX_GRID_ROWS:
-        raise ValueError(f"a {image_w}x{image_h} canvas asks for {rows} anchors, "
-                         f"over the cap of {MAX_GRID_ROWS}")
-    blocks = []
-    for level, nx, ny in grids:
-        xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
-        ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
-        sizes = np.asarray(level.sizes, dtype=np.float64)
-        k = sizes.size
-        cx = np.repeat(np.tile(xs, ny), k)
-        cy = np.repeat(np.repeat(ys, nx), k)
-        w = np.tile(sizes, nx * ny)
-        h = w * design.aspect_ratio
-        blocks.append(np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h]))
-    return np.concatenate(blocks, axis=0)
+
+    def __init__(self, design: AnchorDesign, image_w: float, image_h: float):
+        if image_w <= 0 or image_h <= 0:
+            raise ValueError("image dimensions must be positive")
+        self._levels, planes, rows = [], [], 0
+        for level in design.levels:
+            nx = math.floor(image_w / level.stride)
+            ny = math.floor(image_h / level.stride)
+            if nx <= 0 or ny <= 0:
+                raise ValueError(
+                    f"level {level.name!r}: stride {level.stride} leaves no grid cells "
+                    f"in a {image_w}x{image_h} image"
+                )
+            if not all(0 < s * design.aspect_ratio < math.inf for s in level.sizes):
+                raise ValueError(f"level {level.name!r}: size * aspect_ratio must be "
+                                 f"a positive finite anchor height")
+            k = len(level.sizes)
+            planes += [(level.stride, s, s * design.aspect_ratio, nx, ny, rows + t, k)
+                       for t, s in enumerate(level.sizes)]
+            self._levels.append((level, nx, ny))
+            rows += nx * ny * k
+        if rows > MAX_GRID_ROWS:
+            raise ValueError(f"a {image_w}x{image_h} canvas asks for {rows} anchors, "
+                             f"over the cap of {MAX_GRID_ROWS}")
+        self.design, self.image_w, self.image_h, self._rows = design, image_w, image_h, rows
+        stride, w, h, nx, ny, first, step = zip(*planes)
+        self.stride = np.array(stride, dtype=np.float64)
+        self.size = np.column_stack([w, h]).astype(np.float64)  # anchor w, h
+        self.cells = np.column_stack([nx, ny]).astype(np.int64)  # cells across, down
+        self.first = np.array(first, dtype=np.int64)
+        self.step = np.array(step, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self._rows, 4)
+
+    def __array__(self, dtype=None, copy=None):
+        blocks = []
+        for level, nx, ny in self._levels:
+            xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
+            ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
+            sizes = np.asarray(level.sizes, dtype=np.float64)
+            k = sizes.size
+            cx = np.repeat(np.tile(xs, ny), k)
+            cy = np.repeat(np.repeat(ys, nx), k)
+            w = np.tile(sizes, nx * ny)
+            h = w * self.design.aspect_ratio
+            blocks.append(np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h]))
+        rows = np.concatenate(blocks, axis=0)
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
+def generate_anchor_boxes(design: AnchorDesign, image_w: float, image_h: float) -> AnchorGrid:
+    """The anchor grid of design on an image_w x image_h canvas; see AnchorGrid."""
+    return AnchorGrid(design, image_w, image_h)
 
 
 def load_design(path: str) -> AnchorDesign:

@@ -143,9 +143,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
         if not faces:
             continue
         canvas_w, canvas_h = _canvas_for(rec, [box for _, box in faces], max_stride)
-        anchor_arr = generate_anchor_boxes(design, canvas_w, canvas_h)
+        grid = generate_anchor_boxes(design, canvas_w, canvas_h)
         face_arr = [[box.x, box.y, box.w, box.h] for _, box in faces]
-        report.add(rec.path, faces, assign_labels_xywh(anchor_arr, face_arr, cfg))
+        report.add(rec.path, faces, assign_labels_xywh(grid, face_arr, cfg))
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 

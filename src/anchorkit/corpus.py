@@ -253,8 +253,8 @@ class FixedListAR:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError("values must be non-empty")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("aspect ratios must be positive")
+        if not all(0 < v < math.inf for v in self.values):
+            raise ValueError(f"aspect ratios must be positive and finite: {self.values!r}")
 
     def ar_for(self, index: int, rng: SplitMix64) -> float:
         return self.values[index % len(self.values)]

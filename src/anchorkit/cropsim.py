@@ -14,6 +14,7 @@ scale index, patch x, patch y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,8 +42,8 @@ class CropParams:
             raise ValueError("scale_options must be non-empty")
         if any(not 0 < s <= 1 for s in self.scale_options):
             raise ValueError("scale options must lie in (0, 1]")
-        if self.output_side <= 0:
-            raise ValueError("output_side must be positive")
+        if not 0 < self.output_side < math.inf:
+            raise ValueError(f"output_side must be positive and finite, not {self.output_side!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def simulate(
 ) -> SimOutcome:
     """Run n_crops seeded crops per image and aggregate per-face outcomes.
 
-    Each crop generates the anchor grid on the output canvas (computed once),
-    assigns labels under cfg, and records whether each retained face drew at
+    The anchor grid of the output canvas is built once; each crop assigns
+    labels on it under cfg and records whether each retained face drew at
     least one positive anchor and what its best grid IoU was. Every record
     must carry pixel dimensions.
     """
@@ -152,7 +153,7 @@ def simulate(
         if rec.width is None or rec.height is None:
             raise ValueError(f"record {rec.path!r} has no image dimensions")
 
-    anchor_arr = generate_anchor_boxes(design, params.output_side, params.output_side)
+    grid = generate_anchor_boxes(design, params.output_side, params.output_side)
 
     stats: list[FaceSimStat] = []
     for img_idx, rec in enumerate(record_list):
@@ -177,7 +178,7 @@ def simulate(
                 if bound > best_ideal[idx]:
                     best_ideal[idx] = bound
             face_arr = [[b.x, b.y, b.w, b.h] for b in crop.boxes]
-            result = assign_labels_xywh(anchor_arr, face_arr, cfg)
+            result = assign_labels_xywh(grid, face_arr, cfg)
             for k, fm in enumerate(result.per_face):
                 idx = orig_idx[crop.source_indices[k]]
                 if fm.positive_count > 0:

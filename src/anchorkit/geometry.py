@@ -1,6 +1,6 @@
-"""Axis-aligned box arithmetic: areas, IoU (one pair or a broadcast matrix),
-aspect ratio, and the best-possible intersection of two box shapes under
-free placement.
+"""Axis-aligned box arithmetic: areas, IoU (one pair, elementwise over
+broadcast pairs, or a matrix), aspect ratio, and the best-possible
+intersection of two box shapes under free placement.
 
 Boxes are real-valued: annotation files carry integers, but crops and resizes
 produce fractional coordinates, and integer quantization would distort IoU
@@ -64,28 +64,36 @@ def aspect_ratio(box: Box) -> float:
     return box.h / box.w
 
 
-def iou_matrix(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of two xywh box arrays, shape (len(a), len(b)).
+def iou_pairs(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of two broadcastable (..., 4) xywh box arrays.
 
     Each axis overlap is clamped at zero and by both boxes' extents: the
     subtraction of rounded corner coordinates can otherwise exceed the true
     width by an ulp, which would push the IoU of identical thin boxes above 1.
-    Materializes the full matrix; anchor-scale assignment streams over faces
-    in matching.assign_labels_xywh instead.
+    The clamp also means no pair of boxes can score above the IoU of their
+    two shapes placed concentrically.
+    """
+    a = np.asarray(a_xywh, dtype=np.float64)
+    b = np.asarray(b_xywh, dtype=np.float64)
+    ax1, ay1, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.maximum(np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1), 0.0)
+    ih = np.maximum(np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1), 0.0)
+    iw = np.minimum(iw, np.minimum(aw, bw))
+    ih = np.minimum(ih, np.minimum(ah, bh))
+    inter = iw * ih
+    return inter / ((aw * ah) + (bw * bh) - inter)
+
+
+def iou_matrix(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of two xywh box arrays, shape (len(a), len(b)): iou_pairs
+    broadcast over every (a, b) pair. Materializes the full matrix;
+    anchor-scale assignment scores candidate pairs only, in
+    matching.assign_labels_xywh.
     """
     a = np.asarray(a_xywh, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b_xywh, dtype=np.float64).reshape(-1, 4)
-    ax1, ay1 = a[:, 0:1], a[:, 1:2]
-    ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
-    bx1, by1 = b[:, 0], b[:, 1]
-    bx2, by2 = bx1 + b[:, 2], by1 + b[:, 3]
-    iw = np.clip(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0, None)
-    ih = np.clip(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0, None)
-    iw = np.minimum(iw, np.minimum(a[:, 2:3], b[:, 2]))
-    ih = np.minimum(ih, np.minimum(a[:, 3:4], b[:, 3]))
-    inter = iw * ih
-    union = (a[:, 2:3] * a[:, 3:4]) + (b[:, 2] * b[:, 3]) - inter
-    return inter / union
+    return iou_pairs(a[:, None], b[None])
 
 
 def iou(a: Box, b: Box) -> float:

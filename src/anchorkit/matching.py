@@ -16,11 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import iou_matrix
+from .anchors import AnchorGrid
+from .geometry import iou_matrix, iou_pairs
 
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
 IGNORE = -2
+# Most candidate (face, anchor) pairs assign_labels_xywh expands at once,
+# before the overlap test; a chunk of faces always holds at least one face.
+PAIR_BUDGET = 2**20
 
 
 class Strategy(Enum):
@@ -175,20 +179,35 @@ class FaceMatch:
 
 @dataclass
 class MatchResult:
-    """Per-anchor labels plus per-face statistics.
+    """Per-anchor labels plus per-face statistics, held sparsely.
 
-    labels[i] is a face index (>= 0) for positive anchors, NEGATIVE, or
-    IGNORE. compensated[i] marks positives added by anchor compensation,
-    whose IoU may be at or below the face's effective threshold.
+    rows are the anchor rows that assignment touched (ascending), with their
+    row_labels and row_compensated flags; every other anchor carries the
+    background label and is not compensated. labels and compensated build
+    the dense per-anchor arrays on each read: labels[i] is a face index
+    (>= 0) for positive anchors, NEGATIVE, or IGNORE; compensated[i] marks
+    positives added by anchor compensation, whose IoU may be at or below the
+    face's effective threshold.
     """
 
-    labels: np.ndarray
-    compensated: np.ndarray
+    n_anchors: int
+    rows: np.ndarray
+    row_labels: np.ndarray
+    row_compensated: np.ndarray
+    background: int
     per_face: list[FaceMatch]
 
     @property
-    def n_anchors(self) -> int:
-        return int(self.labels.shape[0])
+    def labels(self) -> np.ndarray:
+        out = np.full(self.n_anchors, self.background, dtype=np.int64)
+        out[self.rows] = self.row_labels
+        return out
+
+    @property
+    def compensated(self) -> np.ndarray:
+        out = np.zeros(self.n_anchors, dtype=bool)
+        out[self.rows] = self.row_compensated
+        return out
 
     def positive_mask(self) -> np.ndarray:
         return self.labels >= 0
@@ -200,12 +219,15 @@ class MatchResult:
         return self.labels == IGNORE
 
     def label_counts(self) -> dict[str, int]:
-        return {
-            "positive": int(np.count_nonzero(self.positive_mask())),
-            "negative": int(np.count_nonzero(self.negative_mask())),
-            "ignore": int(np.count_nonzero(self.ignore_mask())),
-            "compensated": int(np.count_nonzero(self.compensated)),
+        counts = {
+            "positive": int(np.count_nonzero(self.row_labels >= 0)),
+            "negative": int(np.count_nonzero(self.row_labels == NEGATIVE)),
+            "ignore": int(np.count_nonzero(self.row_labels == IGNORE)),
+            "compensated": int(np.count_nonzero(self.row_compensated)),
         }
+        untouched = self.n_anchors - self.rows.size
+        counts["negative" if self.background == NEGATIVE else "ignore"] += untouched
+        return counts
 
 
 def effective_thresholds(face_ars: Sequence[float], cfg: MatchConfig) -> np.ndarray:
@@ -215,95 +237,88 @@ def effective_thresholds(face_ars: Sequence[float], cfg: MatchConfig) -> np.ndar
     return np.full(len(face_ars), cfg.t0, dtype=np.float64)
 
 
-def assign_labels_xywh(
-    anchor_xywh: np.ndarray, face_xywh: np.ndarray, cfg: MatchConfig
-) -> MatchResult:
-    """Assign positive/negative/ignore labels to (n, 4) xywh anchors against
+def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig) -> MatchResult:
+    """Assign positive/negative/ignore labels to the anchors of grid against
     (m, 4) xywh faces.
 
     An anchor is positive for the face maximizing IoU among faces whose
     effective positive threshold it strictly exceeds (lowest face index on
     ties), negative when its best IoU over all faces is strictly below
-    cfg.tn, and ignore otherwise. Under SAM_COMPENSATE, each face left
-    without positives additionally claims its argmax-IoU anchor (lowest
-    anchor index on ties) unless that anchor is already positive for another
-    face; such anchors are flagged in MatchResult.compensated.
+    cfg.tn, and ignore otherwise; with no faces every anchor is negative.
+    Under SAM_COMPENSATE, each face left without positives additionally
+    claims its argmax-IoU anchor (lowest anchor row on ties, row 0 when it
+    overlaps none) unless that anchor is already positive for another face;
+    such anchors are flagged in MatchResult.compensated.
 
-    Streams over faces rather than materializing the full IoU matrix, and
-    prunes each face's column to the anchors whose boxes actually overlap it.
-    The pruning is lossless: excluded pairs have IoU exactly 0, which can
-    never be positive (thresholds exceed 0) and never raises a running max.
+    The cost grows with the candidate pairs, never with the anchor count.
+    For each face and anchor plane, the cells whose anchors can overlap the
+    face form an index range, computed from the cell centres and widened by
+    one cell; only the anchors in it that strictly overlap the face are
+    scored. Every other pair has IoU exactly 0, which is never positive and
+    never raises a max. A plane is skipped for a face when the IoU of their
+    shapes placed concentrically is below cfg.tn: iou_pairs clamps each axis
+    overlap to the smaller extent and rounding is monotone, so no anchor on
+    it can score more, and it can make no anchor positive or ignore. A face
+    whose best IoU found is below cfg.tn is scored again over every plane,
+    so its max IoU and argmax are those of the whole grid.
     """
-    anchors = np.ascontiguousarray(np.asarray(anchor_xywh, dtype=np.float64))
-    if anchors.ndim != 2 or anchors.shape[1] != 4:
-        raise ValueError("anchor array must have shape (n, 4)")
-    n = anchors.shape[0]
-    if n == 0:
-        raise ValueError("anchor list must be non-empty")
-    if np.any(anchors[:, 2] <= 0) or np.any(anchors[:, 3] <= 0):
-        raise ValueError("anchors must have positive dimensions")
-
+    if not isinstance(grid, AnchorGrid):
+        raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
     m = faces.shape[0]
-    if m == 0:
-        # No faces: every anchor is a background sample.
-        return MatchResult(
-            labels=np.full(n, NEGATIVE, dtype=np.int64),
-            compensated=np.zeros(n, dtype=bool),
-            per_face=[],
-        )
     if not np.isfinite(faces).all():
         raise ValueError("faces must be finite")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
         raise ValueError("faces must have positive dimensions")
-
     tp = effective_thresholds(faces[:, 3] / faces[:, 2], cfg)
 
-    ax1 = anchors[:, 0]
-    ay1 = anchors[:, 1]
-    ax2 = ax1 + anchors[:, 2]
-    ay2 = ay1 + anchors[:, 3]
+    # Per face and plane, and per axis (x, y): first candidate cell and count.
+    corner = faces[:, None, :2]
+    lo, count = _cell_range(corner, corner + faces[:, None, 2:], grid.size,
+                            grid.stride[:, None], grid.cells)
+    span = count[..., 0] * count[..., 1]
+    (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
+    inter = np.minimum(aw, fw) * np.minimum(ah, fh)
+    bound = inter / ((aw * ah) + (fw * fh) - inter)  # concentric shapes' IoU
 
-    best_iou = np.zeros(n, dtype=np.float64)
-    best_pos_iou = np.zeros(n, dtype=np.float64)
-    best_pos_face = np.full(n, -1, dtype=np.int64)
     face_max = np.zeros(m, dtype=np.float64)
-    face_argmax = np.zeros(m, dtype=np.int64)
+    face_arg = np.zeros(m, dtype=np.int64)
+    kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    todo, counts = np.arange(m), np.where(bound < cfg.tn, 0, span)
+    for _ in range(2):  # the second pass rescores, over every plane, faces below tn
+        for part in _chunks(counts.sum(axis=1), PAIR_BUDGET):
+            j = todo[part]
+            row, face, val = pairs = _candidates(grid, faces, j, counts[part], lo[j], count[j])
+            first = np.lexsort((row, -val, face))
+            first = first[_starts(face[first])]
+            face_max[face[first]] = val[first]
+            face_arg[face[first]] = row[first]
+            kept = _decisive(*map(np.concatenate, zip(kept, pairs)), tp)
+        todo = np.flatnonzero(face_max < cfg.tn)
+        counts = span[todo]
 
-    for j in range(m):
-        fx1, fy1, fw, fh = faces[j]
-        fx2, fy2 = fx1 + fw, fy1 + fh
-        cand = (ax1 < fx2) & (ax2 > fx1) & (ay1 < fy2) & (ay2 > fy1)
-        idx = np.flatnonzero(cand)
-        if idx.size == 0:
-            continue
-        vals = iou_matrix(anchors[idx], faces[j])[:, 0]
-
-        k = int(np.argmax(vals))
-        face_max[j] = vals[k]
-        face_argmax[j] = idx[k]
-
-        best_iou[idx] = np.maximum(best_iou[idx], vals)
-
-        # Strict > keeps the lowest face index on IoU ties.
-        upd = (vals > tp[j]) & (vals > best_pos_iou[idx])
-        if np.any(upd):
-            sel = idx[upd]
-            best_pos_iou[sel] = vals[upd]
-            best_pos_face[sel] = j
-
-    labels = np.full(n, IGNORE, dtype=np.int64)
-    labels[best_iou < cfg.tn] = NEGATIVE
-    positive = best_pos_face >= 0
-    labels[positive] = best_pos_face[positive]
-
-    compensated = np.zeros(n, dtype=bool)
-    positive_count = np.bincount(best_pos_face[positive], minlength=m)
+    row, face, val = kept
+    first = _starts(row)
+    rows = row[first]
+    labels = np.where(val[first] < cfg.tn, NEGATIVE, IGNORE)
+    up = val > tp[face]  # at most one pair per row: its best positive
+    labels[np.cumsum(first)[up] - 1] = face[up]
+    positive_count = np.bincount(face[up], minlength=m)
+    background = NEGATIVE if cfg.tn > 0 or m == 0 else IGNORE
+    compensated = np.zeros(rows.size, dtype=bool)
 
     if cfg.strategy is Strategy.SAM_COMPENSATE:
+        # Give every row a face may claim a slot: row 0 may be untouched.
+        claim = np.sort(np.concatenate([rows, face_arg[positive_count == 0]]))
+        claim = claim[_starts(claim)]
+        if claim.size > rows.size:
+            wide = np.full(claim.size, background, dtype=np.int64)
+            wide[np.searchsorted(claim, rows)] = labels
+            rows, labels, compensated = claim, wide, np.zeros(claim.size, dtype=bool)
+        slot = np.searchsorted(rows, face_arg)
         for j in range(m):
             if positive_count[j] == 0:
-                k = int(face_argmax[j])
+                k = slot[j]
                 if labels[k] < 0:
                     labels[k] = j
                     compensated[k] = True
@@ -313,4 +328,85 @@ def assign_labels_xywh(
         FaceMatch(j, float(face_max[j]), int(positive_count[j]), float(tp[j]))
         for j in range(m)
     ]
-    return MatchResult(labels=labels, compensated=compensated, per_face=per_face)
+    return MatchResult(len(grid), rows, labels, compensated, background, per_face)
+
+
+def _cell_range(f1, f2, size, stride, cells):
+    """First cell and cell count of the anchors, centred at (i+0.5)*stride
+    with extent size, that can overlap [f1, f2] on one axis: the exact range
+    widened by one cell on each side, and by a tolerance far above the
+    rounding of the corner arithmetic. Broadcasts over its arguments."""
+    tol = (np.abs(f1) + np.abs(f2) + size + (cells + 1) * stride) * 2.0**-40
+    lo = np.clip(np.floor((f1 - size / 2.0 - tol) / stride - 0.5), 0, cells)
+    hi = np.clip(np.floor((f2 + size / 2.0 + tol) / stride - 0.5) + 2, 0, cells)
+    return lo.astype(np.int64), np.maximum(hi - lo, 0).astype(np.int64)
+
+
+def _chunks(pairs: np.ndarray, budget: int):
+    """Slices of consecutive faces with at most budget candidate pairs in
+    all, or one face."""
+    ends = np.cumsum(pairs)
+    lo = 0
+    while lo < pairs.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _candidates(grid, faces, j, counts, lo, count):
+    """(anchor row, face, IoU) of the anchors that strictly overlap a face
+    faces[j[f]], among the counts[f, p] anchors of plane p whose cells start
+    at lo[f, p] and number count[f, p] per axis. The overlap test is one
+    test per axis, so each axis's cells are tested once and the hits paired;
+    the anchor corners come from the same float operations as the rows."""
+    group = np.flatnonzero(counts.ravel())
+    face, plane = j[group // counts.shape[1]], group % counts.shape[1]
+    lo, count = lo.reshape(-1, 2)[group], count.reshape(-1, 2)[group]
+    s, (aw, ah), f = grid.stride[plane], grid.size[plane].T, faces[face]
+    gx, i, ax1 = _axis_hits(lo[:, 0], count[:, 0], s, aw, f[:, 0], f[:, 0] + f[:, 2])
+    gy, k, ay1 = _axis_hits(lo[:, 1], count[:, 1], s, ah, f[:, 1], f[:, 1] + f[:, 3])
+    nx, ny = np.bincount(gx, minlength=group.size), np.bincount(gy, minlength=group.size)
+    at, off = _expand(nx * ny)
+    xi = (np.cumsum(nx) - nx)[at] + off % nx[at]
+    yi = (np.cumsum(ny) - ny)[at] + off // nx[at]
+    p = plane[at]
+    row = grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
+    val = iou_pairs(np.stack([ax1[xi], ay1[yi], aw[at], ah[at]], -1), f[at])
+    return row, face[at], val
+
+
+def _axis_hits(lo, count, stride, size, f1, f2):
+    """(group, cell, anchor low edge) of each cell lo[g] .. lo[g]+count[g]-1
+    of group g whose anchor, centred at (cell+0.5)*stride[g] and size[g]
+    long, strictly overlaps [f1[g], f2[g]]; in group order."""
+    g, off = _expand(count)
+    cell = lo[g] + off
+    a1 = (cell + 0.5) * stride[g] - size[g] / 2.0
+    hit = np.flatnonzero((a1 < f2[g]) & (a1 + size[g] > f1[g]))
+    return g[hit], cell[hit], a1[hit]
+
+
+def _expand(count):
+    """For count[g] items per group g: each item's group and its offset in it."""
+    g = np.repeat(np.arange(count.size), count)
+    return g, np.arange(g.size) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _decisive(row, face, val, tp):
+    """The pairs that decide anchor labels, sorted by (row, -IoU, face): each
+    row's best pair and its best pair above that pair's face threshold.
+    Labels from these alone equal labels from all the pairs given."""
+    order = np.lexsort((face, -val, row))
+    row, face, val = row[order], face[order], val[order]
+    keep = _starts(row)
+    up = np.flatnonzero(val > tp[face])
+    keep[up[_starts(row[up])]] = True
+    return row[keep], face[keep], val[keep]
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in keys."""
+    out = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=out[1:])
+    return out

@@ -1,8 +1,35 @@
 """Slow, obviously-correct reference implementations used to cross-check the
 library's vectorized paths. Kept deliberately independent: plain Python
-loops over xywh tuples, no shared code with the package internals."""
+loops over xywh tuples (and one eager numpy grid builder), no shared code
+with the package internals."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def eager_anchor_rows(design, image_w, image_h):
+    """(N, 4) float64 xywh rows of design's anchor grid, built eagerly: rows
+    ordered by (level, row-major grid cell, size), anchors centred at
+    ((i+0.5)*stride, (j+0.5)*stride). This is the array the library built
+    before its grid became arithmetic; AnchorGrid must reproduce it bit for
+    bit."""
+    blocks = []
+    for level in design.levels:
+        nx = math.floor(image_w / level.stride)
+        ny = math.floor(image_h / level.stride)
+        xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
+        ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
+        sizes = np.asarray(level.sizes, dtype=np.float64)
+        k = sizes.size
+        cx = np.repeat(np.tile(xs, ny), k)
+        cy = np.repeat(np.repeat(ys, nx), k)
+        w = np.tile(sizes, nx * ny)
+        h = w * design.aspect_ratio
+        blocks.append(np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h]))
+    return np.concatenate(blocks, axis=0)
 
 
 def naive_iou(a, b) -> float:

@@ -16,6 +16,8 @@ from anchorkit.anchors import (
     ladder_design,
 )
 
+from oracles import eager_anchor_rows
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -104,14 +106,14 @@ class TestGenerateAnchors:
 
     def test_p2_contribution(self):
         # Rows are level-major: the first 76800 are P2's, then P3 starts.
-        anchors = generate_anchor_boxes(detector_design(), 640, 640)
+        anchors = np.asarray(generate_anchor_boxes(detector_design(), 640, 640))
         p2_sizes = detector_design().levels[0].sizes
         assert set(anchors[:76800, 2]) == set(p2_sizes)
         assert anchors[76800, 2] == detector_design().levels[1].sizes[0]
 
     def test_single_cell(self):
         design = AnchorDesign(levels=(PyramidLevel("L", 64, (64.0,)),))
-        anchors = generate_anchor_boxes(design, 64, 64)
+        anchors = np.asarray(generate_anchor_boxes(design, 64, 64))
         # Centered at (32, 32): corner (0, 0), side 64.
         assert anchors.tolist() == [[0.0, 0.0, 64.0, 64.0]]
 
@@ -162,7 +164,7 @@ class TestGenerateAnchors:
     def test_aspect_ratio_invariant(self):
         design = ladder_design(1.3, min_size=8, max_size=64)
         design = AnchorDesign(levels=(PyramidLevel("L", 16, design.sizes),), aspect_ratio=1.3)
-        anchors = generate_anchor_boxes(design, 128, 96)
+        anchors = np.asarray(generate_anchor_boxes(design, 128, 96))
         assert np.allclose(anchors[:, 3] / anchors[:, 2], 1.3, rtol=0, atol=1e-12)
 
     def test_deterministic_regeneration(self):
@@ -175,7 +177,7 @@ class TestGenerateAnchors:
         design = AnchorDesign(
             levels=(PyramidLevel("A", 32, (8.0, 16.0)), PyramidLevel("B", 64, (32.0,))),
         )
-        anchors = generate_anchor_boxes(design, 64, 64)
+        anchors = np.asarray(generate_anchor_boxes(design, 64, 64))
         centers = [(x + w / 2, y + h / 2, w) for x, y, w, h in anchors.tolist()]
         assert centers == [
             (16.0, 16.0, 8.0),
@@ -188,6 +190,42 @@ class TestGenerateAnchors:
             (48.0, 48.0, 16.0),
             (32.0, 32.0, 32.0),
         ]
+
+    @pytest.mark.parametrize("design, w, h", [
+        (detector_design(), 640, 640),
+        (detector_design(), 129, 65),
+        (ams_design(2.4), 100, 37),
+        (AnchorDesign(levels=(PyramidLevel("A", 0.75, (1.0, 3.5)),
+                              PyramidLevel("B", 5.5, (7.25,))), aspect_ratio=0.3), 41.3, 17.9),
+    ], ids=["detector-640", "detector-129x65", "ams", "fractional-strides"])
+    def test_rows_match_eager_builder(self, design, w, h):
+        grid = generate_anchor_boxes(design, w, h)
+        rows = np.asarray(grid)
+        assert rows.dtype == np.float64
+        assert rows.shape == grid.shape == (len(grid), 4)
+        assert rows.tobytes() == eager_anchor_rows(design, w, h).tobytes()
+        assert np.asarray(grid, dtype=np.float32).dtype == np.float32
+
+    def test_plane_table(self):
+        # One plane per (level, size); row of cell (i, j) = first + (j*nx + i)*step.
+        grid = generate_anchor_boxes(detector_design(), 640, 640)
+        sizes = list(detector_design().sizes)
+        assert grid.size.tolist() == [[s, s] for s in sizes]
+        assert grid.stride.tolist() == [4.0] * 3 + [8.0] * 3 + [16.0] * 3 + [32.0] * 3 + [64.0] * 3
+        assert grid.first.tolist()[:4] == [0, 1, 2, 76800]
+        assert grid.step.tolist() == [3] * 15
+        assert grid.cells[::3].tolist() == [[160, 160], [80, 80], [40, 40], [20, 20], [10, 10]]
+        rows = np.asarray(grid)
+        p, i, j = 4, 7, 3  # P3's second size, cell (7, 3)
+        r = grid.first[p] + (j * grid.cells[p, 0] + i) * grid.step[p]
+        assert rows[r].tolist() == [(i + 0.5) * 8 - 8, (j + 0.5) * 8 - 8, 16.0, 16.0]
+
+    @pytest.mark.parametrize("size, ar", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_zero_or_inf_height_rejected(self, size, ar):
+        # size * aspect_ratio underflows to 0 or overflows to inf.
+        design = AnchorDesign(levels=(PyramidLevel("tiny", 1.0, (size,)),), aspect_ratio=ar)
+        with pytest.raises(ValueError, match="level 'tiny'"):
+            generate_anchor_boxes(design, 4, 4)
 
 
 class TestDesignValidation:

@@ -197,6 +197,27 @@ class TestBadInput:
         assert main(argv + ["--annotations", mini_file]) == 1
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--synthetic", "2", "--crops", "1", "--output-side", "nan"], "output_side"),
+        (["simulate", "--synthetic", "2", "--crops", "1", "--output-side", "inf"], "output_side"),
+        (["ams", "--synthetic", "3", "--ar-list", "inf"], "aspect ratios"),
+        (["ams", "--synthetic", "3", "--ar-list", "1.5,nan"], "aspect ratios"),
+    ], ids=["output-side-nan", "output-side-inf", "ar-list-inf", "ar-list-nan"])
+    def test_non_finite_crop_and_ar_flags_named(self, argv, field, capsys):
+        # Refused where the value enters, not deep in grid or corpus generation.
+        assert main(argv) == 1
+        _one_error_line(capsys, field)
+
+    @pytest.mark.parametrize("size, aspect_ratio", [("1e-200", "1e-200"), ("1e200", "1e200")])
+    def test_zero_or_inf_anchor_height_rejected(self, size, aspect_ratio, mini_file, tmp_path, capsys):
+        # size * aspect_ratio underflows to 0 or overflows to inf: the grid
+        # refuses the level where it is built.
+        design = tmp_path / "design.json"
+        design.write_text('{"levels": [{"name": "thin", "stride": 8, "sizes": [%s]}], '
+                          '"aspect_ratio": %s}' % (size, aspect_ratio), encoding="utf-8")
+        assert main(["match", "--annotations", mini_file, "--design", str(design)]) == 1
+        _one_error_line(capsys, "level 'thin'")
+
     @pytest.mark.parametrize("text, field", [
         ('{"levels": [{"stride": 8, "sizes": [8]}], "aspect_ratio": 1}', "'name'"),
         ('{"aspect_ratio": 1}', "'levels'"),

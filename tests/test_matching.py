@@ -1,11 +1,21 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design, generate_anchor_boxes
+import anchorkit.anchors
+import anchorkit.matching
+from anchorkit.anchors import (
+    AnchorDesign,
+    PyramidLevel,
+    ams_design,
+    detector_design,
+    generate_anchor_boxes,
+)
+from anchorkit.geometry import iou_pairs
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
@@ -22,7 +32,7 @@ from anchorkit.matching import (
     warm_threshold,
 )
 
-from oracles import naive_assign, naive_iou
+from oracles import eager_anchor_rows, naive_assign, naive_iou
 
 DEFAULT = MatchConfig()
 SAM = MatchConfig(strategy=Strategy.SAM)
@@ -41,6 +51,12 @@ def small_scene(seed, n_faces=5, canvas=128.0):
     y = rng.uniform(-10, canvas - 10, n_faces)
     faces = np.column_stack([x, y, w, w * ar])
     return anchors, faces
+
+
+def one_level(stride, sizes, canvas_w, canvas_h, aspect_ratio=1.0):
+    """The grid of a one-level design: one anchor per size in each cell."""
+    design = AnchorDesign(levels=(PyramidLevel("L", stride, sizes),), aspect_ratio=aspect_ratio)
+    return generate_anchor_boxes(design, canvas_w, canvas_h)
 
 
 class TestMatchConfig:
@@ -245,7 +261,11 @@ class TestAssignLabels:
         assert res.per_face[0].positive_count == 1
 
     def test_empty_anchor_list_rejected(self):
-        with pytest.raises(ValueError):
+        # A grid is never empty: a canvas with no cells is refused where the
+        # grid is built, and the kernel takes grids only, not row arrays.
+        with pytest.raises(ValueError, match="no grid cells"):
+            one_level(64, (64.0,), 63, 64)
+        with pytest.raises(TypeError):
             assign_labels_xywh(np.empty((0, 4)), [[0, 0, 4, 4]], SAM)
 
     def test_empty_faces_all_negative(self):
@@ -278,7 +298,7 @@ class TestAssignLabels:
         tp = [warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
               for f in faces]
         labels, compensated, per_max, pos_count = naive_assign(
-            [tuple(a) for a in anchors],
+            [tuple(a) for a in np.asarray(anchors)],
             [tuple(f) for f in faces],
             tp,
             cfg.tn,
@@ -293,23 +313,27 @@ class TestAssignLabels:
 
     def test_strict_positive_threshold(self):
         # Nested boxes giving IoU exactly 0.5: not strictly above, so no positive.
-        anchors = np.array([[0.0, 0.0, 50.0, 100.0]])
-        face = [0.0, 0.0, 100.0, 100.0]
+        anchors = one_level(50, (50.0,), 50, 50, aspect_ratio=2.0)
+        assert np.asarray(anchors).tolist() == [[0.0, -25.0, 50.0, 100.0]]
+        face = [0.0, -25.0, 100.0, 100.0]
         res = assign_labels_xywh(anchors, [face], SAM)
+        assert res.per_face[0].max_iou == 0.5
         assert res.labels[0] == IGNORE
         assert res.per_face[0].positive_count == 0
 
     def test_strict_negative_threshold(self):
         # IoU exactly tn stays ignore; strictly below becomes negative.
-        anchors = np.array([[0.0, 0.0, 35.0, 100.0], [0.0, 0.0, 20.0, 100.0]])
-        face = [0.0, 0.0, 100.0, 100.0]
+        anchors = one_level(95, (70.0,), 190, 95)
+        assert np.asarray(anchors).tolist() == [[12.5, 12.5, 70.0, 70.0], [107.5, 12.5, 70.0, 70.0]]
+        face = [12.5, 12.5, 140.0, 100.0]
         res = assign_labels_xywh(anchors, [face], SAM)
+        assert iou_pairs(np.asarray(anchors), face).tolist() == [0.35, 0.2]
         assert res.labels[0] == IGNORE  # IoU == 0.35 == tn
         assert res.labels[1] == NEGATIVE  # IoU == 0.20 < tn
 
     def test_tie_breaks_to_lowest_face_index(self):
-        anchors = np.array([[10.0, 10.0, 40.0, 40.0]])
-        face = [10.0, 10.0, 40.0, 40.0]
+        anchors = one_level(40, (40.0,), 40, 40)
+        face = [0.0, 0.0, 40.0, 40.0]
         res = assign_labels_xywh(anchors, [face, list(face)], SAM)
         assert res.labels[0] == 0
         assert res.per_face[0].positive_count == 1
@@ -324,16 +348,18 @@ class TestAssignLabels:
     def test_positive_anchors_exceed_threshold(self):
         anchors, faces = small_scene(5, n_faces=6)
         res = assign_labels_xywh(anchors, faces, DEFAULT)
+        rows = np.asarray(anchors)
         for i in np.flatnonzero(res.positive_mask()):
             j = res.labels[i]
-            v = naive_iou(tuple(anchors[i]), tuple(faces[j]))
+            v = naive_iou(tuple(rows[i]), tuple(faces[j]))
             assert v > res.per_face[j].effective_tp
 
     def test_negative_anchors_below_tn(self):
         anchors, faces = small_scene(6, n_faces=6)
         res = assign_labels_xywh(anchors, faces, DEFAULT)
+        rows = np.asarray(anchors)
         for i in np.flatnonzero(res.negative_mask()):
-            best = max(naive_iou(tuple(anchors[i]), tuple(f)) for f in faces)
+            best = max(naive_iou(tuple(rows[i]), tuple(f)) for f in faces)
             assert best < DEFAULT.tn
 
 
@@ -341,19 +367,20 @@ class TestCompensation:
     def test_unmatched_face_claims_argmax_anchor(self):
         # A face whose best IoU is far below t0; compensation must still claim
         # its argmax anchor and flag it.
-        anchors = np.array([[0.0, 0.0, 10.0, 10.0], [100.0, 100.0, 10.0, 10.0]])
-        face = [100.0, 100.0, 40.0, 40.0]  # IoU vs anchor 1 = 100/1600
+        anchors = one_level(100, (10.0,), 200, 200)  # 10x10 anchors at (45|145, 45|145)
+        face = [145.0, 145.0, 40.0, 40.0]  # IoU vs anchor 3 = 100/1600
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
         res = assign_labels_xywh(anchors, [face], cfg)
-        assert res.labels[1] == 0
-        assert res.compensated[1]
+        assert res.per_face[0].max_iou == 100 / 1600
+        assert res.labels.tolist() == [NEGATIVE, NEGATIVE, NEGATIVE, 0]
+        assert res.compensated.tolist() == [False, False, False, True]
         assert res.per_face[0].positive_count == 1
 
     def test_compensation_does_not_steal_positives(self):
         # Two identical faces: face 0 wins the anchor; face 1's compensation
         # target is already positive, so it stays unmatched.
-        anchors = np.array([[10.0, 10.0, 40.0, 40.0]])
-        face = [10.0, 10.0, 40.0, 40.0]
+        anchors = one_level(40, (40.0,), 40, 40)
+        face = [0.0, 0.0, 40.0, 40.0]
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
         res = assign_labels_xywh(anchors, [face, list(face)], cfg)
         assert res.labels[0] == 0
@@ -422,3 +449,152 @@ class TestPerformance:
         assign_labels_xywh(anchors, faces, DEFAULT)
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"assignment took {elapsed:.2f}s"
+
+
+SCENE_SIZES = (1.0, 2.0, 3.0, 4.0, 5.5, 8.0, 11.0, 16.0, 22.5, 32.0)
+
+
+@st.composite
+def grid_scenes(draw):
+    """A random 1-3-level design on a small canvas, and up to five faces:
+    free boxes, copies of an anchor, boxes touching an anchor's right edge,
+    repeats of an earlier face, and boxes partly or wholly off the canvas."""
+    n_levels = draw(st.integers(1, 3))
+    strides = draw(st.lists(st.sampled_from([0.75, 1.0, 2.0, 4.0, 5.5, 8.0]),
+                            min_size=n_levels, max_size=n_levels, unique=True))
+    sizes = sorted(draw(st.lists(st.sampled_from(SCENE_SIZES), min_size=n_levels,
+                                 max_size=5, unique=True)))
+    cut = sorted(draw(st.lists(st.integers(1, len(sizes) - 1), min_size=n_levels - 1,
+                               max_size=n_levels - 1, unique=True))) if n_levels > 1 else []
+    parts = [sizes[a:b] for a, b in zip([0] + cut, cut + [len(sizes)])]
+    levels = [PyramidLevel(f"L{k}", s, tuple(p)) for k, (s, p) in enumerate(zip(strides, parts))]
+    design = AnchorDesign(levels=tuple(levels),
+                          aspect_ratio=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+    w = draw(st.sampled_from([8.0, 13.5, 20.0, 24.0]))
+    h = draw(st.sampled_from([8.0, 11.0, 16.0, 24.0]))
+    rows = eager_anchor_rows(design, w, h)
+    coord = st.floats(-12.0, 30.0, allow_nan=False)
+    side = st.floats(0.5, 40.0, allow_nan=False)
+    faces = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["free", "anchor", "touching", "repeat", "off"]))
+        anchor = rows[draw(st.integers(0, len(rows) - 1))].tolist()
+        if kind == "anchor":
+            faces.append(anchor)
+        elif kind == "touching":
+            faces.append([anchor[0] + anchor[2], anchor[1], draw(side), anchor[3]])
+        elif kind == "repeat" and faces:
+            faces.append(list(faces[draw(st.integers(0, len(faces) - 1))]))
+        elif kind == "off":
+            faces.append([w + draw(st.floats(-5.0, 60.0)), draw(coord), draw(side), draw(side)])
+        else:
+            faces.append([draw(coord), draw(coord), draw(side), draw(side)])
+    return design, w, h, np.array(faces, dtype=np.float64).reshape(-1, 4)
+
+
+class TestGridKernel:
+    """The grid-indexed kernel against the dense oracle on the grid's rows."""
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.1, 0.3, 0.35]))
+    @settings(max_examples=150)
+    def test_matches_naive_oracle(self, scene, strategy, tn):
+        design, w, h, faces = scene
+        grid = generate_anchor_boxes(design, w, h)
+        rows = np.asarray(grid)
+        assert rows.tobytes() == eager_anchor_rows(design, w, h).tobytes()
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        res = assign_labels_xywh(grid, faces, cfg)
+        tp = [warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
+              for f in faces]
+        labels, compensated, per_max, pos_count = naive_assign(
+            [tuple(a) for a in rows], [tuple(f) for f in faces], tp, tn,
+            compensate=strategy is Strategy.SAM_COMPENSATE,
+        )
+        assert res.labels.tolist() == labels
+        assert res.compensated.tolist() == compensated
+        assert [fm.max_iou for fm in res.per_face] == per_max
+        assert [fm.positive_count for fm in res.per_face] == pos_count
+        assert res.label_counts() == {
+            "positive": sum(v >= 0 for v in labels),
+            "negative": labels.count(NEGATIVE),
+            "ignore": labels.count(IGNORE),
+            "compensated": sum(compensated),
+        }
+
+    @given(scene=grid_scenes())
+    @settings(max_examples=100)
+    def test_no_pair_beats_its_plane_bound(self, scene):
+        # The concentric IoU of a plane's anchor shape with a face bounds
+        # every computed IoU of that face with the plane's anchors.
+        design, w, h, faces = scene
+        grid = generate_anchor_boxes(design, w, h)
+        rows = np.asarray(grid)
+        plane = np.empty(len(grid), dtype=np.int64)
+        for p in range(grid.stride.size):
+            plane[grid.first[p] + np.arange(grid.cells[p, 0] * grid.cells[p, 1]) * grid.step[p]] = p
+        aw, ah = grid.size[plane, :1], grid.size[plane, 1:]
+        assert np.array_equal(rows[:, 2:], np.hstack([aw, ah]))
+        fw, fh = faces[:, 2], faces[:, 3]
+        inter = np.minimum(aw, fw) * np.minimum(ah, fh)
+        bound = inter / ((aw * ah) + (fw * fh) - inter)
+        assert (iou_matrix(rows, faces) <= bound).all()
+
+    def test_no_faces_all_negative_whatever_tn(self):
+        grid = one_level(8, (8.0, 16.0), 32, 32)
+        for tn in (0.0, 0.35):
+            res = assign_labels_xywh(grid, np.empty((0, 4)), MatchConfig(tn=tn))
+            assert res.labels.tolist() == [NEGATIVE] * len(grid)
+            assert res.label_counts()["negative"] == len(grid)
+
+    def test_tn_zero_leaves_untouched_anchors_ignore(self):
+        grid = one_level(8, (8.0,), 32, 32)
+        res = assign_labels_xywh(grid, [[0.0, 0.0, 8.0, 8.0]], MatchConfig(tn=0.0))
+        assert res.labels.tolist() == [0] + [IGNORE] * 15
+
+    def test_face_off_the_grid_claims_anchor_zero(self):
+        grid = one_level(8, (8.0,), 32, 32)
+        cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
+        res = assign_labels_xywh(grid, [[100.0, 100.0, 8.0, 8.0]], cfg)
+        assert res.labels.tolist() == [0] + [NEGATIVE] * 15
+        assert res.compensated.tolist() == [True] + [False] * 15
+        assert (res.per_face[0].max_iou, res.per_face[0].positive_count) == (0.0, 1)
+
+
+class TestResources:
+    def test_one_face_on_a_ten_million_row_grid(self, monkeypatch):
+        # Neither the grid nor the kernel builds per-anchor arrays: the rows
+        # are never asked for, and the peak stays far below one float per anchor.
+        def no_rows(self, dtype=None, copy=None):
+            raise AssertionError("the anchor rows were built")
+
+        monkeypatch.setattr(anchorkit.anchors.AnchorGrid, "__array__", no_rows)
+        tracemalloc.start()
+        try:
+            grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
+            res = assign_labels_xywh(grid, [[500.0, 300.0, 40.0, 60.0]], DEFAULT)
+            counts = res.label_counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 15 * 1000 * 700
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert res.per_face[0].positive_count > 0
+        assert counts["positive"] + counts["negative"] + counts["ignore"] == len(grid)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_small_pair_budget_gives_the_same_result(self, strategy, monkeypatch):
+        anchors, faces = small_scene(4, n_faces=30)
+        cfg = MatchConfig(strategy=strategy)
+        whole = assign_labels_xywh(anchors, faces, cfg)
+        calls = []
+        candidates = anchorkit.matching._candidates
+        monkeypatch.setattr(anchorkit.matching, "PAIR_BUDGET", 64)
+        monkeypatch.setattr(anchorkit.matching, "_candidates",
+                            lambda *args: calls.append(1) or candidates(*args))
+        parts = assign_labels_xywh(anchors, faces, cfg)
+        assert len(calls) > 10
+        assert np.array_equal(parts.labels, whole.labels)
+        assert np.array_equal(parts.compensated, whole.compensated)
+        assert parts.per_face == whole.per_face
+        assert parts.label_counts() == whole.label_counts()

@@ -92,11 +92,17 @@ class TestMatchResultFormats:
     """The corpus match report, folded from per-image assignment results."""
 
     def report(self):
+        # Rows 0, 2 and 3 touched; row 1 keeps the background label.
         result = MatchResult(
-            labels=np.array([0, -1, -2, 1]),
-            compensated=np.array([False, False, False, True]),
+            n_anchors=4,
+            rows=np.array([0, 2, 3]),
+            row_labels=np.array([0, -2, 1]),
+            row_compensated=np.array([False, False, True]),
+            background=-1,
             per_face=[FaceMatch(0, 0.81, 1, 0.5), FaceMatch(1, 0.42, 1, 0.46)],
         )
+        assert result.labels.tolist() == [0, -1, -2, 1]
+        assert result.compensated.tolist() == [False, False, False, True]
         report = MatchReport(MatchConfig())
         report.add("a.jpg", [(0, Box(0, 0, 10, 20)), (2, Box(5, 5, 4, 12))], result)
         return report
