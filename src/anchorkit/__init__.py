@@ -24,13 +24,14 @@ from .anchors import (
     ladder_design,
 )
 from .corpus import (
-    FaceAnnotation,
+    FACE_COLUMNS,
     FixedListAR,
     ImageRecord,
     LogUniformAR,
     WiderParseError,
     ar_coverage,
     generate_synthetic,
+    kept_faces,
     parse_wider,
     serialize_wider,
 )
@@ -76,7 +77,7 @@ __all__ = [
     "CropParams",
     "CropResult",
     "DomainSide",
-    "FaceAnnotation",
+    "FACE_COLUMNS",
     "FaceMatch",
     "FaceMatchStat",
     "FaceSimStat",
@@ -113,6 +114,7 @@ __all__ = [
     "iou",
     "iou_matrix",
     "iou_pairs",
+    "kept_faces",
     "ladder_design",
     "parse_wider",
     "random_crop",

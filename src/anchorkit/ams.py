@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .anchors import AnchorDesign
-from .corpus import ImageRecord, iter_faces
+from .corpus import ImageRecord, kept_faces
 
 
 @dataclass(frozen=True)
@@ -61,24 +63,28 @@ class AmsReport:
         return boundary_ar(self.t_p, 1.0)
 
 
-def ideal_max_iou(face_w: float, face_ar: float, design: AnchorDesign) -> float:
-    """Best IoU the face can reach against the design under ideal placement.
+def ideal_max_iou(face_w, face_ar, design: AnchorDesign):
+    """Best IoU a face can reach against the design under ideal placement.
 
-    Maximizes over the design's size ladder; the per-size bound is the
-    concentric-placement intersection min(w_f, s) * min(w_f*r_f, s*r_a).
+    face_w and face_ar are floats, giving a float, or broadcastable arrays,
+    giving one value per face. Maximizes over the design's size ladder; the
+    per-size bound is the concentric-placement intersection
+    min(w_f, s) * min(w_f*r_f, s*r_a), scored in the order of a scalar loop
+    (face area w_f*w_f*r_f, then the intersection, then s*s*r_a), so every
+    face's value is bit-identical to scoring it alone. The maximum is floored
+    at 0.0, and a size whose score is NaN (overflowed extents) is skipped.
     """
-    if face_w <= 0 or face_ar <= 0:
+    w = np.asarray(face_w, dtype=np.float64)[..., None]
+    ar = np.asarray(face_ar, dtype=np.float64)[..., None]
+    if (w <= 0).any() or (ar <= 0).any():
         raise ValueError("face width and aspect ratio must be positive")
+    s = np.asarray(design.sizes, dtype=np.float64)
     ra = design.aspect_ratio
-    face_area = face_w * face_w * face_ar
-    face_h = face_w * face_ar
-    best = 0.0
-    for s in design.sizes:
-        inter = min(face_w, s) * min(face_h, s * ra)
-        val = inter / (face_area + s * s * ra - inter)
-        if val > best:
-            best = val
-    return best
+    with np.errstate(all="ignore"):
+        inter = np.minimum(w, s) * np.minimum(w * ar, s * ra)
+        val = inter / (w * w * ar + s * s * ra - inter)
+    best = np.fmax.reduce(val, axis=-1, initial=0.0)
+    return float(best) if best.ndim == 0 else best
 
 
 def analytic_max_iou(face_ar: float, anchor_ar: float) -> float:
@@ -104,25 +110,24 @@ def boundary_ar(t_p: float, anchor_ar: float) -> float:
 
 
 def run_ams(
-    records: Iterable[ImageRecord],
-    design: AnchorDesign,
-    t_p: float,
-    include_invalid: bool = False,
+    records: Iterable[ImageRecord], design: AnchorDesign, t_p: float
 ) -> tuple[AmsReport, list[FaceMatchStat]]:
-    """Simulate matching over a corpus: compute each face's ideal max IoU,
-    mark it matched when strictly above t_p, and report the matched-AR range.
-
-    Faces flagged invalid are skipped unless include_invalid is set;
-    degenerate boxes are always skipped (they have no aspect ratio).
+    """Simulate matching over a corpus: compute each kept face's ideal max
+    IoU, mark it matched when strictly above t_p, and report the matched-AR
+    range. Faces are kept by corpus.kept_faces.
     """
     if not 0.0 <= t_p <= 1.0:
         raise ValueError("t_p must be in [0, 1]")
     stats: list[FaceMatchStat] = []
-    for rec, idx, face in iter_faces(records, include_invalid=include_invalid):
-        w = face.box.w
-        ar = face.box.h / face.box.w
-        mi = ideal_max_iou(w, ar, design)
-        stats.append(FaceMatchStat(rec.path, idx, ar, w, mi, mi > t_p))
+    for rec in records:
+        idx, xywh = kept_faces(rec)
+        w = xywh[:, 2]
+        ar = xywh[:, 3] / w
+        best = ideal_max_iou(w, ar, design)
+        stats.extend(
+            FaceMatchStat(rec.path, i, r, fw, mi, mi > t_p)
+            for i, r, fw, mi in zip(idx.tolist(), ar.tolist(), w.tolist(), best.tolist())
+        )
 
     matched_ars = [s.ar for s in stats if s.matched]
     if matched_ars:

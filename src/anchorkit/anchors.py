@@ -21,6 +21,9 @@ MAX_LADDER_RUNGS = 1024
 # Most anchors generate_anchor_boxes builds for one canvas (512 MiB as
 # float64 xywh): a long ladder at stride 1 would otherwise ask for tens of GB.
 MAX_GRID_ROWS = 2**24
+# Bound on every anchor side and on every face coordinate and side that
+# assignment accepts: below it, each area and each sum of two areas is finite.
+MAX_EXTENT = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,8 @@ class AnchorGrid:
     is row first + (j*nx + i)*step. Rows are thus ordered by (level,
     row-major grid cell, size). len() and shape come from the plane table;
     np.asarray(grid) builds the (N, 4) float64 xywh rows. A canvas with no
-    cells, more than MAX_GRID_ROWS anchors, or an anchor height of 0 or inf
-    is refused before any array is built.
+    cells, more than MAX_GRID_ROWS anchors, an anchor height of 0, or an
+    anchor side of MAX_EXTENT or more is refused before any array is built.
     """
 
     def __init__(self, design: AnchorDesign, image_w: float, image_h: float):
@@ -197,9 +200,10 @@ class AnchorGrid:
                     f"level {level.name!r}: stride {level.stride} leaves no grid cells "
                     f"in a {image_w}x{image_h} image"
                 )
-            if not all(0 < s * design.aspect_ratio < math.inf for s in level.sizes):
-                raise ValueError(f"level {level.name!r}: size * aspect_ratio must be "
-                                 f"a positive finite anchor height")
+            if not all(0 < s * design.aspect_ratio < MAX_EXTENT and s < MAX_EXTENT
+                       for s in level.sizes):
+                raise ValueError(f"level {level.name!r}: size * aspect_ratio must be a positive "
+                                 f"anchor height, and size and height below 2**511")
             k = len(level.sizes)
             planes += [(level.stride, s, s * design.aspect_ratio, nx, ny, rows + t, k)
                        for t, s in enumerate(level.sizes)]

@@ -22,7 +22,7 @@ from .corpus import (
     attach_dims,
     corpus_counts,
     generate_synthetic,
-    iter_faces,
+    kept_faces,
     parse_wider,
     read_dims_csv,
     serialize_wider,
@@ -77,7 +77,7 @@ def _match_config(args: argparse.Namespace) -> MatchConfig:
 
 
 def _load_records(args: argparse.Namespace):
-    if getattr(args, "synthetic", None):
+    if args.synthetic is not None:
         if args.ar_list:
             law = FixedListAR(tuple(float(v) for v in args.ar_list.split(",")))
         else:
@@ -120,12 +120,11 @@ def _cmd_ams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _canvas_for(rec, boxes, max_stride: float) -> tuple[float, float]:
+def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
     if rec.width is not None and rec.height is not None:
         return rec.width, rec.height
     # Fall back to the smallest stride-aligned canvas covering the faces.
-    max_x = max(b.x2 for b in boxes)
-    max_y = max(b.y2 for b in boxes)
+    max_x, max_y = (xywh[:, :2] + xywh[:, 2:]).max(axis=0).tolist()
     w = max(max_stride, math.ceil(max_x / max_stride) * max_stride)
     h = max(max_stride, math.ceil(max_y / max_stride) * max_stride)
     return float(w), float(h)
@@ -139,13 +138,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
     report = MatchReport(cfg)
     for rec in records:
-        faces = [(idx, face.box) for _, idx, face in iter_faces([rec])]
-        if not faces:
+        idx, xywh = kept_faces(rec)
+        if len(idx) == 0:
             continue
-        canvas_w, canvas_h = _canvas_for(rec, [box for _, box in faces], max_stride)
-        grid = generate_anchor_boxes(design, canvas_w, canvas_h)
-        face_arr = [[box.x, box.y, box.w, box.h] for _, box in faces]
-        report.add(rec.path, faces, assign_labels_xywh(grid, face_arr, cfg))
+        grid = generate_anchor_boxes(design, *_canvas_for(rec, xywh, max_stride))
+        report.add(rec.path, idx, xywh, assign_labels_xywh(grid, xywh, cfg))
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 

@@ -4,29 +4,29 @@ The parser reads the standard WIDER-style ground-truth format: repeated blocks
 of an image path line, a face-count line, and that many face lines of ten
 space-separated integers ("x y w h blur expression illumination invalid
 occlusion pose"). A count of zero is followed by a single placeholder box line
-(a quirk of the dataset files) which is discarded. Nothing is silently
-dropped: zero-area boxes and invalid-flagged faces are retained and flagged,
-and downstream analyses apply their own filters (the default filter drops
-invalid faces and degenerate boxes).
+(a quirk of the dataset files) which is discarded. Each record holds its faces
+as one (n, 10) float64 array in that column order (FACE_COLUMNS). Nothing is
+silently dropped: zero-area boxes and invalid-flagged faces are retained, and
+kept_faces is the one default filter that drops them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
-from .geometry import Box
+import numpy as np
+
 from .prng import SplitMix64, substream
 
-_ATTR_RANGES = {
-    "blur": (0, 2),
-    "expression": (0, 1),
-    "illumination": (0, 1),
-    "invalid": (0, 1),
-    "occlusion": (0, 2),
-    "pose": (0, 1),
-}
+FACE_COLUMNS = (
+    "x", "y", "w", "h", "blur", "expression", "illumination", "invalid", "occlusion", "pose",
+)
+# The attribute codes' ranges, in column order after x y w h.
+_ATTR_RANGES = (("blur", 0, 2), ("expression", 0, 1), ("illumination", 0, 1),
+                ("invalid", 0, 1), ("occlusion", 0, 2), ("pose", 0, 1))
+_INVALID = FACE_COLUMNS.index("invalid")
 
 
 class WiderParseError(ValueError):
@@ -37,41 +37,29 @@ class WiderParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class FaceAnnotation:
-    """One annotated face: its box plus the dataset's attribute codes."""
-
-    box: Box
-    blur: int = 0
-    expression: int = 0
-    illumination: int = 0
-    invalid: int = 0
-    occlusion: int = 0
-    pose: int = 0
-
-    def __post_init__(self):
-        for name, (lo, hi) in _ATTR_RANGES.items():
-            v = getattr(self, name)
-            if not lo <= v <= hi:
-                raise ValueError(f"{name} code {v} outside [{lo}, {hi}]")
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.box.is_valid()
+def _no_faces() -> np.ndarray:
+    return np.empty((0, len(FACE_COLUMNS)))
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageRecord:
     """One image's annotations. Pixel dimensions are optional because the
-    annotation files omit them; a sidecar CSV can supply them when needed."""
+    annotation files omit them; a sidecar CSV can supply them when needed.
+    faces is an (n, 10) float64 array with the columns FACE_COLUMNS."""
 
     path: str
     width: float | None = None
     height: float | None = None
-    faces: list[FaceAnnotation] = field(default_factory=list)
+    faces: np.ndarray = field(default_factory=_no_faces)
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageRecord):
+            return NotImplemented
+        return ((self.path, self.width, self.height) == (other.path, other.width, other.height)
+                and np.array_equal(self.faces, other.faces))
 
 
-def _parse_face_line(text: str, line_no: int) -> FaceAnnotation:
+def _parse_face_line(text: str, line_no: int) -> list[float]:
     fields = text.split()
     if len(fields) != 10:
         raise WiderParseError(line_no, f"expected 10 integer fields, got {len(fields)}")
@@ -79,18 +67,12 @@ def _parse_face_line(text: str, line_no: int) -> FaceAnnotation:
         values = [int(f) for f in fields]
     except ValueError:
         raise WiderParseError(line_no, f"non-integer field in face line: {text!r}") from None
-    x, y, w, h, blur, expression, illumination, invalid, occlusion, pose = values
+    for (name, lo, hi), v in zip(_ATTR_RANGES, values[4:]):
+        if not lo <= v <= hi:
+            raise WiderParseError(line_no, f"{name} code {v} outside [{lo}, {hi}]")
     try:
-        return FaceAnnotation(
-            box=Box(float(x), float(y), float(w), float(h)),
-            blur=blur,
-            expression=expression,
-            illumination=illumination,
-            invalid=invalid,
-            occlusion=occlusion,
-            pose=pose,
-        )
-    except ValueError as exc:
+        return [float(v) for v in values]
+    except OverflowError as exc:
         raise WiderParseError(line_no, str(exc)) from None
 
 
@@ -131,7 +113,7 @@ def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
             raise WiderParseError(i + 1, f"negative face count {count}")
         i += 1
 
-        faces: list[FaceAnnotation] = []
+        faces: list[list[float]] = []
         expected_lines = count if count > 0 else 1
         for _ in range(expected_lines):
             if i >= n:
@@ -142,7 +124,7 @@ def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
                 faces.append(_parse_face_line(lines[i], i + 1))
             # count == 0: the placeholder box line is discarded.
             i += 1
-        records.append(ImageRecord(path=path, faces=faces))
+        records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, len(FACE_COLUMNS))))
     return records
 
 
@@ -162,69 +144,32 @@ def serialize_wider(records: Iterable[ImageRecord]) -> str:
     for rec in records:
         out.append(rec.path)
         out.append(str(len(rec.faces)))
-        if not rec.faces:
+        if len(rec.faces) == 0:
             out.append("0 0 0 0 0 0 0 0 0 0")
-            continue
-        for f in rec.faces:
-            out.append(
-                " ".join(
-                    [
-                        _int_field(f.box.x, "x"),
-                        _int_field(f.box.y, "y"),
-                        _int_field(f.box.w, "width"),
-                        _int_field(f.box.h, "height"),
-                        str(f.blur),
-                        str(f.expression),
-                        str(f.illumination),
-                        str(f.invalid),
-                        str(f.occlusion),
-                        str(f.pose),
-                    ]
-                )
-            )
+        for row in rec.faces.tolist():
+            out.append(" ".join(map(_int_field, row, FACE_COLUMNS)))
     return "\n".join(out) + "\n"
 
 
-def iter_faces(
-    records: Iterable[ImageRecord], include_invalid: bool = False
-) -> Iterator[tuple[ImageRecord, int, FaceAnnotation]]:
-    """Yield (record, face_index, face) applying the default corpus filter.
-
-    face_index is the face's position within its record, so emitted rows stay
-    traceable to the annotation file even when some faces are filtered out.
-    """
-    for rec in records:
-        for idx, face in enumerate(rec.faces):
-            if face.invalid and not include_invalid:
-                continue
-            if face.degenerate:
-                continue
-            yield rec, idx, face
+def kept_faces(rec: ImageRecord) -> tuple[np.ndarray, np.ndarray]:
+    """The default corpus filter: the positions in rec.faces of the faces not
+    flagged invalid and with positive width and height, and their (k, 4) xywh
+    rows. Positions keep emitted rows traceable to the annotation file."""
+    f = rec.faces
+    idx = ((f[:, _INVALID] == 0) & (f[:, 2] > 0) & (f[:, 3] > 0)).nonzero()[0]
+    return idx, f[idx, :4]
 
 
 def corpus_counts(records: Iterable[ImageRecord]) -> dict[str, int]:
-    """Raw and filtered face tallies for a corpus, in one pass."""
-    n_images = 0
-    n_faces = 0
-    n_invalid = 0
-    n_degenerate = 0
-    n_kept = 0
-    for rec in records:
-        n_images += 1
-        for face in rec.faces:
-            n_faces += 1
-            if face.invalid:
-                n_invalid += 1
-            if face.degenerate:
-                n_degenerate += 1
-            if not face.invalid and not face.degenerate:
-                n_kept += 1
+    """Raw and filtered face tallies for a corpus."""
+    records = list(records)
+    faces = np.concatenate([_no_faces(), *(rec.faces for rec in records)])
     return {
-        "n_images": n_images,
-        "n_faces": n_faces,
-        "n_invalid": n_invalid,
-        "n_degenerate": n_degenerate,
-        "n_kept": n_kept,
+        "n_images": len(records),
+        "n_faces": len(faces),
+        "n_invalid": int(np.count_nonzero(faces[:, _INVALID])),
+        "n_degenerate": int(np.count_nonzero(~((faces[:, 2] > 0) & (faces[:, 3] > 0)))),
+        "n_kept": sum(len(kept_faces(rec)[0]) for rec in records),
     }
 
 
@@ -271,7 +216,7 @@ def generate_synthetic(
     Image dimensions are sized to contain the face with margin.
     """
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise ValueError(f"synthetic corpus size must be positive, not {n}")
     records: list[ImageRecord] = []
     for i in range(n):
         rng = substream(seed, i)
@@ -287,30 +232,21 @@ def generate_synthetic(
                 path=f"synthetic/{i:05d}.jpg",
                 width=img_w,
                 height=img_h,
-                faces=[FaceAnnotation(box=Box(x, y, w, h))],
+                faces=np.array([[x, y, w, h] + [0.0] * 6]),
             )
         )
     return records
 
 
-def ar_coverage(
-    records: Iterable[ImageRecord],
-    anchor_ar: float,
-    eta: float,
-    include_invalid: bool = False,
-) -> float:
-    """Fraction of (filtered) faces whose aspect ratio lies in D(anchor_ar, eta)."""
+def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) -> float:
+    """Fraction of kept faces whose aspect ratio lies in D(anchor_ar, eta)."""
     from .matching import arsd_contains
 
-    total = 0
-    inside = 0
-    for _, _, face in iter_faces(records, include_invalid=include_invalid):
-        total += 1
-        if arsd_contains(face.box.h / face.box.w, anchor_ar, eta):
-            inside += 1
-    if total == 0:
+    xywh = np.concatenate([np.empty((0, 4)), *(kept_faces(rec)[1] for rec in records)])
+    inside = arsd_contains(xywh[:, 3] / xywh[:, 2], anchor_ar, eta)
+    if len(xywh) == 0:
         raise ValueError("corpus has no usable faces")
-    return inside / total
+    return int(np.count_nonzero(inside)) / len(xywh)
 
 
 def read_dims_csv(source: str | IO[str]) -> dict[str, tuple[float, float]]:

@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .ams import ideal_max_iou
 from .anchors import AnchorDesign, generate_anchor_boxes
-from .corpus import ImageRecord, iter_faces
+from .corpus import ImageRecord, kept_faces
 from .geometry import Box
 from .matching import MatchConfig, assign_labels_xywh
 from .prng import SplitMix64, substream
@@ -48,9 +50,10 @@ class CropParams:
 
 @dataclass(frozen=True)
 class CropResult:
-    """Faces surviving one crop, in output-canvas coordinates."""
+    """Faces surviving one crop, as (x, y, w, h) tuples in output-canvas
+    coordinates, with their positions in the faces the crop was drawn over."""
 
-    boxes: tuple[Box, ...]
+    boxes: tuple[tuple[float, float, float, float], ...]
     source_indices: tuple[int, ...]
     patch: Box
     scale_factor: float
@@ -59,11 +62,12 @@ class CropResult:
 def random_crop(
     image_w: float,
     image_h: float,
-    faces: Sequence[Box],
+    faces: Sequence[Sequence[float]],
     params: CropParams,
     rng: SplitMix64,
 ) -> CropResult:
-    """Draw one square crop and transform the faces into output coordinates.
+    """Draw one square crop and transform the faces, xywh rows, into output
+    coordinates.
 
     A face is kept when its center lies in the half-open patch
     [x0, x0+side) x [y0, y0+side); kept boxes are clipped to the patch and
@@ -79,23 +83,17 @@ def random_crop(
     y0 = rng.uniform(0.0, image_h - side)
     factor = params.output_side / side
 
-    kept: list[Box] = []
+    kept: list[tuple[float, float, float, float]] = []
     kept_idx: list[int] = []
-    for i, f in enumerate(faces):
-        cx, cy = f.cx, f.cy
-        if not (x0 <= cx < x0 + side and y0 <= cy < y0 + side):
+    for i, (x, y, w, h) in enumerate(faces):
+        if not (x0 <= x + w / 2.0 < x0 + side and y0 <= y + h / 2.0 < y0 + side):
             continue
-        nx1 = max(f.x, x0)
-        ny1 = max(f.y, y0)
-        nx2 = min(f.x2, x0 + side)
-        ny2 = min(f.y2, y0 + side)
+        nx1 = max(x, x0)
+        ny1 = max(y, y0)
+        nx2 = min(x + w, x0 + side)
+        ny2 = min(y + h, y0 + side)
         kept.append(
-            Box(
-                (nx1 - x0) * factor,
-                (ny1 - y0) * factor,
-                (nx2 - nx1) * factor,
-                (ny2 - ny1) * factor,
-            )
+            ((nx1 - x0) * factor, (ny1 - y0) * factor, (nx2 - nx1) * factor, (ny2 - ny1) * factor)
         )
         kept_idx.append(i)
     return CropResult(
@@ -157,44 +155,33 @@ def simulate(
 
     stats: list[FaceSimStat] = []
     for img_idx, rec in enumerate(record_list):
-        faces = [(idx, face.box) for _, idx, face in iter_faces([rec])]
+        idx, xywh = kept_faces(rec)
         rng = substream(seed, img_idx)
+        # Per kept face, by its position in xywh.
+        seen = [0] * len(idx)
+        positive = [0] * len(idx)
+        best_obs = [0.0] * len(idx)
+        best_ideal = [0.0] * len(idx)
 
-        seen = {idx: 0 for idx, _ in faces}
-        positive = {idx: 0 for idx, _ in faces}
-        best_obs = {idx: 0.0 for idx, _ in faces}
-        best_ideal = {idx: 0.0 for idx, _ in faces}
-
-        boxes = [b for _, b in faces]
-        orig_idx = [i for i, _ in faces]
+        rows = xywh.tolist()
         for _ in range(n_crops):
-            crop = random_crop(rec.width, rec.height, boxes, params, rng)
+            crop = random_crop(rec.width, rec.height, rows, params, rng)
             if not crop.boxes:
                 continue
-            for k, b in zip(crop.source_indices, crop.boxes):
-                idx = orig_idx[k]
-                seen[idx] += 1
-                bound = ideal_max_iou(b.w, b.h / b.w, design)
-                if bound > best_ideal[idx]:
-                    best_ideal[idx] = bound
-            face_arr = [[b.x, b.y, b.w, b.h] for b in crop.boxes]
-            result = assign_labels_xywh(grid, face_arr, cfg)
-            for k, fm in enumerate(result.per_face):
-                idx = orig_idx[crop.source_indices[k]]
+            boxes = np.array(crop.boxes)
+            bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design).tolist()
+            result = assign_labels_xywh(grid, boxes, cfg)
+            for k, bound, fm in zip(crop.source_indices, bounds, result.per_face):
+                seen[k] += 1
+                if bound > best_ideal[k]:
+                    best_ideal[k] = bound
                 if fm.positive_count > 0:
-                    positive[idx] += 1
-                if fm.max_iou > best_obs[idx]:
-                    best_obs[idx] = fm.max_iou
+                    positive[k] += 1
+                if fm.max_iou > best_obs[k]:
+                    best_obs[k] = fm.max_iou
 
-        for idx, _ in faces:
-            stats.append(
-                FaceSimStat(
-                    image=rec.path,
-                    face=idx,
-                    crops_seen=seen[idx],
-                    crops_positive=positive[idx],
-                    best_observed_iou=best_obs[idx],
-                    best_ideal_iou=best_ideal[idx],
-                )
-            )
+        stats.extend(
+            FaceSimStat(rec.path, i, seen[k], positive[k], best_obs[k], best_ideal[k])
+            for k, i in enumerate(idx.tolist())
+        )
     return SimOutcome(seed=seed, n_crops=n_crops, per_face=tuple(stats))

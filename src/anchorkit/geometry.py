@@ -19,9 +19,8 @@ import numpy as np
 class Box:
     """Axis-aligned rectangle: top-left corner plus width and height, in px.
 
-    Construction is deliberately permissive (annotation parsers must be able
-    to hold degenerate zero-area boxes and flag them); every geometric
-    operation validates its inputs and rejects non-positive dimensions.
+    Construction is permissive; every geometric operation validates its
+    inputs and rejects non-positive dimensions.
     """
 
     x: float

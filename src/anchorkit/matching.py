@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import AnchorGrid
+from .anchors import MAX_EXTENT, AnchorGrid
 from .geometry import iou_matrix, iou_pairs
 
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
@@ -101,28 +101,31 @@ class MatchConfig:
         )
 
 
-def arsd_contains(r: float, anchor_ar: float, eta: float) -> bool:
+def arsd_contains(r, anchor_ar: float, eta: float):
     """Whether aspect ratio r lies in the open sampling domain D(anchor_ar, eta),
-    the union of its two halves."""
-    return arsd_contains_left(r, anchor_ar, eta) or arsd_contains_right(r, anchor_ar, eta)
+    the union of its two halves. r is a float, or an array checked elementwise."""
+    return arsd_contains_left(r, anchor_ar, eta) | arsd_contains_right(r, anchor_ar, eta)
 
 
-def arsd_contains_left(r: float, anchor_ar: float, eta: float) -> bool:
+def _check_domain(r, anchor_ar: float, eta: float) -> None:
+    if np.any(np.less_equal(r, 0)):
+        raise ValueError("aspect ratios must be positive")
+    if not 0 < anchor_ar < math.inf:
+        raise ValueError(f"anchor_ar must be positive and finite, not {anchor_ar!r}")
+    if not 1 < eta < math.inf:
+        raise ValueError(f"eta must be finite and greater than 1, not {eta!r}")
+
+
+def arsd_contains_left(r, anchor_ar: float, eta: float):
     """Left half of the sampling domain: anchor_ar/eta < r < anchor_ar."""
-    if r <= 0 or anchor_ar <= 0:
-        raise ValueError("aspect ratios must be positive")
-    if eta <= 1:
-        raise ValueError("eta must be greater than 1")
-    return anchor_ar / eta < r < anchor_ar
+    _check_domain(r, anchor_ar, eta)
+    return (anchor_ar / eta < r) & (r < anchor_ar)
 
 
-def arsd_contains_right(r: float, anchor_ar: float, eta: float) -> bool:
+def arsd_contains_right(r, anchor_ar: float, eta: float):
     """Right half of the sampling domain: anchor_ar <= r < anchor_ar*eta."""
-    if r <= 0 or anchor_ar <= 0:
-        raise ValueError("aspect ratios must be positive")
-    if eta <= 1:
-        raise ValueError("eta must be greater than 1")
-    return anchor_ar <= r < anchor_ar * eta
+    _check_domain(r, anchor_ar, eta)
+    return (anchor_ar <= r) & (r < anchor_ar * eta)
 
 
 def extreme_domain_contains(r: float, cfg: MatchConfig) -> DomainSide:
@@ -266,8 +269,8 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
     m = faces.shape[0]
-    if not np.isfinite(faces).all():
-        raise ValueError("faces must be finite")
+    if not (np.abs(faces) < MAX_EXTENT).all():
+        raise ValueError("faces must be finite, each value below 2**511 in magnitude")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
         raise ValueError("faces must have positive dimensions")
     tp = effective_thresholds(faces[:, 3] / faces[:, 2], cfg)

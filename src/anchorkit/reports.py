@@ -12,6 +12,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from itertools import starmap
 from operator import attrgetter
@@ -60,7 +61,7 @@ def json_text(summary: dict, rows=None) -> str:
     if rows is not None:
         names, values = _columns(type(rows[0])) if rows else ((), None)
         payload["per_face"] = [dict(zip(names, values(r))) for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 FACE_STATS_CSV_HEADER = csv_text(FaceMatchStat, ()).rstrip("\n")
@@ -80,17 +81,19 @@ class MatchReport:
     labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
     per_face: list[MatchRow] = field(default_factory=list)
 
-    def add(self, image: str, faces, result: MatchResult) -> None:
-        """Fold in one image: faces are its (face index, Box) pairs, in the
-        order they were passed to the assignment that produced result."""
+    def add(self, image: str, idx, xywh, result: MatchResult) -> None:
+        """Fold in one image: idx and xywh are its kept faces' positions and
+        (k, 4) rows, as corpus.kept_faces gives them and in the order they
+        were passed to the assignment that produced result."""
         self.n_images += 1
         self.n_anchors += result.n_anchors
         for kind, count in result.label_counts().items():
             self.labels[kind] += count
-        for (idx, box), fm in zip(faces, result.per_face):
+        ars = (xywh[:, 3] / xywh[:, 2]).tolist()
+        for i, ar, fm in zip(idx.tolist(), ars, result.per_face):
             self.n_matched += fm.positive_count > 0
             self.per_face.append(
-                MatchRow(image, idx, box.h / box.w, fm.max_iou, fm.positive_count, fm.effective_tp)
+                MatchRow(image, i, ar, fm.max_iou, fm.positive_count, fm.effective_tp)
             )
 
 
@@ -160,7 +163,11 @@ def emit_reports(report, fmt: str, per_face=None) -> str:
 
     if isinstance(report, AmsReport):
         if fmt == "json":
-            return json_text(_ams_summary(report), per_face)
+            summary = _ams_summary(report)
+            # JSON has no infinity: an unbounded radius is written as null.
+            if math.isinf(summary["analytic_eta"]):
+                summary["analytic_eta"] = None
+            return json_text(summary, per_face)
         if per_face is None:
             return _ams_csv(report) if fmt == "csv" else _ams_table(report)
         rows = csv_text(FaceMatchStat, per_face)

@@ -91,3 +91,21 @@ def naive_assign(anchors, faces, tp_per_face, tn, compensate=False):
 
     per_face_max = [max(matrix[i][j] for i in range(n)) if n else 0.0 for j in range(m)]
     return labels, compensated, per_face_max, pos_count
+
+
+def naive_ideal_max_iou(face_w: float, face_ar: float, design) -> float:
+    """Best IoU of one face against design's size ladder under concentric
+    placement, one size at a time: the scalar loop ams.ideal_max_iou
+    broadcasts, and must match bit for bit."""
+    if face_w <= 0 or face_ar <= 0:
+        raise ValueError("face width and aspect ratio must be positive")
+    ra = design.aspect_ratio
+    face_area = face_w * face_w * face_ar
+    face_h = face_w * face_ar
+    best = 0.0
+    for s in design.sizes:
+        inter = min(face_w, s) * min(face_h, s * ra)
+        val = inter / (face_area + s * s * ra - inter)
+        if val > best:
+            best = val
+    return best

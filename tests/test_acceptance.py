@@ -25,9 +25,8 @@ from anchorkit.anchors import (
     detector_design,
     generate_anchor_boxes,
 )
-from anchorkit.corpus import FaceAnnotation, ImageRecord, ar_coverage, parse_wider, serialize_wider
+from anchorkit.corpus import ar_coverage, parse_wider, serialize_wider
 from anchorkit.cropsim import CropParams, simulate
-from anchorkit.geometry import Box
 from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh, warm_threshold
 from anchorkit.reports import emit_reports
 from anchorkit.rfd import (
@@ -38,6 +37,7 @@ from anchorkit.rfd import (
     rfd_spec,
     zero_weights,
 )
+from builders import record
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 WIDER_ENV = "ANCHORKIT_WIDER_ANNOTATIONS"
@@ -53,10 +53,7 @@ def aligned_width(rung: float, face_ar: float, anchor_ar: float) -> float:
 
 
 def face_record(path, specs):
-    return ImageRecord(
-        path=path,
-        faces=[FaceAnnotation(box=Box(10.0, 10.0, w, w * ar)) for ar, w in specs],
-    )
+    return record(path, [(10.0, 10.0, w, w * ar) for ar, w in specs])
 
 
 def random_scene(seed, n_faces=6, canvas=128.0):
@@ -249,19 +246,12 @@ def test_criterion_6_crop_convergence():
     """
     t0 = time.perf_counter()
     faces = [
-        Box(392.0, 300.0, 16.0, 16.0),  # stride-8 level, row center 308
-        Box(684.0, 296.0, 32.0, 32.0),  # stride-16 level, row center 312
-        Box(518.0, 296.0, 64.0, 64.0),  # stride-16 level, row center 328
-        Box(456.0, 298.0, 8.0, 8.0),    # below the 16 px reporting cutoff
+        (392.0, 300.0, 16.0, 16.0),  # stride-8 level, row center 308
+        (684.0, 296.0, 32.0, 32.0),  # stride-16 level, row center 312
+        (518.0, 296.0, 64.0, 64.0),  # stride-16 level, row center 328
+        (456.0, 298.0, 8.0, 8.0),    # below the 16 px reporting cutoff
     ]
-    records = [
-        ImageRecord(
-            path="synthetic/wide.jpg",
-            width=1280.0,
-            height=640.0,
-            faces=[FaceAnnotation(box=b) for b in faces],
-        )
-    ]
+    records = [record("synthetic/wide.jpg", faces, 1280.0, 640.0)]
     params = CropParams(scale_options=(1.0,))
     design = detector_design()
     outcome = simulate(records, design, MatchConfig(), 200, seed=7, params=params)
@@ -274,7 +264,7 @@ def test_criterion_6_crop_convergence():
     gaps = {
         s.face: s.best_ideal_iou - s.best_observed_iou
         for s in outcome.per_face
-        if faces[s.face].w >= 16.0
+        if faces[s.face][2] >= 16.0
     }
     converged = all(g <= 0.05 for g in gaps.values())
     seen = all(s.crops_seen > 0 for s in outcome.per_face)

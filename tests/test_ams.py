@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
-from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes
-from anchorkit.corpus import FaceAnnotation, ImageRecord
+from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
 from anchorkit.geometry import Box, iou as box_iou
 from anchorkit.matching import iou_matrix
+from builders import record
+from oracles import naive_ideal_max_iou
 
 
 def geometry_ladder_max(face_w: float, face_ar: float, design) -> float:
@@ -118,6 +119,43 @@ class TestIdealMaxIou:
             assert grid_max[j] <= ideal_max_iou(w[j], ar[j], design) + 1e-9
 
 
+class TestIdealMaxIouBroadcast:
+    """The broadcast ladder against the scalar loop in oracles.py, bit for bit."""
+
+    @given(
+        st.lists(st.tuples(st.floats(min_value=1e-2, max_value=1e5),
+                           st.floats(min_value=1e-3, max_value=1e3)), max_size=30),
+        st.one_of(st.just(math.sqrt(2.0)), st.floats(min_value=1.01, max_value=4.0)),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_matches_scalar_oracle_bitwise(self, faces, step, anchor_ar):
+        design = ladder_design(anchor_ar, scale_step=step)
+        w = np.array([f[0] for f in faces], dtype=np.float64)
+        ar = np.array([f[1] for f in faces], dtype=np.float64)
+        got = ideal_max_iou(w, ar, design)
+        want = np.array([naive_ideal_max_iou(a, b, design) for a, b in faces], dtype=np.float64)
+        assert got.shape == (len(faces),)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for (a, b), v in zip(faces[:3], want.tolist()):
+            scalar = ideal_max_iou(a, b, design)
+            assert type(scalar) is float and scalar == v
+
+    def test_empty_arrays(self):
+        got = ideal_max_iou(np.empty(0), np.empty(0), ams_design(1.0))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_rejects_non_positive_in_array(self):
+        with pytest.raises(ValueError):
+            ideal_max_iou(np.array([4.0, 0.0]), np.array([1.0, 1.0]), ams_design(1.0))
+
+    def test_overflowed_extents_score_zero_silently(self):
+        # A face width whose area overflows to inf scores 0 against every
+        # size, as the scalar loop does, without a numpy warning.
+        design = ams_design(1.0)
+        assert ideal_max_iou(np.array([1e200]), np.array([1e200]), design).tolist() == [0.0]
+        assert naive_ideal_max_iou(1e200, 1e200, design) == 0.0
+
+
 class TestAnalyticMaxIou:
     def test_matched_shape(self):
         assert analytic_max_iou(1.0, 1.0) == 1.0
@@ -190,14 +228,11 @@ class TestBoundaryAr:
 def synthetic_corpus():
     """Six faces at fixed ARs; the matchable ones have rung-aligned widths."""
     def face(ar, w):
-        return FaceAnnotation(box=Box(10.0, 10.0, w, w * ar))
+        return (10.0, 10.0, w, w * ar)
 
     matched = [face(ar, aligned_width(16.0, ar, 1.0)) for ar in (0.5, 1.0, 2.0)]
     unmatched = [face(0.3, 30.0), face(2.3, 30.0), face(4.0, 25.0)]
-    return [
-        ImageRecord(path="img/a.jpg", faces=matched),
-        ImageRecord(path="img/b.jpg", faces=unmatched),
-    ]
+    return [record("img/a.jpg", matched), record("img/b.jpg", unmatched)]
 
 
 class TestRunAms:
@@ -235,20 +270,11 @@ class TestRunAms:
         ]
 
     def test_invalid_faces_filtered_by_default(self):
-        records = [
-            ImageRecord(
-                path="x.jpg",
-                faces=[
-                    FaceAnnotation(box=Box(0, 0, 32, 32)),
-                    FaceAnnotation(box=Box(0, 0, 32, 32), invalid=1),
-                    FaceAnnotation(box=Box(0, 0, 0, 32)),  # degenerate
-                ],
-            )
-        ]
+        # The second face is flagged invalid, the third is degenerate.
+        records = [record("x.jpg", [(0, 0, 32, 32), (0, 0, 32, 32), (0, 0, 0, 32)], invalid=[1])]
         report, stats = run_ams(records, ams_design(1.0), 0.5)
         assert report.n_faces == 1
-        report2, _ = run_ams(records, ams_design(1.0), 0.5, include_invalid=True)
-        assert report2.n_faces == 2
+        assert [s.face for s in stats] == [0]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -256,8 +282,8 @@ class TestRunAms:
 
     def test_fitted_eta_takes_wider_tail(self):
         faces = [
-            FaceAnnotation(box=Box(0, 0, aligned_width(16.0, ar, 1.0), aligned_width(16.0, ar, 1.0) * ar))
+            (0, 0, aligned_width(16.0, ar, 1.0), aligned_width(16.0, ar, 1.0) * ar)
             for ar in (0.8, 2.0)
         ]
-        report, _ = run_ams([ImageRecord(path="y.jpg", faces=faces)], ams_design(1.0), 0.5)
+        report, _ = run_ams([record("y.jpg", faces)], ams_design(1.0), 0.5)
         assert report.fitted_eta == pytest.approx(2.0, rel=1e-9)

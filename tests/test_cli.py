@@ -125,6 +125,12 @@ class TestAmsCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_zero_threshold_json_is_strict(self, capsys):
+        # The unbounded analytic_eta of t_p = 0 is written as null.
+        assert main(["ams", "--synthetic", "3", "--tp", "0", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert data["analytic_eta"] is None
+
     def test_synthetic_corpus_deterministic(self, capsys):
         argv = ["ams", "--synthetic", "50", "--seed", "3", "--tp", "0.5"]
         main(argv)
@@ -164,6 +170,10 @@ class TestMatchCommand:
 
     def test_bad_config_exit_1(self, mini_file, capsys):
         assert main(["match", "--annotations", mini_file, "--tp", "0.3", "--tn", "0.4"]) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def _one_error_line(capsys, *needles):
@@ -208,10 +218,33 @@ class TestBadInput:
         assert main(argv) == 1
         _one_error_line(capsys, field)
 
-    @pytest.mark.parametrize("size, aspect_ratio", [("1e-200", "1e-200"), ("1e200", "1e200")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta", "nan"), ("--eta", "inf"), ("--eta", "1"), ("--eta", "0.5"),
+        ("--anchor-ar", "nan"), ("--anchor-ar", "inf"), ("--anchor-ar", "0"),
+    ])
+    def test_coverage_domain_flags_named(self, flag, value, capsys):
+        for fmt in ("text", "json"):
+            assert main(["coverage", "--synthetic", "5", flag, value, "--format", fmt]) == 1
+            _one_error_line(capsys, flag.lstrip("-").replace("-", "_"), value)
+
+    @pytest.mark.parametrize("cmd", ["ams", "match", "simulate", "coverage"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_synthetic_named(self, cmd, n, capsys):
+        assert main([cmd, "--synthetic", n]) == 1
+        _one_error_line(capsys, "synthetic corpus size", n)
+
+    @pytest.mark.parametrize("cmd", ["parse", "ams", "coverage", "match"])
+    def test_face_value_too_large_for_float_cites_line(self, cmd, tmp_path, capsys):
+        ann = tmp_path / "big.txt"
+        ann.write_text(MINI + "c.jpg\n1\n%s 20 30 40 0 0 0 0 0 0\n" % ("9" * 401), encoding="utf-8")
+        assert main([cmd, "--annotations", str(ann)]) == 1
+        _one_error_line(capsys, "line 10:", "too large")
+
+    @pytest.mark.parametrize("size, aspect_ratio", [("1e-200", "1e-200"), ("1e200", "1e200"),
+                                                    ("1e200", "1")])
     def test_zero_or_inf_anchor_height_rejected(self, size, aspect_ratio, mini_file, tmp_path, capsys):
-        # size * aspect_ratio underflows to 0 or overflows to inf: the grid
-        # refuses the level where it is built.
+        # size * aspect_ratio underflows to 0 or overflows to inf, or the
+        # anchor's area overflows: the grid refuses the level where it is built.
         design = tmp_path / "design.json"
         design.write_text('{"levels": [{"name": "thin", "stride": 8, "sizes": [%s]}], '
                           '"aspect_ratio": %s}' % (size, aspect_ratio), encoding="utf-8")
@@ -245,6 +278,15 @@ class TestBadInput:
                 "--design", "ams", "--scale-step", "1.01"]
         assert main(argv) == 1
         _one_error_line(capsys, "390400000")
+
+    def test_face_area_overflow_rejected(self, tmp_path, capsys):
+        ann = tmp_path / "huge.txt"
+        ann.write_text("a.jpg\n1\n0 0 1%s 1%s 0 0 0 0 0 0\n" % ("0" * 200, "0" * 200),
+                       encoding="utf-8")
+        dims = tmp_path / "dims.csv"
+        dims.write_text("a.jpg,640,480\n", encoding="utf-8")
+        assert main(["match", "--annotations", str(ann), "--dims", str(dims)]) == 1
+        _one_error_line(capsys, "faces must be finite, each value below 2**511")
 
     @pytest.mark.parametrize("rows, needle", [
         ("a.jpg,nan,480", "line 1"),

@@ -1,25 +1,24 @@
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anchorkit.corpus import (
-    FaceAnnotation,
     FixedListAR,
-    ImageRecord,
     LogUniformAR,
     WiderParseError,
     ar_coverage,
     attach_dims,
     corpus_counts,
     generate_synthetic,
-    iter_faces,
+    kept_faces,
     parse_wider,
     read_dims_csv,
     serialize_wider,
 )
-from anchorkit.geometry import Box
+from builders import record
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 
@@ -31,13 +30,13 @@ class TestParseWider:
         rec = records[0]
         assert rec.path == "a.jpg"
         assert rec.width is None and rec.height is None
-        assert len(rec.faces) == 1
-        assert rec.faces[0].box == Box(10.0, 20.0, 30.0, 40.0)
+        assert rec.faces.dtype == np.float64
+        assert rec.faces.tolist() == [[10.0, 20.0, 30.0, 40.0, 0, 0, 0, 0, 0, 0]]
 
     def test_zero_count_placeholder_discarded(self):
         records = parse_wider("a.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")
         assert len(records) == 1
-        assert records[0].faces == []
+        assert records[0].faces.shape == (0, 10)
 
     def test_accepts_stream_and_line_iterables(self):
         text = "a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n"
@@ -46,17 +45,17 @@ class TestParseWider:
 
     def test_attributes_parsed(self):
         records = parse_wider("a.jpg\n1\n1 2 3 4 2 1 1 1 2 1\n")
-        f = records[0].faces[0]
-        assert (f.blur, f.expression, f.illumination) == (2, 1, 1)
-        assert (f.invalid, f.occlusion, f.pose) == (1, 2, 1)
+        # blur expression illumination invalid occlusion pose
+        assert records[0].faces[0, 4:].tolist() == [2, 1, 1, 1, 2, 1]
 
     def test_degenerate_box_retained_and_flagged(self):
         records = parse_wider("a.jpg\n1\n10 20 0 40 0 0 0 0 0 0\n")
-        assert records[0].faces[0].degenerate
+        assert records[0].faces.shape == (1, 10)
+        assert len(kept_faces(records[0])[0]) == 0
 
     def test_negative_coordinates_allowed(self):
         records = parse_wider("a.jpg\n1\n-5 -3 30 40 0 0 0 0 0 0\n")
-        assert records[0].faces[0].box.x == -5.0
+        assert records[0].faces[0, 0] == -5.0
 
     def test_truncated_block_cites_line(self):
         with pytest.raises(WiderParseError) as err:
@@ -94,6 +93,12 @@ class TestParseWider:
         assert err.value.line == 3
         assert "blur" in str(err.value)
 
+    def test_float_overflow_cites_line(self):
+        with pytest.raises(WiderParseError) as err:
+            parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\nb.jpg\n1\n10 20 %s 40 0 0 0 0 0 0\n"
+                        % ("9" * 401))
+        assert str(err.value) == "line 6: int too large to convert to float"
+
     def test_blank_line_mid_file_rejected(self):
         with pytest.raises(WiderParseError) as err:
             parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n\nb.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")
@@ -121,40 +126,32 @@ class TestSerializeWider:
         assert serialize_wider(records) == text
 
     def test_rejects_fractional_coordinates(self):
-        rec = ImageRecord(path="x.jpg", faces=[FaceAnnotation(box=Box(0.5, 0, 4, 4))])
+        rec = record("x.jpg", [(0.5, 0, 4, 4)])
         with pytest.raises(ValueError):
             serialize_wider([rec])
 
 
 class TestFaceAnnotation:
+    """The attribute codes a face row may hold; parse_wider refuses others."""
+
     def test_rejects_out_of_range_codes(self):
-        with pytest.raises(ValueError):
-            FaceAnnotation(box=Box(0, 0, 4, 4), occlusion=3)
-        with pytest.raises(ValueError):
-            FaceAnnotation(box=Box(0, 0, 4, 4), pose=-1)
+        with pytest.raises(WiderParseError, match="occlusion code 3 outside"):
+            parse_wider("a.jpg\n1\n0 0 4 4 0 0 0 0 3 0\n")
+        with pytest.raises(WiderParseError, match="pose code -1 outside"):
+            parse_wider("a.jpg\n1\n0 0 4 4 0 0 0 0 0 -1\n")
 
 
 class TestIterFaces:
+    """The default filter, kept_faces, and the tallies built on it."""
+
     def corpus(self):
-        return [
-            ImageRecord(
-                path="x.jpg",
-                faces=[
-                    FaceAnnotation(box=Box(0, 0, 4, 4)),
-                    FaceAnnotation(box=Box(0, 0, 4, 4), invalid=1),
-                    FaceAnnotation(box=Box(0, 0, 0, 4)),
-                    FaceAnnotation(box=Box(0, 0, 8, 8)),
-                ],
-            )
-        ]
+        return [record("x.jpg", [(0, 0, 4, 4), (0, 0, 4, 4), (0, 0, 0, 4), (0, 0, 8, 8)],
+                       invalid=[1])]
 
     def test_default_filter_keeps_original_indices(self):
-        rows = list(iter_faces(self.corpus()))
-        assert [idx for _, idx, _ in rows] == [0, 3]
-
-    def test_include_invalid(self):
-        rows = list(iter_faces(self.corpus(), include_invalid=True))
-        assert [idx for _, idx, _ in rows] == [0, 1, 3]
+        idx, xywh = kept_faces(self.corpus()[0])
+        assert idx.tolist() == [0, 3]
+        assert xywh.tolist() == [[0, 0, 4, 4], [0, 0, 8, 8]]
 
     def test_counts(self):
         counts = corpus_counts(self.corpus())
@@ -171,7 +168,7 @@ class TestGenerateSynthetic:
     def test_fixed_list_ars_exact(self):
         ars = (0.3, 0.5, 1.0, 2.0, 2.3, 4.0)
         records = generate_synthetic(1, 6, FixedListAR(ars))
-        got = tuple(r.faces[0].box.h / r.faces[0].box.w for r in records)
+        got = tuple(r.faces[0, 3] / r.faces[0, 2] for r in records)
         assert got == pytest.approx(ars, rel=1e-12)
 
     def test_deterministic(self):
@@ -187,17 +184,18 @@ class TestGenerateSynthetic:
     def test_law_support_and_width_range(self):
         records = generate_synthetic(3, 3000, LogUniformAR(0.2, 5.0))
         for rec in records:
-            box = rec.faces[0].box
-            assert 4.0 <= box.w <= 512.0
-            assert 0.2 <= box.h / box.w <= 5.0
+            assert rec.faces.shape == (1, 10)
+            x, y, w, h = rec.faces[0, :4]
+            assert 4.0 <= w <= 512.0
+            assert 0.2 <= h / w <= 5.0
             assert rec.width is not None and rec.height is not None
             # face fits inside the image with margin
-            assert box.x >= 0 and box.y >= 0
-            assert box.x2 <= rec.width and box.y2 <= rec.height
+            assert x >= 0 and y >= 0
+            assert x + w <= rec.width and y + h <= rec.height
 
     def test_fixed_list_cycles(self):
         records = generate_synthetic(1, 5, FixedListAR((1.0, 2.0)))
-        got = [round(r.faces[0].box.h / r.faces[0].box.w, 9) for r in records]
+        got = [round(r.faces[0, 3] / r.faces[0, 2], 9) for r in records]
         assert got == [1.0, 2.0, 1.0, 2.0, 1.0]
 
     def test_rejects_bad_args(self):
@@ -221,6 +219,21 @@ class TestArCoverage:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             ar_coverage([], 1.0, 2.0)
+
+    @pytest.mark.parametrize("anchor_ar, eta, needle", [
+        (1.0, float("nan"), "eta"),
+        (1.0, float("inf"), "eta"),
+        (1.0, 1.0, "eta"),
+        (float("inf"), 2.0, "anchor_ar"),
+        (float("nan"), 2.0, "anchor_ar"),
+        (0.0, 2.0, "anchor_ar"),
+    ])
+    def test_rejects_bad_domain(self, anchor_ar, eta, needle):
+        records = generate_synthetic(1, 3, FixedListAR((1.0,)))
+        with pytest.raises(ValueError, match=needle):
+            ar_coverage(records, anchor_ar, eta)
+        with pytest.raises(ValueError, match=needle):
+            ar_coverage([], anchor_ar, eta)
 
     @given(st.floats(min_value=1.01, max_value=4.0, allow_nan=False),
            st.floats(min_value=1.1, max_value=3.0, allow_nan=False))

@@ -4,25 +4,20 @@ import pytest
 
 from anchorkit.ams import analytic_max_iou
 from anchorkit.anchors import detector_design
-from anchorkit.corpus import FaceAnnotation, ImageRecord
 from anchorkit.cropsim import CropParams, random_crop, simulate
 from anchorkit.geometry import Box
 from anchorkit.matching import MatchConfig, Strategy
 from anchorkit.prng import SplitMix64, substream
 from anchorkit.reports import emit_reports
+from builders import record as make_record
 
 SAM = MatchConfig(strategy=Strategy.SAM)
 WARM = MatchConfig()
 FULL_PATCH = CropParams(scale_options=(1.0,))
 
 
-def record(path, width, height, boxes):
-    return ImageRecord(
-        path=path,
-        width=float(width),
-        height=float(height),
-        faces=[FaceAnnotation(box=b) for b in boxes],
-    )
+def record(path, width, height, boxes, invalid=()):
+    return make_record(path, boxes, float(width), float(height), invalid)
 
 
 class TestCropParams:
@@ -47,32 +42,32 @@ class TestCropParams:
 
 class TestRandomCrop:
     def test_full_crop_of_square_image_is_uniform_resize(self):
-        faces = [Box(10, 20, 40, 80), Box(200, 100, 32, 32)]
+        faces = [(10, 20, 40, 80), (200, 100, 32, 32)]
         crop = random_crop(320, 320, faces, FULL_PATCH, SplitMix64(1))
         assert crop.patch == Box(0.0, 0.0, 320.0, 320.0)
         assert crop.scale_factor == 2.0
         assert crop.source_indices == (0, 1)
         for before, after in zip(faces, crop.boxes):
-            assert after == Box(before.x * 2, before.y * 2, before.w * 2, before.h * 2)
-            assert after.h / after.w == pytest.approx(before.h / before.w, rel=1e-12)
+            assert after == tuple(v * 2 for v in before)
+            assert after[3] / after[2] == pytest.approx(before[3] / before[2], rel=1e-12)
 
     def test_center_on_far_edge_is_dropped(self):
         # Retention is half-open: a center exactly on the right edge is out.
-        faces = [Box(98, 40, 4, 10)]  # cx == 100 == patch edge
+        faces = [(98, 40, 4, 10)]  # cx == 100 == patch edge
         crop = random_crop(100, 100, faces, FULL_PATCH, SplitMix64(3))
         assert crop.boxes == ()
 
     def test_half_clipped_face_arithmetic(self):
         # Face sticking out of the patch: kept (center inside), clipped, scaled.
-        faces = [Box(92, 40, 10, 10)]  # cx = 97 < 100, clipped at x = 100
+        faces = [(92, 40, 10, 10)]  # cx = 97 < 100, clipped at x = 100
         crop = random_crop(100, 100, faces, FULL_PATCH, SplitMix64(3))
         assert crop.scale_factor == 6.4
         (b,) = crop.boxes
-        assert b == Box(92 * 6.4, 40 * 6.4, 8 * 6.4, 10 * 6.4)
-        assert b.h / b.w == pytest.approx(1.25, rel=1e-12)
+        assert b == (92 * 6.4, 40 * 6.4, 8 * 6.4, 10 * 6.4)
+        assert b[3] / b[2] == pytest.approx(1.25, rel=1e-12)
 
     def test_same_rng_state_same_crop(self):
-        faces = [Box(30, 30, 40, 40)]
+        faces = [(30, 30, 40, 40)]
         params = CropParams(scale_options=(0.4, 0.7, 1.0))
         a = random_crop(300, 200, faces, params, SplitMix64(9))
         b = random_crop(300, 200, faces, params, SplitMix64(9))
@@ -96,7 +91,7 @@ class TestRandomCrop:
 class TestSimulate:
     def aligned_record(self):
         # Anchor-box face: width 64 on the P4 lattice of a 640 canvas.
-        return record("img/a.jpg", 640, 640, [Box(296.0, 296.0, 64.0, 64.0)])
+        return record("img/a.jpg", 640, 640, [(296.0, 296.0, 64.0, 64.0)])
 
     def test_zero_crops_zero_counters(self):
         out = simulate([self.aligned_record()], detector_design(), SAM, 0, seed=1)
@@ -118,7 +113,7 @@ class TestSimulate:
     def test_full_scale_square_equals_repeated_single_crop(self):
         # With scale 1.0 on square images every crop is the same deterministic
         # resize, so counters are n_crops times the single-crop outcome.
-        rec = record("img/b.jpg", 320, 320, [Box(100.0, 120.0, 40.0, 30.0)])
+        rec = record("img/b.jpg", 320, 320, [(100.0, 120.0, 40.0, 30.0)])
         one = simulate([rec], detector_design(), SAM, 1, seed=6, params=FULL_PATCH)
         many = simulate([rec], detector_design(), SAM, 40, seed=6, params=FULL_PATCH)
         s1, s40 = one.per_face[0], many.per_face[0]
@@ -132,7 +127,7 @@ class TestSimulate:
         # rejects and WARM's accepts.
         w = 64.0 / math.sqrt(2.4)
         h = w * 2.4
-        rec = record("img/e.jpg", 1280, 640, [Box(500.0 - w / 2, 328.0 - h / 2, w, h)])
+        rec = record("img/e.jpg", 1280, 640, [(500.0 - w / 2, 328.0 - h / 2, w, h)])
         sam = simulate([rec], detector_design(), SAM, 200, seed=7, params=FULL_PATCH)
         warm = simulate([rec], detector_design(), WARM, 200, seed=7, params=FULL_PATCH)
         s, m = sam.per_face[0], warm.per_face[0]
@@ -149,7 +144,7 @@ class TestSimulate:
     def test_observed_never_exceeds_ideal_bound(self):
         recs = [
             record("img/r.jpg", 900, 700,
-                   [Box(100, 100, 50, 120), Box(400, 300, 33.5, 21.0), Box(700, 150, 90, 90)]),
+                   [(100, 100, 50, 120), (400, 300, 33.5, 21.0), (700, 150, 90, 90)]),
         ]
         out = simulate(recs, detector_design(), WARM, 60, seed=13)
         for s in out.per_face:
@@ -157,8 +152,8 @@ class TestSimulate:
 
     def test_same_seed_byte_identical(self):
         recs = [
-            record("img/x.jpg", 800, 600, [Box(100, 100, 64, 64), Box(300, 200, 40, 90)]),
-            record("img/y.jpg", 640, 640, [Box(50, 50, 128, 128)]),
+            record("img/x.jpg", 800, 600, [(100, 100, 64, 64), (300, 200, 40, 90)]),
+            record("img/y.jpg", 640, 640, [(50, 50, 128, 128)]),
         ]
         a = simulate(recs, detector_design(), WARM, 30, seed=21)
         b = simulate(recs, detector_design(), WARM, 30, seed=21)
@@ -166,21 +161,20 @@ class TestSimulate:
 
     def test_substreams_isolate_images(self):
         # Changing one image's annotations must not change another's outcome.
-        base = record("img/x.jpg", 800, 600, [Box(100, 100, 64, 64)])
-        other1 = record("img/y.jpg", 640, 640, [Box(50, 50, 128, 128)])
-        other2 = record("img/y.jpg", 640, 640, [Box(200, 200, 32, 32), Box(33, 41, 77, 20)])
+        base = record("img/x.jpg", 800, 600, [(100, 100, 64, 64)])
+        other1 = record("img/y.jpg", 640, 640, [(50, 50, 128, 128)])
+        other2 = record("img/y.jpg", 640, 640, [(200, 200, 32, 32), (33, 41, 77, 20)])
         a = simulate([base, other1], detector_design(), WARM, 25, seed=3)
         b = simulate([base, other2], detector_design(), WARM, 25, seed=3)
         assert a.per_face[0] == b.per_face[0]
 
     def test_missing_dims_names_record(self):
-        rec = ImageRecord(path="img/missing.jpg", faces=[FaceAnnotation(box=Box(0, 0, 4, 4))])
+        rec = make_record("img/missing.jpg", [(0, 0, 4, 4)])
         with pytest.raises(ValueError, match="img/missing.jpg"):
             simulate([rec], detector_design(), SAM, 1, seed=0)
 
     def test_invalid_faces_excluded(self):
-        rec = record("img/z.jpg", 640, 640, [Box(100, 100, 64, 64)])
-        rec.faces.append(FaceAnnotation(box=Box(0, 0, 10, 10), invalid=1))
+        rec = record("img/z.jpg", 640, 640, [(100, 100, 64, 64), (0, 0, 10, 10)], invalid=[1])
         out = simulate([rec], detector_design(), SAM, 2, seed=0)
         assert [s.face for s in out.per_face] == [0]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from anchorkit.ams import AmsReport, FaceMatchStat
 from anchorkit.cropsim import FaceSimStat, SimOutcome
-from anchorkit.geometry import Box
 from anchorkit.matching import FaceMatch, MatchConfig, MatchResult
 from anchorkit.reports import (
     FACE_STATS_CSV_HEADER,
@@ -14,6 +14,7 @@ from anchorkit.reports import (
     MatchReport,
     MatchRow,
     emit_reports,
+    json_text,
 )
 
 REPORT = AmsReport(
@@ -25,6 +26,13 @@ REPORT = AmsReport(
     n_faces=100,
     n_matched=80,
 )
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
 
 STATS = [
     FaceMatchStat(image="a.jpg", face=0, ar=0.449275, width=31.5, max_iou=0.5123, matched=True),
@@ -104,7 +112,7 @@ class TestMatchResultFormats:
         assert result.labels.tolist() == [0, -1, -2, 1]
         assert result.compensated.tolist() == [False, False, False, True]
         report = MatchReport(MatchConfig())
-        report.add("a.jpg", [(0, Box(0, 0, 10, 20)), (2, Box(5, 5, 4, 12))], result)
+        report.add("a.jpg", np.array([0, 2]), np.array([[0.0, 0, 10, 20], [5, 5, 4, 12]]), result)
         return report
 
     def test_json(self):
@@ -175,3 +183,21 @@ class TestDispatch:
     def test_deterministic_bytes(self):
         assert emit_reports(REPORT, "json") == emit_reports(REPORT, "json")
         assert emit_reports(REPORT, "csv", STATS) == emit_reports(REPORT, "csv", STATS)
+
+
+class TestJsonFinite:
+    def test_unbounded_analytic_eta_is_null(self):
+        report = dataclasses.replace(REPORT, t_p=0.0)
+        assert report.analytic_eta == float("inf")
+        assert strict_json(emit_reports(report, "json"))["analytic_eta"] is None
+        assert strict_json(emit_reports(REPORT, "json"))["analytic_eta"] == 2.25
+        # The text formats keep writing it as inf.
+        assert "D(1.00,inf)" in emit_reports(report, "table")
+        assert emit_reports(report, "csv").endswith(",inf\n")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(ValueError):
+            json_text({"eta": value})
+        with pytest.raises(ValueError):
+            json_text({}, [dataclasses.replace(STATS[0], ar=value)])
