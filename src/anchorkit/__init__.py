@@ -8,6 +8,7 @@ RFD feature-enhancement block's shapes, receptive fields, and parameters.
 
 from .ams import (
     AmsReport,
+    FaceColumns,
     FaceMatchStat,
     analytic_max_iou,
     boundary_ar,
@@ -57,13 +58,10 @@ from .reports import MatchReport, emit_reports
 from .rfd import (
     ConvSpec,
     RfdSpec,
-    RfdWeights,
-    rfd_forward_naive,
     rfd_output_shape,
     rfd_param_count,
     rfd_receptive_fields,
     rfd_spec,
-    zero_weights,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +76,7 @@ __all__ = [
     "CropResult",
     "DomainSide",
     "FACE_COLUMNS",
+    "FaceColumns",
     "FaceMatch",
     "FaceMatchStat",
     "FaceSimStat",
@@ -91,7 +90,6 @@ __all__ = [
     "NEGATIVE",
     "PyramidLevel",
     "RfdSpec",
-    "RfdWeights",
     "SimOutcome",
     "Strategy",
     "WiderParseError",
@@ -118,7 +116,6 @@ __all__ = [
     "ladder_design",
     "parse_wider",
     "random_crop",
-    "rfd_forward_naive",
     "rfd_output_shape",
     "rfd_param_count",
     "rfd_receptive_fields",
@@ -128,5 +125,4 @@ __all__ = [
     "simulate",
     "theta",
     "warm_threshold",
-    "zero_weights",
 ]

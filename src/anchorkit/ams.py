@@ -23,12 +23,19 @@ from typing import Iterable
 import numpy as np
 
 from .anchors import AnchorDesign
-from .corpus import ImageRecord, kept_faces
+from .corpus import ImageRecord, face_table, kept_mask
+
+# Faces per ideal_max_iou call in run_ams. Each call builds a few
+# (faces x sizes) temporaries, so the block bounds their memory; the
+# values do not depend on it.
+FACE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
 class FaceMatchStat:
-    """One face's matching outcome under ideal placement."""
+    """The fields of one per-face row of an ams report, in output order: one
+    face's matching outcome under ideal placement. run_ams gives them as
+    FaceColumns, not as one object per face."""
 
     image: str
     face: int
@@ -36,6 +43,27 @@ class FaceMatchStat:
     width: float
     max_iou: float
     matched: bool
+
+
+@dataclass(frozen=True, eq=False)
+class FaceColumns:
+    """The kept faces of a run_ams call as columns, one element per face in
+    corpus order. record indexes images, the records' paths; face is the
+    face's position in its record's faces, as corpus.kept_faces gives it."""
+
+    images: list[str]
+    record: np.ndarray
+    face: np.ndarray
+    ar: np.ndarray
+    width: np.ndarray
+    max_iou: np.ndarray
+    matched: np.ndarray
+
+    def columns(self) -> list:
+        """The FaceMatchStat fields' values, one column per field in field
+        order: the image paths as a list, the other fields as arrays."""
+        return [list(map(self.images.__getitem__, self.record.tolist())),
+                self.face, self.ar, self.width, self.max_iou, self.matched]
 
 
 @dataclass(frozen=True)
@@ -111,28 +139,28 @@ def boundary_ar(t_p: float, anchor_ar: float) -> float:
 
 def run_ams(
     records: Iterable[ImageRecord], design: AnchorDesign, t_p: float
-) -> tuple[AmsReport, list[FaceMatchStat]]:
+) -> tuple[AmsReport, FaceColumns]:
     """Simulate matching over a corpus: compute each kept face's ideal max
     IoU, mark it matched when strictly above t_p, and report the matched-AR
-    range. Faces are kept by corpus.kept_faces.
+    range. Faces are kept by corpus.kept_mask, and scored FACE_BLOCK at a
+    time.
     """
     if not 0.0 <= t_p <= 1.0:
         raise ValueError("t_p must be in [0, 1]")
-    stats: list[FaceMatchStat] = []
-    for rec in records:
-        idx, xywh = kept_faces(rec)
-        w = xywh[:, 2]
-        ar = xywh[:, 3] / w
-        best = ideal_max_iou(w, ar, design)
-        stats.extend(
-            FaceMatchStat(rec.path, i, r, fw, mi, mi > t_p)
-            for i, r, fw, mi in zip(idx.tolist(), ar.tolist(), w.tolist(), best.tolist())
-        )
+    records = list(records)
+    record, position, faces = face_table(records)
+    keep = kept_mask(faces)
+    w = faces[keep, 2]
+    ar = faces[keep, 3] / w
+    best = np.empty(len(w))
+    for k in range(0, len(w), FACE_BLOCK):
+        best[k:k + FACE_BLOCK] = ideal_max_iou(w[k:k + FACE_BLOCK], ar[k:k + FACE_BLOCK], design)
+    matched = best > t_p
 
-    matched_ars = [s.ar for s in stats if s.matched]
-    if matched_ars:
-        ar_min = min(matched_ars)
-        ar_max = max(matched_ars)
+    matched_ars = ar[matched]
+    if len(matched_ars):
+        ar_min = float(matched_ars.min())
+        ar_max = float(matched_ars.max())
         ra = design.aspect_ratio
         fitted = max(ar_max / ra, ra / ar_min)
     else:
@@ -144,7 +172,9 @@ def run_ams(
         matched_ar_min=ar_min,
         matched_ar_max=ar_max,
         fitted_eta=fitted,
-        n_faces=len(stats),
+        n_faces=len(w),
         n_matched=len(matched_ars),
     )
-    return report, stats
+    columns = FaceColumns([rec.path for rec in records], record[keep], position[keep],
+                          ar, w, best, matched)
+    return report, columns

@@ -115,8 +115,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_ams(args: argparse.Namespace) -> int:
     records = _load_records(args)
-    report, stats = run_ams(records, _design_for(args), args.tp)
-    _write_out(emit_reports(report, args.format, stats if args.per_face else None), args.out)
+    report, faces = run_ams(records, _design_for(args), args.tp)
+    _write_out(emit_reports(report, args.format, faces if args.per_face else None), args.out)
     return 0
 
 

@@ -5,14 +5,17 @@ of an image path line, a face-count line, and that many face lines of ten
 space-separated integers ("x y w h blur expression illumination invalid
 occlusion pose"). A count of zero is followed by a single placeholder box line
 (a quirk of the dataset files) which is discarded. Each record holds its faces
-as one (n, 10) float64 array in that column order (FACE_COLUMNS). Nothing is
-silently dropped: zero-area boxes and invalid-flagged faces are retained, and
-kept_faces is the one default filter that drops them.
+as one (n, 10) float64 array in that column order (FACE_COLUMNS). Face values
+are bounded by 2**53 in magnitude, so float64 holds every one exactly. Nothing
+is silently dropped: zero-area boxes and invalid-flagged faces are retained,
+and kept_mask is the one default filter that drops them (kept_faces applies
+it to one record, face_table stacks a corpus to apply it once).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -26,7 +29,12 @@ FACE_COLUMNS = (
 # The attribute codes' ranges, in column order after x y w h.
 _ATTR_RANGES = (("blur", 0, 2), ("expression", 0, 1), ("illumination", 0, 1),
                 ("invalid", 0, 1), ("occlusion", 0, 2), ("pose", 0, 1))
+_ATTR_LO = np.array([lo for _, lo, _ in _ATTR_RANGES])
+_ATTR_HI = np.array([hi for _, _, hi in _ATTR_RANGES])
 _INVALID = FACE_COLUMNS.index("invalid")
+# The largest magnitude of an accepted face value: every integer up to it is
+# exact in float64, so canonical re-emission gives back the annotated value.
+MAX_FACE_VALUE = 2**53
 
 
 class WiderParseError(ValueError):
@@ -70,61 +78,108 @@ def _parse_face_line(text: str, line_no: int) -> list[float]:
     for (name, lo, hi), v in zip(_ATTR_RANGES, values[4:]):
         if not lo <= v <= hi:
             raise WiderParseError(line_no, f"{name} code {v} outside [{lo}, {hi}]")
+    for name, v in zip(FACE_COLUMNS, values[:4]):
+        if not -MAX_FACE_VALUE <= v <= MAX_FACE_VALUE:
+            raise WiderParseError(line_no, f"{name} value too large: magnitude above 2**53")
+    return [float(v) for v in values]
+
+
+def _bulk_faces(face_lines: list[str]) -> np.ndarray | None:
+    """face_lines as one (n, 10) float64 array from a single loadtxt call, or
+    None when any line fails a check _parse_face_line makes, or when loadtxt
+    cannot read a line that int() can (such as "1_0" or non-ASCII digits). A
+    warning counts as a failure: older numpy parses "1.0" with a warning."""
+    if not face_lines:
+        return _no_faces()
     try:
-        return [float(v) for v in values]
-    except OverflowError as exc:
-        raise WiderParseError(line_no, str(exc)) from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(face_lines, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    # loadtxt skips blank lines, so the row count is checked too.
+    if values.shape != (len(face_lines), len(FACE_COLUMNS)):
+        return None
+    attrs, boxes = values[:, 4:], values[:, :4]
+    if not (((attrs >= _ATTR_LO) & (attrs <= _ATTR_HI)).all()
+            and ((boxes >= -MAX_FACE_VALUE) & (boxes <= MAX_FACE_VALUE)).all()):
+        return None
+    return values.astype(np.float64)
+
+
+def _walk_blocks(lines: list[str]) -> tuple[list[tuple[str, int, int]], WiderParseError | None]:
+    """The path and count lines of every block: each block's path, the index
+    of its first face line and its number of face lines (0 for a zero-count
+    block, whose placeholder line is discarded). Face lines are not read. The
+    walk stops at the first grammar violation and returns it with the blocks
+    before it; a block cut short by the end of input is listed with the face
+    lines it has, so that a bad one among them is reported first."""
+    blocks: list[tuple[str, int, int]] = []
+    i = 0
+    n = len(lines)
+    try:
+        while i < n:
+            path = lines[i].strip()
+            if path == "":
+                # Tolerate blank lines only at the end of the file.
+                j = i
+                while j < n and lines[j].strip() == "":
+                    j += 1
+                if j == n:
+                    break
+                raise WiderParseError(i + 1, "blank line where an image path was expected")
+            i += 1
+
+            if i >= n:
+                raise WiderParseError(i + 1, f"missing face count after image path {path!r}")
+            count_text = lines[i].strip()
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise WiderParseError(i + 1, f"expected face count, got {count_text!r}") from None
+            if count < 0:
+                raise WiderParseError(i + 1, f"negative face count {count}")
+            i += 1
+
+            blocks.append((path, i, min(count, n - i)))
+            i += count if count > 0 else 1
+            if i > n:
+                raise WiderParseError(n + 1, f"unexpected end of input inside block for {path!r}")
+    except WiderParseError as err:
+        return blocks, err
+    return blocks, None
 
 
 def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
     """Parse WIDER-style annotation text into records, in file order.
 
     Accepts a string, an open text stream, or any iterable of lines. Raises
-    WiderParseError (with a 1-based line number) on any grammar violation.
+    WiderParseError (with a 1-based line number) on any grammar violation,
+    the earliest one in the text when there are several.
+
+    The face lines are read in one bulk call and checked as arrays; only
+    when a check fails are they parsed again one by one, which raises the
+    first bad line's error. Each record's faces are a slice of one array.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
 
+    blocks, error = _walk_blocks(lines)
+    spans = [(first, first + count) for _, first, count in blocks]
+    faces = _bulk_faces([ln for a, b in spans for ln in lines[a:b]])
+    if faces is None:
+        rows = [_parse_face_line(lines[k], k + 1) for a, b in spans for k in range(a, b)]
+        faces = np.array(rows).reshape(-1, len(FACE_COLUMNS))
+    if error is not None:
+        raise error
+
     records: list[ImageRecord] = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        path = lines[i].strip()
-        if path == "":
-            # Tolerate blank lines only at the end of the file.
-            j = i
-            while j < n and lines[j].strip() == "":
-                j += 1
-            if j == n:
-                break
-            raise WiderParseError(i + 1, "blank line where an image path was expected")
-        i += 1
-
-        if i >= n:
-            raise WiderParseError(i + 1, f"missing face count after image path {path!r}")
-        count_text = lines[i].strip()
-        try:
-            count = int(count_text)
-        except ValueError:
-            raise WiderParseError(i + 1, f"expected face count, got {count_text!r}") from None
-        if count < 0:
-            raise WiderParseError(i + 1, f"negative face count {count}")
-        i += 1
-
-        faces: list[list[float]] = []
-        expected_lines = count if count > 0 else 1
-        for _ in range(expected_lines):
-            if i >= n:
-                raise WiderParseError(
-                    i + 1, f"unexpected end of input inside block for {path!r}"
-                )
-            if count > 0:
-                faces.append(_parse_face_line(lines[i], i + 1))
-            # count == 0: the placeholder box line is discarded.
-            i += 1
-        records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, len(FACE_COLUMNS))))
+    start = 0
+    for path, _, count in blocks:
+        records.append(ImageRecord(path, faces=faces[start:start + count]))
+        start += count
     return records
 
 
@@ -151,25 +206,39 @@ def serialize_wider(records: Iterable[ImageRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
+def kept_mask(faces: np.ndarray) -> np.ndarray:
+    """The default corpus filter over (n, 10) face rows: True for the faces
+    not flagged invalid and with positive width and height."""
+    return (faces[:, _INVALID] == 0) & (faces[:, 2] > 0) & (faces[:, 3] > 0)
+
+
 def kept_faces(rec: ImageRecord) -> tuple[np.ndarray, np.ndarray]:
-    """The default corpus filter: the positions in rec.faces of the faces not
-    flagged invalid and with positive width and height, and their (k, 4) xywh
-    rows. Positions keep emitted rows traceable to the annotation file."""
-    f = rec.faces
-    idx = ((f[:, _INVALID] == 0) & (f[:, 2] > 0) & (f[:, 3] > 0)).nonzero()[0]
-    return idx, f[idx, :4]
+    """The positions in rec.faces of the faces kept_mask keeps, and their
+    (k, 4) xywh rows. Positions keep emitted rows traceable to the
+    annotation file."""
+    idx = kept_mask(rec.faces).nonzero()[0]
+    return idx, rec.faces[idx, :4]
+
+
+def face_table(records: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every face of records in corpus order: each face's record index, its
+    position in that record's faces, and the (n, 10) rows stacked."""
+    counts = np.array([len(rec.faces) for rec in records], dtype=np.int64)
+    record = np.repeat(np.arange(len(records)), counts)
+    position = np.arange(len(record)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return record, position, np.concatenate([_no_faces(), *(rec.faces for rec in records)])
 
 
 def corpus_counts(records: Iterable[ImageRecord]) -> dict[str, int]:
     """Raw and filtered face tallies for a corpus."""
     records = list(records)
-    faces = np.concatenate([_no_faces(), *(rec.faces for rec in records)])
+    faces = face_table(records)[2]
     return {
         "n_images": len(records),
         "n_faces": len(faces),
         "n_invalid": int(np.count_nonzero(faces[:, _INVALID])),
         "n_degenerate": int(np.count_nonzero(~((faces[:, 2] > 0) & (faces[:, 3] > 0)))),
-        "n_kept": sum(len(kept_faces(rec)[0]) for rec in records),
+        "n_kept": int(np.count_nonzero(kept_mask(faces))),
     }
 
 
@@ -242,7 +311,8 @@ def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) ->
     """Fraction of kept faces whose aspect ratio lies in D(anchor_ar, eta)."""
     from .matching import arsd_contains
 
-    xywh = np.concatenate([np.empty((0, 4)), *(kept_faces(rec)[1] for rec in records)])
+    faces = face_table(list(records))[2]
+    xywh = faces[kept_mask(faces), :4]
     inside = arsd_contains(xywh[:, 3] / xywh[:, 2], anchor_ar, eta)
     if len(xywh) == 0:
         raise ValueError("corpus has no usable faces")

@@ -1,12 +1,14 @@
 """Report emission: JSON, CSV, and aligned-text renderings of analysis outputs.
 
-Per-face rows are frozen dataclasses, and one writer per format renders
-every kind of row from its fields. The CSV header is the row type's field
-names, and each cell is formatted by its field's annotation: floats with six
-decimal places (the precision annotation aspect ratios are quoted at), bools
-as 1/0, anything else as str. JSON carries full precision plus a
-schema_version field. Field order is fixed so identical inputs emit
-identical bytes.
+A per-face table is a row type, a frozen dataclass naming and typing its
+fields, and one column of values per field. One writer per format renders
+every table. The CSV header is the field names, and each cell is formatted
+by its field's annotation: floats with six decimal places (the precision
+annotation aspect ratios are quoted at), bools as 1/0, anything else as str.
+JSON carries full precision plus a schema_version field. Field order is
+fixed so identical inputs emit identical bytes. The ams columns come from
+FaceColumns, so no object is built per face; match and simulation reports
+hold their rows as row-type instances, which _columns transposes.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import starmap
+from itertools import islice
 from operator import attrgetter
 
-from .ams import AmsReport, FaceMatchStat
+import numpy as np
+
+from .ams import AmsReport, FaceColumns, FaceMatchStat
 from .cropsim import FaceSimStat, SimOutcome
 from .matching import MatchConfig, MatchResult
 
 SCHEMA_VERSION = 1
 LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
-# CSV cell format by the name of a field's annotation.
-_CELL_FORMAT = {"float": "{:.6f}", "bool": "{:d}"}
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -39,34 +42,63 @@ class MatchRow:
     effective_tp: float
 
 
-def _columns(row_type) -> tuple[list[str], attrgetter]:
-    """A row type's field names, and a getter returning a row's values in that order."""
-    names = [f.name for f in fields(row_type)]
-    return names, attrgetter(*names)
+def _names(row_type) -> list[str]:
+    return [f.name for f in fields(row_type)]
 
 
-def csv_text(row_type, rows) -> str:
-    """A header of row_type's field names, then one line per row."""
-    names, values = _columns(row_type)
+def _columns(row_type, rows) -> list[tuple]:
+    """The field values of a list of row_type instances, one tuple per field."""
+    names = _names(row_type)
+    return list(zip(*map(attrgetter(*names), rows))) if rows else [()] * len(names)
+
+
+def _tolist(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+# CSV cell format by the name of a field's annotation; other fields print as str.
+_CELL_FORMAT = {"float": "{:.6f}".format, "bool": "{:d}".format, "int": str}
+
+
+def _cells(kind: str, column) -> list[str]:
+    """A column's CSV cells, by the name of its field's annotation."""
+    if kind not in _CELL_FORMAT:
+        return list(map(str, _tolist(column)))
+    # Each distinct value is formatted once, and the cells share its text.
+    # Values are told apart by their bits, so 0.0 and -0.0 keep their own.
+    values = np.asarray(column, dtype=np.float64 if kind == "float" else np.int64)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(_CELL_FORMAT[kind], bits.view(values.dtype).tolist())), dtype=object)
+    return text[where].tolist()
+
+
+def csv_text(row_type, columns) -> str:
+    """A header of row_type's field names, then one line per row: columns
+    holds one sequence or array of values per field, in field order."""
     # An annotation is a string in a module with postponed annotations.
-    kinds = (getattr(f.type, "__name__", f.type) for f in fields(row_type))
-    template = ",".join(_CELL_FORMAT.get(kind, "{}") for kind in kinds)
-    return "\n".join([",".join(names), *starmap(template.format, map(values, rows))]) + "\n"
+    kinds = [getattr(f.type, "__name__", f.type) for f in fields(row_type)]
+    cells = [_cells(kind, column) for kind, column in zip(kinds, columns, strict=True)]
+    rows = map(",".join, zip(*cells))
+    # Rows are joined _ROW_BLOCK at a time, so that only one block's row
+    # strings are alive at once. No row is empty: it has a comma at least.
+    blocks = iter(lambda: "\n".join(islice(rows, _ROW_BLOCK)), "")
+    return "\n".join([",".join(_names(row_type)), *blocks]) + "\n"
 
 
-def json_text(summary: dict, rows=None) -> str:
-    """{"schema_version": 1, **summary} as indented JSON, plus "per_face" with
-    each row's fields in order when rows are given."""
+def json_text(summary: dict, row_type=None, columns=()) -> str:
+    """{"schema_version": 1, **summary} as indented JSON, plus "per_face"
+    when a row type is given: one object per row of columns (as csv_text
+    takes them), its values named by row_type's fields."""
     payload = {"schema_version": SCHEMA_VERSION, **summary}
-    if rows is not None:
-        names, values = _columns(type(rows[0])) if rows else ((), None)
-        payload["per_face"] = [dict(zip(names, values(r))) for r in rows]
+    if row_type is not None:
+        names = _names(row_type)
+        payload["per_face"] = [dict(zip(names, row)) for row in zip(*map(_tolist, columns))]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-FACE_STATS_CSV_HEADER = csv_text(FaceMatchStat, ()).rstrip("\n")
-SIM_CSV_HEADER = csv_text(FaceSimStat, ()).rstrip("\n")
-MATCH_CSV_HEADER = csv_text(MatchRow, ()).rstrip("\n")
+FACE_STATS_CSV_HEADER = ",".join(_names(FaceMatchStat))
+SIM_CSV_HEADER = ",".join(_names(FaceSimStat))
+MATCH_CSV_HEADER = ",".join(_names(MatchRow))
 
 
 @dataclass
@@ -147,11 +179,12 @@ def _match_table(report: MatchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(report, fmt: str, per_face=None) -> str:
+def emit_reports(report, fmt: str, per_face: FaceColumns | None = None) -> str:
     """Render an AmsReport, a MatchReport or a SimOutcome as "json", "csv"
     or "table" (a SimOutcome has no table form).
 
-    per_face, an AmsReport's FaceMatchStat rows, adds them to its report:
+    per_face, the FaceColumns run_ams returns with an AmsReport, adds its
+    rows to that report:
     as the "per_face" list in JSON, as the per-face CSV in place of the
     one-row summary CSV, and as that CSV after the table. A MatchReport or
     a SimOutcome always renders the rows it carries.
@@ -167,10 +200,12 @@ def emit_reports(report, fmt: str, per_face=None) -> str:
             # JSON has no infinity: an unbounded radius is written as null.
             if math.isinf(summary["analytic_eta"]):
                 summary["analytic_eta"] = None
-            return json_text(summary, per_face)
+            if per_face is None:
+                return json_text(summary)
+            return json_text(summary, FaceMatchStat, per_face.columns())
         if per_face is None:
             return _ams_csv(report) if fmt == "csv" else _ams_table(report)
-        rows = csv_text(FaceMatchStat, per_face)
+        rows = csv_text(FaceMatchStat, per_face.columns())
         return rows if fmt == "csv" else _ams_table(report) + rows
 
     if isinstance(report, MatchReport):
@@ -183,16 +218,17 @@ def emit_reports(report, fmt: str, per_face=None) -> str:
                 "n_faces_matched": report.n_matched,
                 "labels": report.labels,
             }
-            return json_text(summary, report.per_face)
+            return json_text(summary, MatchRow, _columns(MatchRow, report.per_face))
         if fmt == "csv":
-            return csv_text(MatchRow, report.per_face)
+            return csv_text(MatchRow, _columns(MatchRow, report.per_face))
         return _match_table(report)
 
     if isinstance(report, SimOutcome):
         if fmt == "json":
-            return json_text({"seed": report.seed, "n_crops": report.n_crops}, report.per_face)
+            summary = {"seed": report.seed, "n_crops": report.n_crops}
+            return json_text(summary, FaceSimStat, _columns(FaceSimStat, report.per_face))
         if fmt == "csv":
-            return csv_text(FaceSimStat, report.per_face)
+            return csv_text(FaceSimStat, _columns(FaceSimStat, report.per_face))
         raise ValueError("simulation outcomes render as json or csv")
 
     raise TypeError(f"no report emitter for {type(report).__name__}")

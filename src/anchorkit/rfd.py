@@ -5,16 +5,13 @@ to a quarter followed by a body convolution with kernels 3x1, 1x3, 3x3, and
 5x5 (shape-preserving padding), whose outputs are concatenated back to the
 input width and summed with an identity shortcut. This module captures the
 block exactly at the structural level: shape propagation, receptive-field
-arithmetic, parameter counting, and a naive linear forward for verification.
-Activations and normalization are intentionally absent; the linear model is
-all the structural claims need.
+arithmetic and parameter counting. Activations and normalization are
+intentionally absent; the structure is all the claims need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 BODY_KERNELS: tuple[tuple[int, int], ...] = ((3, 1), (1, 3), (3, 3), (5, 5))
 _MIN_SPATIAL = 5  # the largest kernel must fit
@@ -120,74 +117,3 @@ def rfd_receptive_fields(spec: RfdSpec) -> list[tuple[int, int]]:
         fields.append((rf_h, rf_w))
     fields.append((1, 1))
     return fields
-
-
-@dataclass(frozen=True)
-class RfdWeights:
-    """Per-path (reduce, body) weight tensors, shaped (c_out, c_in, kh, kw)."""
-
-    paths: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def zero_weights(spec: RfdSpec) -> RfdWeights:
-    return RfdWeights(
-        paths=tuple(
-            (
-                np.zeros((p.reduce.c_out, p.reduce.c_in, p.reduce.kh, p.reduce.kw)),
-                np.zeros((p.body.c_out, p.body.c_in, p.body.kh, p.body.kw)),
-            )
-            for p in spec.paths
-        )
-    )
-
-
-def _check_weight(conv: ConvSpec, w: np.ndarray, what: str) -> None:
-    expected = (conv.c_out, conv.c_in, conv.kh, conv.kw)
-    if w.shape != expected:
-        raise ValueError(f"{what} weight shape {w.shape} != {expected}")
-
-
-def _conv2d_naive(x: np.ndarray, w: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    """Direct zero-padded convolution (cross-correlation), shape-preserving.
-
-    Accumulation order is fixed (input channel, then kernel row, then kernel
-    column) so results are bit-stable regardless of the caller.
-    """
-    c_out, c_in, kh, kw = w.shape
-    _, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    out = np.zeros((c_out, h, wd), dtype=np.float64)
-    for co in range(c_out):
-        acc = out[co]
-        for ci in range(c_in):
-            for ky in range(kh):
-                for kx in range(kw):
-                    acc += w[co, ci, ky, kx] * xp[ci, ky : ky + h, kx : kx + wd]
-    return out
-
-
-def rfd_forward_naive(spec: RfdSpec, x: np.ndarray, weights: RfdWeights) -> np.ndarray:
-    """Forward the block on a (C, H, W) tensor: per path a 1x1 reduction then
-    the body convolution, concatenate along channels, add the input back.
-
-    Purely linear (no bias, activation, or normalization), so all-zero
-    weights reduce it to the identity shortcut.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError("input must be a (C, H, W) tensor")
-    c, h, wd = x.shape
-    if c != spec.channels:
-        raise ValueError(f"input has {c} channels, spec expects {spec.channels}")
-    rfd_output_shape(spec, h, wd)
-    if len(weights.paths) != len(spec.paths):
-        raise ValueError("weights must provide one (reduce, body) pair per path")
-
-    outs = []
-    for p, (w_reduce, w_body) in zip(spec.paths, weights.paths):
-        _check_weight(p.reduce, w_reduce, "reduce")
-        _check_weight(p.body, w_body, "body")
-        t = _conv2d_naive(x, w_reduce, p.reduce.pad_h, p.reduce.pad_w)
-        t = _conv2d_naive(t, w_body, p.body.pad_h, p.body.pad_w)
-        outs.append(t)
-    return np.concatenate(outs, axis=0) + x

@@ -1,13 +1,18 @@
 """Slow, obviously-correct reference implementations used to cross-check the
 library's vectorized paths. Kept deliberately independent: plain Python
-loops over xywh tuples (and one eager numpy grid builder), no shared code
-with the package internals."""
+loops over xywh tuples, annotation lines and tensor elements (and one eager
+numpy grid builder), no shared code with the package internals beyond its
+public types."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from anchorkit.corpus import ImageRecord, WiderParseError
+from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
 
 def eager_anchor_rows(design, image_w, image_h):
@@ -109,3 +114,146 @@ def naive_ideal_max_iou(face_w: float, face_ar: float, design) -> float:
         if val > best:
             best = val
     return best
+
+
+_ATTR_RANGES = (("blur", 0, 2), ("expression", 0, 1), ("illumination", 0, 1),
+                ("invalid", 0, 1), ("occlusion", 0, 2), ("pose", 0, 1))
+
+
+def _naive_face_line(text: str, line_no: int) -> list[float]:
+    fields = text.split()
+    if len(fields) != 10:
+        raise WiderParseError(line_no, f"expected 10 integer fields, got {len(fields)}")
+    try:
+        values = [int(f) for f in fields]
+    except ValueError:
+        raise WiderParseError(line_no, f"non-integer field in face line: {text!r}") from None
+    for (name, lo, hi), v in zip(_ATTR_RANGES, values[4:]):
+        if not lo <= v <= hi:
+            raise WiderParseError(line_no, f"{name} code {v} outside [{lo}, {hi}]")
+    for name, v in zip("xywh", values[:4]):
+        if abs(v) > 2**53:
+            raise WiderParseError(line_no, f"{name} value too large: magnitude above 2**53")
+    return [float(v) for v in values]
+
+
+def naive_parse_wider(source) -> list:
+    """WIDER-style annotation text to records, one line at a time: each face
+    line is parsed as it is reached, so the first bad line in the text raises
+    its WiderParseError. corpus.parse_wider must give equal records, or an
+    error with the same message and line."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
+
+    records = []
+    i = 0
+    n = len(lines)
+    while i < n:
+        path = lines[i].strip()
+        if path == "":
+            # Tolerate blank lines only at the end of the file.
+            j = i
+            while j < n and lines[j].strip() == "":
+                j += 1
+            if j == n:
+                break
+            raise WiderParseError(i + 1, "blank line where an image path was expected")
+        i += 1
+
+        if i >= n:
+            raise WiderParseError(i + 1, f"missing face count after image path {path!r}")
+        count_text = lines[i].strip()
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise WiderParseError(i + 1, f"expected face count, got {count_text!r}") from None
+        if count < 0:
+            raise WiderParseError(i + 1, f"negative face count {count}")
+        i += 1
+
+        faces = []
+        expected_lines = count if count > 0 else 1
+        for _ in range(expected_lines):
+            if i >= n:
+                raise WiderParseError(
+                    i + 1, f"unexpected end of input inside block for {path!r}"
+                )
+            if count > 0:
+                faces.append(_naive_face_line(lines[i], i + 1))
+            # count == 0: the placeholder box line is discarded.
+            i += 1
+        records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, 10)))
+    return records
+
+
+@dataclass(frozen=True)
+class RfdWeights:
+    """Per-path (reduce, body) weight tensors, shaped (c_out, c_in, kh, kw)."""
+
+    paths: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def zero_weights(spec: RfdSpec) -> RfdWeights:
+    return RfdWeights(
+        paths=tuple(
+            (
+                np.zeros((p.reduce.c_out, p.reduce.c_in, p.reduce.kh, p.reduce.kw)),
+                np.zeros((p.body.c_out, p.body.c_in, p.body.kh, p.body.kw)),
+            )
+            for p in spec.paths
+        )
+    )
+
+
+def _check_weight(conv: ConvSpec, w: np.ndarray, what: str) -> None:
+    expected = (conv.c_out, conv.c_in, conv.kh, conv.kw)
+    if w.shape != expected:
+        raise ValueError(f"{what} weight shape {w.shape} != {expected}")
+
+
+def _conv2d_naive(x: np.ndarray, w: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
+    """Direct zero-padded convolution (cross-correlation), shape-preserving.
+
+    Accumulation order is fixed (input channel, then kernel row, then kernel
+    column) so results are bit-stable regardless of the caller.
+    """
+    c_out, c_in, kh, kw = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    out = np.zeros((c_out, h, wd), dtype=np.float64)
+    for co in range(c_out):
+        acc = out[co]
+        for ci in range(c_in):
+            for ky in range(kh):
+                for kx in range(kw):
+                    acc += w[co, ci, ky, kx] * xp[ci, ky : ky + h, kx : kx + wd]
+    return out
+
+
+def rfd_forward_naive(spec: RfdSpec, x: np.ndarray, weights: RfdWeights) -> np.ndarray:
+    """Forward the block on a (C, H, W) tensor: per path a 1x1 reduction then
+    the body convolution, concatenate along channels, add the input back.
+
+    Purely linear (no bias, activation, or normalization), so all-zero
+    weights reduce it to the identity shortcut.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError("input must be a (C, H, W) tensor")
+    c, h, wd = x.shape
+    if c != spec.channels:
+        raise ValueError(f"input has {c} channels, spec expects {spec.channels}")
+    rfd_output_shape(spec, h, wd)
+    if len(weights.paths) != len(spec.paths):
+        raise ValueError("weights must provide one (reduce, body) pair per path")
+
+    outs = []
+    for p, (w_reduce, w_body) in zip(spec.paths, weights.paths):
+        _check_weight(p.reduce, w_reduce, "reduce")
+        _check_weight(p.body, w_body, "body")
+        t = _conv2d_naive(x, w_reduce, p.reduce.pad_h, p.reduce.pad_w)
+        t = _conv2d_naive(t, w_body, p.body.pad_h, p.body.pad_w)
+        outs.append(t)
+    return np.concatenate(outs, axis=0) + x

@@ -29,15 +29,9 @@ from anchorkit.corpus import ar_coverage, parse_wider, serialize_wider
 from anchorkit.cropsim import CropParams, simulate
 from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh, warm_threshold
 from anchorkit.reports import emit_reports
-from anchorkit.rfd import (
-    rfd_forward_naive,
-    rfd_output_shape,
-    rfd_param_count,
-    rfd_receptive_fields,
-    rfd_spec,
-    zero_weights,
-)
+from anchorkit.rfd import rfd_output_shape, rfd_param_count, rfd_receptive_fields, rfd_spec
 from builders import record
+from oracles import rfd_forward_naive, zero_weights
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 WIDER_ENV = "ANCHORKIT_WIDER_ANNOTATIONS"
@@ -100,8 +94,8 @@ def test_criterion_2_anchor_ar_rows():
                 [(ar, aligned_width(32.0, ar, ra)) for ar in inner + [ra] + outer],
             )
         ]
-        report, stats = run_ams(corpus, design, 0.5)
-        matched = {round(s.ar, 9) for s in stats if s.matched}
+        report, faces = run_ams(corpus, design, 0.5)
+        matched = {round(ar, 9) for ar in faces.ar[faces.matched].tolist()}
         expected = {round(ar, 9) for ar in inner + [ra]}
         ok &= matched == expected
         ok &= report.fitted_eta is not None and abs(report.fitted_eta - 2.25) <= 0.01

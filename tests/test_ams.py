@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import anchorkit.ams
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
 from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
+from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic, kept_faces
 from anchorkit.geometry import Box, iou as box_iou
 from anchorkit.matching import iou_matrix
 from builders import record
@@ -140,6 +143,28 @@ class TestIdealMaxIouBroadcast:
             scalar = ideal_max_iou(a, b, design)
             assert type(scalar) is float and scalar == v
 
+    @given(
+        st.lists(st.tuples(st.floats(min_value=1e-2, max_value=1e5),
+                           st.floats(min_value=1e-3, max_value=1e3)), min_size=8, max_size=40),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_blocks_longer_than_face_block(self, faces, block, per_record):
+        # run_ams scores FACE_BLOCK faces per call; with the block patched
+        # small, the faces span several blocks and records, and every value
+        # still equals the scalar loop's bit for bit.
+        design = ams_design(1.0)
+        records = [record(f"{k}.jpg", [(0.0, 0.0, w, w * ar) for w, ar in faces[k:k + per_record]])
+                   for k in range(0, len(faces), per_record)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anchorkit.ams, "FACE_BLOCK", block)
+            _, got = run_ams(records, design, 0.5)
+        xywh = np.concatenate([rec.faces[:, :4] for rec in records])
+        w, ar = xywh[:, 2], xywh[:, 3] / xywh[:, 2]
+        want = np.array([naive_ideal_max_iou(a, b, design) for a, b in zip(w.tolist(), ar.tolist())])
+        assert got.max_iou.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert got.max_iou.view(np.uint64).tolist() == ideal_max_iou(w, ar, design).view(np.uint64).tolist()
+
     def test_empty_arrays(self):
         got = ideal_max_iou(np.empty(0), np.empty(0), ams_design(1.0))
         assert got.shape == (0,) and got.dtype == np.float64
@@ -225,6 +250,11 @@ class TestBoundaryAr:
         assert analytic_max_iou(boundary_ar(t, 1.0), 1.0) == pytest.approx(t, abs=1e-9)
 
 
+def face_rows(faces):
+    """run_ams's per-face columns as one tuple per face."""
+    return list(zip(*(np.asarray(column).tolist() for column in faces.columns())))
+
+
 def synthetic_corpus():
     """Six faces at fixed ARs; the matchable ones have rung-aligned widths."""
     def face(ar, w):
@@ -237,33 +267,36 @@ def synthetic_corpus():
 
 class TestRunAms:
     def test_matched_set_on_fixed_corpus(self):
-        report, stats = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
-        assert report.n_faces == 6
+        report, faces = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
+        assert report.n_faces == len(faces.record) == 6
         assert report.n_matched == 3
-        assert {round(s.ar, 6) for s in stats if s.matched} == {0.5, 1.0, 2.0}
+        assert {round(ar, 6) for ar in faces.ar[faces.matched].tolist()} == {0.5, 1.0, 2.0}
         assert report.matched_ar_min == pytest.approx(0.5, rel=1e-9)
         assert report.matched_ar_max == pytest.approx(2.0, rel=1e-9)
         assert report.fitted_eta == pytest.approx(2.0, rel=1e-9)
         assert report.analytic_eta == pytest.approx(2.25, abs=1e-12)
 
     def test_zero_threshold_matches_everything(self):
-        report, stats = run_ams(synthetic_corpus(), ams_design(1.0), 0.0)
+        report, faces = run_ams(synthetic_corpus(), ams_design(1.0), 0.0)
         assert report.n_matched == report.n_faces == 6
-        assert all(s.matched for s in stats)
+        assert faces.matched.all()
         assert report.analytic_eta == math.inf
 
     def test_empty_corpus_flagged(self):
-        report, stats = run_ams([], ams_design(1.0), 0.5)
+        report, faces = run_ams([], ams_design(1.0), 0.5)
         assert report.n_faces == 0
         assert report.n_matched == 0
         assert report.matched_ar_min is None
         assert report.matched_ar_max is None
         assert report.fitted_eta is None
-        assert stats == []
+        assert len(faces.record) == 0 and face_rows(faces) == []
 
     def test_sources_traceable(self):
-        _, stats = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
-        assert [(s.image, s.face) for s in stats[:3]] == [
+        _, faces = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
+        assert faces.images == ["img/a.jpg", "img/b.jpg"]
+        assert faces.record.tolist() == [0, 0, 0, 1, 1, 1]
+        assert faces.face.tolist() == [0, 1, 2, 0, 1, 2]
+        assert [row[:2] for row in face_rows(faces)[:3]] == [
             ("img/a.jpg", 0),
             ("img/a.jpg", 1),
             ("img/a.jpg", 2),
@@ -272,9 +305,9 @@ class TestRunAms:
     def test_invalid_faces_filtered_by_default(self):
         # The second face is flagged invalid, the third is degenerate.
         records = [record("x.jpg", [(0, 0, 32, 32), (0, 0, 32, 32), (0, 0, 0, 32)], invalid=[1])]
-        report, stats = run_ams(records, ams_design(1.0), 0.5)
+        report, faces = run_ams(records, ams_design(1.0), 0.5)
         assert report.n_faces == 1
-        assert [s.face for s in stats] == [0]
+        assert faces.face.tolist() == [0]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -287,3 +320,44 @@ class TestRunAms:
         ]
         report, _ = run_ams([record("y.jpg", faces)], ams_design(1.0), 0.5)
         assert report.fitted_eta == pytest.approx(2.0, rel=1e-9)
+
+    def test_columns_match_per_record_scoring(self):
+        # Records with no faces, with only dropped faces and with several
+        # kept ones: the columns are each record's kept_faces scored alone.
+        records = generate_synthetic(5, 40, LogUniformAR(0.2, 5.0))
+        records[3] = record("empty.jpg", [])
+        records[7] = record("dropped.jpg", [(0, 0, 8, 8), (0, 0, 0, 8)], invalid=[0])
+        records[9] = record("mixed.jpg", [(0, 0, 8, 20), (0, 0, 0, 8), (1, 1, 30, 12)])
+        design = ams_design(1.0)
+        _, faces = run_ams(records, design, 0.5)
+        want_records, want_rows = [], []
+        for r, rec in enumerate(records):
+            idx, xywh = kept_faces(rec)
+            for i, (_, _, w, h) in zip(idx.tolist(), xywh.tolist()):
+                iou = naive_ideal_max_iou(w, h / w, design)
+                want_records.append(r)
+                want_rows.append((rec.path, i, h / w, w, iou, iou > 0.5))
+        assert faces.record.tolist() == want_records
+        assert face_rows(faces) == want_rows
+
+
+class TestRunAmsResources:
+    def test_peak_memory_over_100k_faces(self):
+        # 100k faces in 25k records score in FACE_BLOCK blocks: the peak is
+        # the corpus and its columns, not (faces x sizes) temporaries, which
+        # would take 12 MB each at once.
+        rng = np.random.default_rng(3)
+        n = 100_000
+        faces = np.zeros((n, 10))
+        faces[:, 2] = rng.uniform(4, 512, n)
+        faces[:, 3] = faces[:, 2] * rng.uniform(0.2, 5.0, n)
+        records = [ImageRecord(f"{k}.jpg", faces=faces[k * 4:k * 4 + 4]) for k in range(n // 4)]
+        design = ams_design(1.0)
+        tracemalloc.start()
+        try:
+            _, columns = run_ams(records, design, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns.record) == n
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"

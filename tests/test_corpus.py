@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import anchorkit.corpus
 from anchorkit.corpus import (
     FixedListAR,
     LogUniformAR,
@@ -19,6 +20,7 @@ from anchorkit.corpus import (
     serialize_wider,
 )
 from builders import record
+from oracles import naive_parse_wider
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 
@@ -97,7 +99,62 @@ class TestParseWider:
         with pytest.raises(WiderParseError) as err:
             parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\nb.jpg\n1\n10 20 %s 40 0 0 0 0 0 0\n"
                         % ("9" * 401))
-        assert str(err.value) == "line 6: int too large to convert to float"
+        assert str(err.value) == "line 6: w value too large: magnitude above 2**53"
+
+    @pytest.mark.parametrize("value", [2**53, -(2**53)])
+    def test_values_at_2_53_kept_exactly(self, value):
+        text = f"a.jpg\n1\n{value} 0 10 {value} 0 0 0 0 0 0\n"
+        assert serialize_wider(parse_wider(text)) == text
+
+    @pytest.mark.parametrize("fields, column", [
+        ("9007199254740993 0 10 10", "x"),
+        ("0 0 10 -9007199254740993", "h"),
+        ("0 99999999999999999999 10 10", "y"),
+        ("0 0 -9223372036854775808 10", "w"),  # int64's minimum, its own absolute value
+    ])
+    def test_values_above_2_53_rejected(self, fields, column):
+        # float64 would round 2**53 + 1 to 2**53, and parse --emit would
+        # print another value than the annotation's.
+        with pytest.raises(WiderParseError) as err:
+            parse_wider(f"a.jpg\n1\n{fields} 0 0 0 0 0 0\n")
+        assert str(err.value) == f"line 3: {column} value too large: magnitude above 2**53"
+
+    def test_face_error_before_structural_error_wins(self):
+        text = "a.jpg\n1\n1 2 3 4 0 0 9 0 0 0\nb.jpg\nnope\n"
+        with pytest.raises(WiderParseError) as err:
+            parse_wider(text)
+        assert (str(err.value), err.value.line) == ("line 3: illumination code 9 outside [0, 1]", 3)
+        with pytest.raises(WiderParseError) as err:
+            parse_wider("a.jpg\n1\n1 2 3 4 0 0 0 0 0 0\nb.jpg\nnope\n")
+        assert err.value.line == 5
+
+    def test_face_error_in_truncated_block_wins(self):
+        with pytest.raises(WiderParseError) as err:
+            parse_wider("a.jpg\n3\n1 2 3 4 0 0 0 0 0 0\n1 2 3 4 0 0 0 x 0 0\n")
+        assert err.value.line == 4 and "non-integer" in str(err.value)
+
+    def test_blank_face_line_rejected(self):
+        # The bulk read skips blank lines; the row count catches it.
+        with pytest.raises(WiderParseError) as err:
+            parse_wider("a.jpg\n2\n1 2 3 4 0 0 0 0 0 0\n   \n")
+        assert str(err.value) == "line 4: expected 10 integer fields, got 0"
+
+    def test_integers_only_int_reads(self):
+        # int() accepts these and the bulk read does not: the per-line parse
+        # takes over and gives the same values.
+        text = "a.jpg\n2\n1_0 +5 -0 \u0663 0 0 0 0 0 0\n\uff11 2 3 4 0 0 0 0 0 0\n"
+        (rec,) = parse_wider(text)
+        assert rec.faces[:, :4].tolist() == [[10, 5, 0, 3], [1, 2, 3, 4]]
+
+    def test_well_formed_text_read_in_bulk(self, monkeypatch):
+        def per_line(*args):
+            raise AssertionError("per-line face parse on well-formed text")
+
+        monkeypatch.setattr(anchorkit.corpus, "_parse_face_line", per_line)
+        records = parse_wider(FIXTURE.read_text(encoding="utf-8"))
+        assert records == naive_parse_wider(FIXTURE.read_text(encoding="utf-8"))
+        # Every record's faces are a view of one array.
+        assert len({id(rec.faces.base) for rec in records}) == 1
 
     def test_blank_line_mid_file_rejected(self):
         with pytest.raises(WiderParseError) as err:
@@ -107,6 +164,85 @@ class TestParseWider:
     def test_trailing_blank_lines_tolerated(self):
         records = parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n\n\n")
         assert len(records) == 1
+
+
+# Face-line fields: mostly valid, plus what int() and a bulk integer read
+# may disagree on.
+_ODD_TOKENS = (
+    "-0", "+5", "007", "1_0", "1.0", "1e3", "#1", "+", "-", "--1", "0x1", "1,2", "",
+    "\u0663", "\uff11", "\u0661\u0662", "99999999999999999999", "-99999999999999999999",
+)
+# Box values about the 2**53 bound and the int64 range.
+_BIG = (2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63), 2**63)
+_SEPARATORS = (" ", "  ", "\t", "\r", "\x0c", "\xa0", "\x0b", "\x1c", "\x85", "\u3000")
+
+
+def mutate_face(draw, line: str) -> str:
+    fields = line.split(" ")
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        fields[draw(st.integers(0, 9))] = draw(st.sampled_from(_ODD_TOKENS))
+    elif kind == 1:
+        fields[draw(st.integers(0, 3))] = str(draw(st.sampled_from(_BIG)))
+    elif kind == 2:  # an attribute code out of range
+        fields[draw(st.integers(4, 9))] = str(draw(st.sampled_from([-3, -1, 2, 3, 9])))
+    elif kind == 3:  # a field too many or too few
+        fields = fields + ["0"] if draw(st.booleans()) else fields[:-1]
+    elif kind == 4:  # blank or whitespace-only
+        return draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0 "]))
+    else:
+        seps = [draw(st.sampled_from(_SEPARATORS)) for _ in fields]
+        return "".join(f + sep for f, sep in zip(fields, seps))
+    return " ".join(fields)
+
+
+@st.composite
+def annotation_text(draw):
+    """Well-formed blocks, then up to two face lines mutated, and maybe a
+    count changed, a blank line inserted or the text cut short."""
+    lines, face_at, count_at = [], [], []
+    for b in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        count_at.append(len(lines) + 1)
+        lines += [f"img/{b}.jpg", str(n)]
+        if n == 0:
+            lines.append("0 0 0 0 0 0 0 0 0 0")
+        for _ in range(n):
+            face_at.append(len(lines))
+            box = [draw(st.integers(-40, 700)) for _ in range(4)]
+            lines.append(" ".join(map(str, box + [draw(st.integers(0, hi)) for hi in (2, 1, 1, 1, 2, 1)])))
+    for k in draw(st.lists(st.sampled_from(face_at), max_size=2, unique=True)) if face_at else ():
+        lines[k] = mutate_face(draw, lines[k])
+    if lines and draw(st.integers(0, 5)) == 0:
+        lines[draw(st.sampled_from(count_at))] = draw(st.sampled_from(["-1", "x", "", "9", " 2", "0"]))
+    if lines and draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+def outcome(parse, source):
+    try:
+        return parse(source)
+    except WiderParseError as err:
+        return str(err), err.line
+
+
+class TestParseDifferential:
+    """parse_wider against the line-at-a-time parser in oracles.py."""
+
+    @settings(max_examples=400)
+    @given(annotation_text())
+    def test_matches_line_parser(self, text):
+        want = outcome(naive_parse_wider, text)
+        assert outcome(parse_wider, text) == want
+        # A stream splits lines at "\n" only, so "\r", "\x0c" and "\x85"
+        # stay inside the lines.
+        assert outcome(parse_wider, io.StringIO(text)) == outcome(naive_parse_wider, io.StringIO(text))
+        if isinstance(want, list):
+            assert all(r.faces.dtype == np.float64 and r.faces.shape[1:] == (10,)
+                       for r in outcome(parse_wider, text))
 
 
 class TestSerializeWider:

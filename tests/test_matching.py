@@ -288,6 +288,19 @@ class TestAssignLabels:
         with pytest.raises(ValueError, match="finite"):
             assign_labels_xywh(anchors, [[10, 10, 8, 8], face], SAM)
 
+    @pytest.mark.parametrize("value", [2.0**511, 1e200, -1e200])
+    def test_face_area_overflow_rejected(self, value):
+        # Annotations cannot carry such values (the parser refuses magnitudes
+        # above 2**53), so the kernel's own bound is exercised directly:
+        # 1e200 * 1e200 would overflow a face's area to inf.
+        anchors, _ = small_scene(0)
+        for face in ([0, 0, value, value], [value, 0, 4, 4]):
+            with pytest.raises(ValueError, match=r"each value below 2\*\*511"):
+                assign_labels_xywh(anchors, [[10, 10, 8, 8], face], SAM)
+        # Just below the bound a face is scored, with a finite IoU.
+        res = assign_labels_xywh(anchors, [[0, 0, 2.0**510, 4]], SAM)
+        assert 0.0 <= res.per_face[0].max_iou < 1e-100
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_matches_naive_oracle(self, seed, strategy):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from anchorkit.ams import AmsReport, FaceMatchStat
+import anchorkit.reports
+from anchorkit.ams import AmsReport, FaceColumns, FaceMatchStat
 from anchorkit.cropsim import FaceSimStat, SimOutcome
 from anchorkit.matching import FaceMatch, MatchConfig, MatchResult
 from anchorkit.reports import (
@@ -34,10 +35,21 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-STATS = [
-    FaceMatchStat(image="a.jpg", face=0, ar=0.449275, width=31.5, max_iou=0.5123, matched=True),
-    FaceMatchStat(image="a.jpg", face=2, ar=4.0, width=12.0, max_iou=0.333333, matched=False),
-]
+def face_columns(ar=(0.449275, 4.0)) -> FaceColumns:
+    """Two kept faces, 0 and 2, of one image: the ams per-face columns."""
+    return FaceColumns(
+        images=["a.jpg"],
+        record=np.array([0, 0]),
+        face=np.array([0, 2]),
+        ar=np.array(ar),
+        width=np.array([31.5, 12.0]),
+        max_iou=np.array([0.5123, 0.333333]),
+        matched=np.array([True, False]),
+    )
+
+
+STATS = face_columns()
+NO_STATS = FaceColumns([], *(np.empty(0, dtype=t) for t in (int, int, float, float, float, bool)))
 
 
 class TestAmsReportFormats:
@@ -80,8 +92,37 @@ class TestFaceStatsFormats:
         assert lines[1] == "a.jpg,0,0.449275,31.500000,0.512300,1"
         assert lines[2] == "a.jpg,2,4.000000,12.000000,0.333333,0"
 
+    def test_rows_joined_in_blocks(self, monkeypatch):
+        # Seven rows in blocks of three: the blocks join without a missing
+        # or doubled line break, and repeated values share their text.
+        monkeypatch.setattr(anchorkit.reports, "_ROW_BLOCK", 3)
+        n = 7
+        columns = FaceColumns(
+            images=["a.jpg", "b.jpg"],
+            record=np.array([0, 0, 0, 1, 1, 1, 1]),
+            face=np.arange(n),
+            ar=np.array([0.5, 2.0, 0.5, -0.0, 0.0, 1 / 3, 2.0]),
+            width=np.full(n, 8.0),
+            max_iou=np.linspace(0.0, 1.0, n),
+            matched=np.arange(n) % 2 == 0,
+        )
+        want = [FACE_STATS_CSV_HEADER] + [
+            f"{'ab'[r]}.jpg,{i},{a:.6f},{w:.6f},{m:.6f},{int(k)}"
+            for r, i, a, w, m, k in zip(columns.record.tolist(), range(n), columns.ar.tolist(),
+                                        columns.width.tolist(), columns.max_iou.tolist(),
+                                        columns.matched.tolist())
+        ]
+        assert emit_reports(REPORT, "csv", columns) == "\n".join(want) + "\n"
+        assert "b.jpg,3,-0.000000," in want[4]
+
     def test_empty_stats_header_only(self):
-        assert emit_reports(REPORT, "csv", []) == FACE_STATS_CSV_HEADER + "\n"
+        assert emit_reports(REPORT, "csv", NO_STATS) == FACE_STATS_CSV_HEADER + "\n"
+        assert json.loads(emit_reports(REPORT, "json", NO_STATS))["per_face"] == []
+
+    def test_rows_in_field_order(self):
+        assert [f.name for f in dataclasses.fields(FaceMatchStat)] == FACE_STATS_CSV_HEADER.split(",")
+        columns = [np.asarray(column).tolist() for column in STATS.columns()]
+        assert [column[1] for column in columns] == ["a.jpg", 2, 4.0, 12.0, 0.333333, False]
 
     def test_json(self):
         data = json.loads(emit_reports(REPORT, "json", STATS))
@@ -200,4 +241,4 @@ class TestJsonFinite:
         with pytest.raises(ValueError):
             json_text({"eta": value})
         with pytest.raises(ValueError):
-            json_text({}, [dataclasses.replace(STATS[0], ar=value)])
+            emit_reports(REPORT, "json", face_columns(ar=(value, 4.0)))

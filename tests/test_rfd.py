@@ -5,14 +5,12 @@ from hypothesis import given, strategies as st
 from anchorkit.rfd import (
     BODY_KERNELS,
     ConvSpec,
-    RfdWeights,
-    rfd_forward_naive,
     rfd_output_shape,
     rfd_param_count,
     rfd_receptive_fields,
     rfd_spec,
-    zero_weights,
 )
+from oracles import RfdWeights, rfd_forward_naive, zero_weights
 
 
 def random_weights(spec, seed):
