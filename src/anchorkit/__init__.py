@@ -8,7 +8,6 @@ RFD feature-enhancement block's shapes, receptive fields, and parameters.
 
 from .ams import (
     AmsReport,
-    FaceColumns,
     FaceMatchStat,
     analytic_max_iou,
     boundary_ar,
@@ -42,7 +41,6 @@ from .matching import (
     IGNORE,
     NEGATIVE,
     DomainSide,
-    FaceMatch,
     MatchConfig,
     MatchResult,
     Strategy,
@@ -76,8 +74,6 @@ __all__ = [
     "CropResult",
     "DomainSide",
     "FACE_COLUMNS",
-    "FaceColumns",
-    "FaceMatch",
     "FaceMatchStat",
     "FaceSimStat",
     "FixedListAR",

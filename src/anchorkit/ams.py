@@ -33,37 +33,18 @@ FACE_BLOCK = 8192
 
 @dataclass(frozen=True)
 class FaceMatchStat:
-    """The fields of one per-face row of an ams report, in output order: one
-    face's matching outcome under ideal placement. run_ams gives them as
-    FaceColumns, not as one object per face."""
+    """The per-face table of an ams report: one column per field, in output
+    order, with one element per kept face in corpus order. Each face's
+    image path, its position in that record's faces (as corpus.kept_faces
+    gives it), its aspect ratio and width, its ideal max IoU, and whether
+    that is strictly above the threshold."""
 
-    image: str
-    face: int
-    ar: float
-    width: float
-    max_iou: float
-    matched: bool
-
-
-@dataclass(frozen=True, eq=False)
-class FaceColumns:
-    """The kept faces of a run_ams call as columns, one element per face in
-    corpus order. record indexes images, the records' paths; face is the
-    face's position in its record's faces, as corpus.kept_faces gives it."""
-
-    images: list[str]
-    record: np.ndarray
+    image: np.ndarray
     face: np.ndarray
     ar: np.ndarray
     width: np.ndarray
     max_iou: np.ndarray
     matched: np.ndarray
-
-    def columns(self) -> list:
-        """The FaceMatchStat fields' values, one column per field in field
-        order: the image paths as a list, the other fields as arrays."""
-        return [list(map(self.images.__getitem__, self.record.tolist())),
-                self.face, self.ar, self.width, self.max_iou, self.matched]
 
 
 @dataclass(frozen=True)
@@ -139,11 +120,11 @@ def boundary_ar(t_p: float, anchor_ar: float) -> float:
 
 def run_ams(
     records: Iterable[ImageRecord], design: AnchorDesign, t_p: float
-) -> tuple[AmsReport, FaceColumns]:
+) -> tuple[AmsReport, FaceMatchStat]:
     """Simulate matching over a corpus: compute each kept face's ideal max
     IoU, mark it matched when strictly above t_p, and report the matched-AR
-    range. Faces are kept by corpus.kept_mask, and scored FACE_BLOCK at a
-    time.
+    range, with the per-face table. Faces are kept by corpus.kept_mask, and
+    scored FACE_BLOCK at a time.
     """
     if not 0.0 <= t_p <= 1.0:
         raise ValueError("t_p must be in [0, 1]")
@@ -175,6 +156,5 @@ def run_ams(
         n_faces=len(w),
         n_matched=len(matched_ars),
     )
-    columns = FaceColumns([rec.path for rec in records], record[keep], position[keep],
-                          ar, w, best, matched)
-    return report, columns
+    paths = np.array([rec.path for rec in records], dtype=object)
+    return report, FaceMatchStat(paths[record[keep]], position[keep], ar, w, best, matched)

@@ -14,6 +14,7 @@ it to one record, face_table stacks a corpus to apply it once).
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -153,18 +154,19 @@ def _walk_blocks(lines: list[str]) -> tuple[list[tuple[str, int, int]], WiderPar
 def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
     """Parse WIDER-style annotation text into records, in file order.
 
-    Accepts a string, an open text stream, or any iterable of lines. Raises
-    WiderParseError (with a 1-based line number) on any grammar violation,
-    the earliest one in the text when there are several.
+    Accepts a string, an open text stream, or any iterable of lines. A
+    string is read as a stream: split at "\n" only, and a trailing "\r" is
+    dropped from each line. Raises WiderParseError (with a 1-based line
+    number) on any grammar violation, the earliest one in the text when
+    there are several.
 
     The face lines are read in one bulk call and checked as arrays; only
     when a check fails are they parsed again one by one, which raises the
     first bad line's error. Each record's faces are a slice of one array.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
+        source = io.StringIO(source)
+    lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
 
     blocks, error = _walk_blocks(lines)
     spans = [(first, first + count) for _, first, count in blocks]

@@ -106,27 +106,37 @@ def random_crop(
 
 @dataclass(frozen=True)
 class FaceSimStat:
-    """Aggregated simulation outcome for one face.
+    """The per-face table of a simulation: one column per field, in output
+    order, with one element per kept face in corpus order.
 
-    best_ideal_iou is the ideal-placement bound evaluated at the face's
-    post-crop geometry (clipping changes the aspect ratio, rescaling changes
-    the width), maximized over the crops that retained the face; the observed
-    value can approach but never exceed it.
+    crops_seen counts the crops that retained the face, and crops_positive
+    those where it drew at least one positive anchor. best_observed_iou is
+    its best grid IoU over those crops. best_ideal_iou is the
+    ideal-placement bound evaluated at the face's post-crop geometry
+    (clipping changes the aspect ratio, rescaling changes the width),
+    maximized over the same crops; the observed value can approach but
+    never exceed it.
     """
 
-    image: str
-    face: int
-    crops_seen: int
-    crops_positive: int
-    best_observed_iou: float
-    best_ideal_iou: float
+    image: np.ndarray
+    face: np.ndarray
+    crops_seen: np.ndarray
+    crops_positive: np.ndarray
+    best_observed_iou: np.ndarray
+    best_ideal_iou: np.ndarray
 
 
 @dataclass(frozen=True)
 class SimOutcome:
     seed: int
     n_crops: int
-    per_face: tuple[FaceSimStat, ...]
+    per_face: FaceSimStat
+
+
+def _raise_to(best: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """best[at] = values wherever values is strictly greater."""
+    up = values > best[at]
+    best[at[up]] = values[up]
 
 
 def simulate(
@@ -137,7 +147,8 @@ def simulate(
     seed: int,
     params: CropParams = CropParams(),
 ) -> SimOutcome:
-    """Run n_crops seeded crops per image and aggregate per-face outcomes.
+    """Run n_crops seeded crops per image and aggregate per-face outcomes
+    into one table.
 
     The anchor grid of the output canvas is built once; each crop assigns
     labels on it under cfg and records whether each retained face drew at
@@ -153,35 +164,31 @@ def simulate(
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
 
-    stats: list[FaceSimStat] = []
-    for img_idx, rec in enumerate(record_list):
-        idx, xywh = kept_faces(rec)
+    kept = [kept_faces(rec) for rec in record_list]
+    sizes = [len(idx) for idx, _ in kept]
+    paths = np.array([rec.path for rec in record_list], dtype=object)
+    face = np.empty(sum(sizes), dtype=np.int64)
+    seen, positive = np.zeros((2, face.size), dtype=np.int64)
+    best_obs, best_ideal = np.zeros((2, face.size))
+    end = 0
+    for img_idx, (rec, (idx, xywh)) in enumerate(zip(record_list, kept)):
+        # This image's faces are rows start .. end-1 of the columns.
+        start, end = end, end + len(idx)
+        face[start:end] = idx
         rng = substream(seed, img_idx)
-        # Per kept face, by its position in xywh.
-        seen = [0] * len(idx)
-        positive = [0] * len(idx)
-        best_obs = [0.0] * len(idx)
-        best_ideal = [0.0] * len(idx)
-
         rows = xywh.tolist()
         for _ in range(n_crops):
             crop = random_crop(rec.width, rec.height, rows, params, rng)
             if not crop.boxes:
                 continue
+            k = start + np.array(crop.source_indices)
             boxes = np.array(crop.boxes)
-            bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design).tolist()
+            bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
             result = assign_labels_xywh(grid, boxes, cfg)
-            for k, bound, fm in zip(crop.source_indices, bounds, result.per_face):
-                seen[k] += 1
-                if bound > best_ideal[k]:
-                    best_ideal[k] = bound
-                if fm.positive_count > 0:
-                    positive[k] += 1
-                if fm.max_iou > best_obs[k]:
-                    best_obs[k] = fm.max_iou
+            seen[k] += 1
+            positive[k] += result.positive_count > 0
+            _raise_to(best_ideal, k, bounds)
+            _raise_to(best_obs, k, result.max_iou)
 
-        stats.extend(
-            FaceSimStat(rec.path, i, seen[k], positive[k], best_obs[k], best_ideal[k])
-            for k, i in enumerate(idx.tolist())
-        )
-    return SimOutcome(seed=seed, n_crops=n_crops, per_face=tuple(stats))
+    table = FaceSimStat(np.repeat(paths, sizes), face, seen, positive, best_obs, best_ideal)
+    return SimOutcome(seed=seed, n_crops=n_crops, per_face=table)

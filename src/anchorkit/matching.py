@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .anchors import MAX_EXTENT, AnchorGrid
-from .geometry import iou_matrix, iou_pairs
+from .geometry import iou_pairs
 
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
@@ -170,19 +170,9 @@ def warm_threshold(r: float, cfg: MatchConfig) -> float:
     return cfg.t0 - cfg.delta * theta(r, cfg)
 
 
-@dataclass(frozen=True)
-class FaceMatch:
-    """Per-face matching statistics from one assignment run."""
-
-    face_index: int
-    max_iou: float
-    positive_count: int
-    effective_tp: float
-
-
 @dataclass
 class MatchResult:
-    """Per-anchor labels plus per-face statistics, held sparsely.
+    """Per-anchor labels, held sparsely, plus per-face statistics.
 
     rows are the anchor rows that assignment touched (ascending), with their
     row_labels and row_compensated flags; every other anchor carries the
@@ -191,6 +181,10 @@ class MatchResult:
     (>= 0) for positive anchors, NEGATIVE, or IGNORE; compensated[i] marks
     positives added by anchor compensation, whose IoU may be at or below the
     face's effective threshold.
+
+    max_iou, positive_count and effective_tp hold one element per face, in
+    the order the faces were given: its best IoU over the grid, its positive
+    anchors (compensated ones included) and its positive threshold.
     """
 
     n_anchors: int
@@ -198,7 +192,9 @@ class MatchResult:
     row_labels: np.ndarray
     row_compensated: np.ndarray
     background: int
-    per_face: list[FaceMatch]
+    max_iou: np.ndarray
+    positive_count: np.ndarray
+    effective_tp: np.ndarray
 
     @property
     def labels(self) -> np.ndarray:
@@ -211,15 +207,6 @@ class MatchResult:
         out = np.zeros(self.n_anchors, dtype=bool)
         out[self.rows] = self.row_compensated
         return out
-
-    def positive_mask(self) -> np.ndarray:
-        return self.labels >= 0
-
-    def negative_mask(self) -> np.ndarray:
-        return self.labels == NEGATIVE
-
-    def ignore_mask(self) -> np.ndarray:
-        return self.labels == IGNORE
 
     def label_counts(self) -> dict[str, int]:
         counts = {
@@ -327,11 +314,8 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
                     compensated[k] = True
                     positive_count[j] += 1
 
-    per_face = [
-        FaceMatch(j, float(face_max[j]), int(positive_count[j]), float(tp[j]))
-        for j in range(m)
-    ]
-    return MatchResult(len(grid), rows, labels, compensated, background, per_face)
+    return MatchResult(len(grid), rows, labels, compensated, background,
+                       face_max, positive_count, tp)
 
 
 def _cell_range(f1, f2, size, stride, cells):

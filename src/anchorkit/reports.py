@@ -1,14 +1,13 @@
 """Report emission: JSON, CSV, and aligned-text renderings of analysis outputs.
 
-A per-face table is a row type, a frozen dataclass naming and typing its
-fields, and one column of values per field. One writer per format renders
-every table. The CSV header is the field names, and each cell is formatted
-by its field's annotation: floats with six decimal places (the precision
-annotation aspect ratios are quoted at), bools as 1/0, anything else as str.
-JSON carries full precision plus a schema_version field. Field order is
-fixed so identical inputs emit identical bytes. The ams columns come from
-FaceColumns, so no object is built per face; match and simulation reports
-hold their rows as row-type instances, which _columns transposes.
+A per-face table is a frozen dataclass whose fields are its columns, in
+output order, each an array with one element per face: ams.FaceMatchStat,
+MatchRow and cropsim.FaceSimStat. One writer per format renders every
+table. The CSV header is the field names, and each cell is formatted by its
+column's dtype: floats with six decimal places (the precision annotation
+aspect ratios are quoted at), bools as 1/0, integers and anything else as
+str. JSON carries full precision plus a schema_version field. Field order
+is fixed so identical inputs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 
-from .ams import AmsReport, FaceColumns, FaceMatchStat
+from .ams import AmsReport, FaceMatchStat
 from .cropsim import FaceSimStat, SimOutcome
 from .matching import MatchConfig, MatchResult
 
@@ -32,67 +30,60 @@ _ROW_BLOCK = 8192
 
 @dataclass(frozen=True)
 class MatchRow:
-    """One kept face of a match report."""
+    """The per-face table of a match report: one column per field, in
+    output order, with one element per kept face in the order the images
+    were added. Each face's image path, its position in that record's
+    faces, its aspect ratio, its best IoU over the grid, its positive
+    anchor count and its positive threshold."""
 
-    image: str
-    face: int
-    ar: float
-    max_iou: float
-    positive_count: int
-    effective_tp: float
-
-
-def _names(row_type) -> list[str]:
-    return [f.name for f in fields(row_type)]
-
-
-def _columns(row_type, rows) -> list[tuple]:
-    """The field values of a list of row_type instances, one tuple per field."""
-    names = _names(row_type)
-    return list(zip(*map(attrgetter(*names), rows))) if rows else [()] * len(names)
+    image: np.ndarray
+    face: np.ndarray
+    ar: np.ndarray
+    max_iou: np.ndarray
+    positive_count: np.ndarray
+    effective_tp: np.ndarray
 
 
-def _tolist(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+def _names(table) -> list[str]:
+    return [f.name for f in fields(table)]
 
 
-# CSV cell format by the name of a field's annotation; other fields print as str.
-_CELL_FORMAT = {"float": "{:.6f}".format, "bool": "{:d}".format, "int": str}
+# CSV cell format by a column's dtype kind; other columns print as str.
+_CELL_FORMAT = {"f": "{:.6f}".format, "b": "{:d}".format, "i": str}
 
 
-def _cells(kind: str, column) -> list[str]:
-    """A column's CSV cells, by the name of its field's annotation."""
+def _cells(column: np.ndarray) -> list[str]:
+    """A column's CSV cells, by its dtype."""
+    kind = column.dtype.kind
     if kind not in _CELL_FORMAT:
-        return list(map(str, _tolist(column)))
+        return list(map(str, column.tolist()))
     # Each distinct value is formatted once, and the cells share its text.
     # Values are told apart by their bits, so 0.0 and -0.0 keep their own.
-    values = np.asarray(column, dtype=np.float64 if kind == "float" else np.int64)
+    values = np.asarray(column, dtype=np.float64 if kind == "f" else np.int64)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array(list(map(_CELL_FORMAT[kind], bits.view(values.dtype).tolist())), dtype=object)
     return text[where].tolist()
 
 
-def csv_text(row_type, columns) -> str:
-    """A header of row_type's field names, then one line per row: columns
-    holds one sequence or array of values per field, in field order."""
-    # An annotation is a string in a module with postponed annotations.
-    kinds = [getattr(f.type, "__name__", f.type) for f in fields(row_type)]
-    cells = [_cells(kind, column) for kind, column in zip(kinds, columns, strict=True)]
-    rows = map(",".join, zip(*cells))
+def csv_text(table) -> str:
+    """A header of the table's field names, then one line per row."""
+    names = _names(table)
+    rows = map(",".join, zip(*(_cells(getattr(table, name)) for name in names)))
     # Rows are joined _ROW_BLOCK at a time, so that only one block's row
     # strings are alive at once. No row is empty: it has a comma at least.
     blocks = iter(lambda: "\n".join(islice(rows, _ROW_BLOCK)), "")
-    return "\n".join([",".join(_names(row_type)), *blocks]) + "\n"
+    return "\n".join([",".join(names), *blocks]) + "\n"
 
 
-def json_text(summary: dict, row_type=None, columns=()) -> str:
+def json_text(summary: dict, table=None) -> str:
     """{"schema_version": 1, **summary} as indented JSON, plus "per_face"
-    when a row type is given: one object per row of columns (as csv_text
-    takes them), its values named by row_type's fields."""
+    when a table is given: one object per row, its values named by the
+    table's fields."""
     payload = {"schema_version": SCHEMA_VERSION, **summary}
-    if row_type is not None:
-        names = _names(row_type)
-        payload["per_face"] = [dict(zip(names, row)) for row in zip(*map(_tolist, columns))]
+    if table is not None:
+        names = _names(table)
+        columns = (getattr(table, name).tolist() for name in names)
+        payload["per_face"] = [dict(zip(names, row)) for row in zip(*columns)]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -101,17 +92,23 @@ SIM_CSV_HEADER = ",".join(_names(FaceSimStat))
 MATCH_CSV_HEADER = ",".join(_names(MatchRow))
 
 
+def _no_rows() -> list[tuple]:
+    f, i = np.empty(0), np.empty(0, dtype=np.int64)
+    return [(np.empty(0, dtype=object), i, f, f, i, f)]
+
+
 @dataclass
 class MatchReport:
-    """Label-assignment audit of a corpus: one row per kept face, and label
-    tallies summed over every image's anchor grid."""
+    """Label-assignment audit of a corpus: label tallies summed over every
+    image's anchor grid, and the per-face table of the kept faces."""
 
     config: MatchConfig
     n_images: int = 0
     n_anchors: int = 0
-    n_matched: int = 0
     labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
-    per_face: list[MatchRow] = field(default_factory=list)
+    # Each added image's columns in MatchRow field order, after an empty
+    # table that fixes their dtypes; per_face joins them into one.
+    _parts: list[tuple] = field(default_factory=_no_rows, init=False, repr=False)
 
     def add(self, image: str, idx, xywh, result: MatchResult) -> None:
         """Fold in one image: idx and xywh are its kept faces' positions and
@@ -121,12 +118,20 @@ class MatchReport:
         self.n_anchors += result.n_anchors
         for kind, count in result.label_counts().items():
             self.labels[kind] += count
-        ars = (xywh[:, 3] / xywh[:, 2]).tolist()
-        for i, ar, fm in zip(idx.tolist(), ars, result.per_face):
-            self.n_matched += fm.positive_count > 0
-            self.per_face.append(
-                MatchRow(image, i, ar, fm.max_iou, fm.positive_count, fm.effective_tp)
-            )
+        self._parts.append((np.full(len(idx), image, dtype=object), idx, xywh[:, 3] / xywh[:, 2],
+                            result.max_iou, result.positive_count, result.effective_tp))
+
+    @property
+    def per_face(self) -> MatchRow:
+        """The kept faces of every image added, as one table."""
+        if len(self._parts) > 1:
+            self._parts[:] = [tuple(map(np.concatenate, zip(*self._parts)))]
+        return MatchRow(*self._parts[0])
+
+    @property
+    def n_matched(self) -> int:
+        """The kept faces with at least one positive anchor."""
+        return int(np.count_nonzero(self.per_face.positive_count))
 
 
 def _ams_summary(report: AmsReport) -> dict:
@@ -171,7 +176,7 @@ def _match_table(report: MatchReport) -> str:
     lines = [
         f"images    {report.n_images}",
         f"anchors   {report.n_anchors}",
-        f"faces     {len(report.per_face)} (matched {report.n_matched})",
+        f"faces     {len(report.per_face.face)} (matched {report.n_matched})",
         f"positive  {labels['positive']} (compensated {labels['compensated']})",
         f"negative  {labels['negative']}",
         f"ignore    {labels['ignore']}",
@@ -179,15 +184,14 @@ def _match_table(report: MatchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(report, fmt: str, per_face: FaceColumns | None = None) -> str:
+def emit_reports(report, fmt: str, per_face: FaceMatchStat | None = None) -> str:
     """Render an AmsReport, a MatchReport or a SimOutcome as "json", "csv"
     or "table" (a SimOutcome has no table form).
 
-    per_face, the FaceColumns run_ams returns with an AmsReport, adds its
-    rows to that report:
-    as the "per_face" list in JSON, as the per-face CSV in place of the
-    one-row summary CSV, and as that CSV after the table. A MatchReport or
-    a SimOutcome always renders the rows it carries.
+    per_face, the table run_ams returns with an AmsReport, adds its rows to
+    that report: as the "per_face" list in JSON, as the per-face CSV in
+    place of the one-row summary CSV, and as that CSV after the table. A
+    MatchReport or a SimOutcome always renders the table it carries.
     """
     if fmt not in ("json", "csv", "table"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -200,12 +204,10 @@ def emit_reports(report, fmt: str, per_face: FaceColumns | None = None) -> str:
             # JSON has no infinity: an unbounded radius is written as null.
             if math.isinf(summary["analytic_eta"]):
                 summary["analytic_eta"] = None
-            if per_face is None:
-                return json_text(summary)
-            return json_text(summary, FaceMatchStat, per_face.columns())
+            return json_text(summary, per_face)
         if per_face is None:
             return _ams_csv(report) if fmt == "csv" else _ams_table(report)
-        rows = csv_text(FaceMatchStat, per_face.columns())
+        rows = csv_text(per_face)
         return rows if fmt == "csv" else _ams_table(report) + rows
 
     if isinstance(report, MatchReport):
@@ -214,21 +216,20 @@ def emit_reports(report, fmt: str, per_face: FaceColumns | None = None) -> str:
                 "config": report.config.to_json_dict(),
                 "n_images": report.n_images,
                 "n_anchors": report.n_anchors,
-                "n_faces": len(report.per_face),
+                "n_faces": len(report.per_face.face),
                 "n_faces_matched": report.n_matched,
                 "labels": report.labels,
             }
-            return json_text(summary, MatchRow, _columns(MatchRow, report.per_face))
+            return json_text(summary, report.per_face)
         if fmt == "csv":
-            return csv_text(MatchRow, _columns(MatchRow, report.per_face))
+            return csv_text(report.per_face)
         return _match_table(report)
 
     if isinstance(report, SimOutcome):
         if fmt == "json":
-            summary = {"seed": report.seed, "n_crops": report.n_crops}
-            return json_text(summary, FaceSimStat, _columns(FaceSimStat, report.per_face))
+            return json_text({"seed": report.seed, "n_crops": report.n_crops}, report.per_face)
         if fmt == "csv":
-            return csv_text(FaceSimStat, _columns(FaceSimStat, report.per_face))
+            return csv_text(report.per_face)
         raise ValueError("simulation outcomes render as json or csv")
 
     raise TypeError(f"no report emitter for {type(report).__name__}")

@@ -2,16 +2,23 @@
 library's vectorized paths. Kept deliberately independent: plain Python
 loops over xywh tuples, annotation lines and tensor elements (and one eager
 numpy grid builder), no shared code with the package internals beyond its
-public types."""
+public types. naive_simulate is the one exception: it checks only the crop
+simulation's aggregation, so it runs the library's public per-crop steps."""
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from anchorkit.corpus import ImageRecord, WiderParseError
+from anchorkit.ams import ideal_max_iou
+from anchorkit.anchors import generate_anchor_boxes
+from anchorkit.corpus import ImageRecord, WiderParseError, kept_faces
+from anchorkit.cropsim import random_crop
+from anchorkit.matching import assign_labels_xywh
+from anchorkit.prng import substream
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
 
@@ -141,11 +148,11 @@ def naive_parse_wider(source) -> list:
     """WIDER-style annotation text to records, one line at a time: each face
     line is parsed as it is reached, so the first bad line in the text raises
     its WiderParseError. corpus.parse_wider must give equal records, or an
-    error with the same message and line."""
+    error with the same message and line. A string is split into lines at
+    "\n" only, as a stream is."""
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
+        source = io.StringIO(source)
+    lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
 
     records = []
     i = 0
@@ -186,6 +193,46 @@ def naive_parse_wider(source) -> list:
             i += 1
         records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, 10)))
     return records
+
+
+
+def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
+    """Crop simulation aggregated one crop and one face at a time, as scalar
+    counters and strictly-greater maxima. Returns the cropsim.FaceSimStat
+    columns as lists, keyed by field name; simulate must give equal ones."""
+    grid = generate_anchor_boxes(design, params.output_side, params.output_side)
+    out = {name: [] for name in ("image", "face", "crops_seen", "crops_positive",
+                                 "best_observed_iou", "best_ideal_iou")}
+    for img_idx, rec in enumerate(records):
+        idx, xywh = kept_faces(rec)
+        rng = substream(seed, img_idx)
+        seen = [0] * len(idx)
+        positive = [0] * len(idx)
+        best_obs = [0.0] * len(idx)
+        best_ideal = [0.0] * len(idx)
+        rows = xywh.tolist()
+        for _ in range(n_crops):
+            crop = random_crop(rec.width, rec.height, rows, params, rng)
+            if not crop.boxes:
+                continue
+            boxes = np.array(crop.boxes)
+            bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design).tolist()
+            result = assign_labels_xywh(grid, boxes, cfg)
+            for k, bound, max_iou, count in zip(crop.source_indices, bounds,
+                                                result.max_iou.tolist(),
+                                                result.positive_count.tolist()):
+                seen[k] += 1
+                if bound > best_ideal[k]:
+                    best_ideal[k] = bound
+                if count > 0:
+                    positive[k] += 1
+                if max_iou > best_obs[k]:
+                    best_obs[k] = max_iou
+        for k, i in enumerate(idx.tolist()):
+            for name, value in zip(out, (rec.path, i, seen[k], positive[k],
+                                         best_obs[k], best_ideal[k])):
+                out[name].append(value)
+    return out
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,8 @@ def test_criterion_4_warm_behaviour():
         res_warm = assign_labels_xywh(anchors, faces, warm)
         degenerate_ok &= np.array_equal(res_sam.labels, res_w0.labels)
         degenerate_ok &= np.array_equal(res_sam.compensated, res_w0.compensated)
-        sam_pos = set(np.flatnonzero(res_sam.positive_mask()))
-        warm_pos = set(np.flatnonzero(res_warm.positive_mask()))
+        sam_pos = set(np.flatnonzero(res_sam.labels >= 0))
+        warm_pos = set(np.flatnonzero(res_warm.labels >= 0))
         superset_ok &= sam_pos <= warm_pos
 
     # The AR-2.4 face whose best anchor scale sits exactly on the 64 rung.
@@ -187,18 +187,18 @@ def test_criterion_4_warm_behaviour():
     res_sam = assign_labels_xywh(anchors, [face], sam)
     res_warm = assign_labels_xywh(anchors, [face], warm)
     grid_ok = (
-        abs(res_sam.per_face[0].max_iou - expected) < 1e-9
-        and res_sam.per_face[0].positive_count == 0
-        and res_warm.per_face[0].positive_count >= 1
-        and abs(res_warm.per_face[0].effective_tp - 0.46) < 1e-12
+        abs(res_sam.max_iou[0] - expected) < 1e-9
+        and res_sam.positive_count[0] == 0
+        and res_warm.positive_count[0] >= 1
+        and abs(res_warm.effective_tp[0] - 0.46) < 1e-12
     )
 
     elapsed = time.perf_counter() - t0
     ok = degenerate_ok and superset_ok and grid_ok
     _criterion(4, ok and elapsed < 10.0,
                f"delta=0 bitwise SAM on 100 scenes: {degenerate_ok}, "
-               f"superset: {superset_ok}, AR-2.4 grid max {res_sam.per_face[0].max_iou:.4f} "
-               f"(SAM 0 / WARM {res_warm.per_face[0].positive_count} positives) "
+               f"superset: {superset_ok}, AR-2.4 grid max {res_sam.max_iou[0]:.4f} "
+               f"(SAM 0 / WARM {res_warm.positive_count[0]} positives) "
                f"({elapsed:.2f}s)")
 
 
@@ -252,16 +252,16 @@ def test_criterion_6_crop_convergence():
     again = simulate(records, design, MatchConfig(), 200, seed=7, params=params)
 
     byte_identical = emit_reports(outcome, "json") == emit_reports(again, "json")
-    bounded = all(
-        s.best_observed_iou <= s.best_ideal_iou + 1e-9 for s in outcome.per_face
-    )
+    table = outcome.per_face
+    bounded = bool(np.all(table.best_observed_iou <= table.best_ideal_iou + 1e-9))
     gaps = {
-        s.face: s.best_ideal_iou - s.best_observed_iou
-        for s in outcome.per_face
-        if faces[s.face][2] >= 16.0
+        i: ideal - observed
+        for i, observed, ideal in zip(table.face.tolist(), table.best_observed_iou.tolist(),
+                                      table.best_ideal_iou.tolist())
+        if faces[i][2] >= 16.0
     }
     converged = all(g <= 0.05 for g in gaps.values())
-    seen = all(s.crops_seen > 0 for s in outcome.per_face)
+    seen = bool(np.all(table.crops_seen > 0))
 
     elapsed = time.perf_counter() - t0
     ok = byte_identical and bounded and converged and seen

@@ -9,9 +9,8 @@ import anchorkit.ams
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
 from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
 from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic, kept_faces
-from anchorkit.geometry import Box, iou as box_iou
-from anchorkit.matching import iou_matrix
-from builders import record
+from anchorkit.geometry import Box, iou as box_iou, iou_matrix
+from builders import record, rows
 from oracles import naive_ideal_max_iou
 
 
@@ -250,11 +249,6 @@ class TestBoundaryAr:
         assert analytic_max_iou(boundary_ar(t, 1.0), 1.0) == pytest.approx(t, abs=1e-9)
 
 
-def face_rows(faces):
-    """run_ams's per-face columns as one tuple per face."""
-    return list(zip(*(np.asarray(column).tolist() for column in faces.columns())))
-
-
 def synthetic_corpus():
     """Six faces at fixed ARs; the matchable ones have rung-aligned widths."""
     def face(ar, w):
@@ -268,7 +262,7 @@ def synthetic_corpus():
 class TestRunAms:
     def test_matched_set_on_fixed_corpus(self):
         report, faces = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
-        assert report.n_faces == len(faces.record) == 6
+        assert report.n_faces == len(faces.face) == 6
         assert report.n_matched == 3
         assert {round(ar, 6) for ar in faces.ar[faces.matched].tolist()} == {0.5, 1.0, 2.0}
         assert report.matched_ar_min == pytest.approx(0.5, rel=1e-9)
@@ -289,14 +283,13 @@ class TestRunAms:
         assert report.matched_ar_min is None
         assert report.matched_ar_max is None
         assert report.fitted_eta is None
-        assert len(faces.record) == 0 and face_rows(faces) == []
+        assert len(faces.face) == 0 and rows(faces) == []
 
     def test_sources_traceable(self):
         _, faces = run_ams(synthetic_corpus(), ams_design(1.0), 0.5)
-        assert faces.images == ["img/a.jpg", "img/b.jpg"]
-        assert faces.record.tolist() == [0, 0, 0, 1, 1, 1]
+        assert faces.image.tolist() == ["img/a.jpg"] * 3 + ["img/b.jpg"] * 3
         assert faces.face.tolist() == [0, 1, 2, 0, 1, 2]
-        assert [row[:2] for row in face_rows(faces)[:3]] == [
+        assert [row[:2] for row in rows(faces)[:3]] == [
             ("img/a.jpg", 0),
             ("img/a.jpg", 1),
             ("img/a.jpg", 2),
@@ -330,15 +323,13 @@ class TestRunAms:
         records[9] = record("mixed.jpg", [(0, 0, 8, 20), (0, 0, 0, 8), (1, 1, 30, 12)])
         design = ams_design(1.0)
         _, faces = run_ams(records, design, 0.5)
-        want_records, want_rows = [], []
-        for r, rec in enumerate(records):
+        want_rows = []
+        for rec in records:
             idx, xywh = kept_faces(rec)
             for i, (_, _, w, h) in zip(idx.tolist(), xywh.tolist()):
                 iou = naive_ideal_max_iou(w, h / w, design)
-                want_records.append(r)
                 want_rows.append((rec.path, i, h / w, w, iou, iou > 0.5))
-        assert faces.record.tolist() == want_records
-        assert face_rows(faces) == want_rows
+        assert rows(faces) == want_rows
 
 
 class TestRunAmsResources:
@@ -359,5 +350,5 @@ class TestRunAmsResources:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(columns.record) == n
+        assert len(columns.face) == n
         assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"

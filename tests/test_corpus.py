@@ -237,12 +237,20 @@ class TestParseDifferential:
     def test_matches_line_parser(self, text):
         want = outcome(naive_parse_wider, text)
         assert outcome(parse_wider, text) == want
-        # A stream splits lines at "\n" only, so "\r", "\x0c" and "\x85"
-        # stay inside the lines.
+        # A string and a stream both split lines at "\n" only, so "\r",
+        # "\x0c" and "\x85" stay inside the lines.
         assert outcome(parse_wider, io.StringIO(text)) == outcome(naive_parse_wider, io.StringIO(text))
+        assert outcome(parse_wider, io.StringIO(text)) == want
         if isinstance(want, list):
             assert all(r.faces.dtype == np.float64 and r.faces.shape[1:] == (10,)
                        for r in outcome(parse_wider, text))
+
+    def test_string_splits_like_stream(self):
+        # "\x0c" ends a line for str.splitlines, not for a stream: the face
+        # line holds ten fields either way.
+        text = "a.jpg\n1\n1 2 3 4\x0c0 0 0 0 0 0\n"
+        assert outcome(parse_wider, text) == outcome(parse_wider, io.StringIO(text))
+        assert parse_wider(text)[0].faces.tolist() == [[1, 2, 3, 4, 0, 0, 0, 0, 0, 0]]
 
 
 class TestSerializeWider:

@@ -1,15 +1,18 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anchorkit.ams import analytic_max_iou
-from anchorkit.anchors import detector_design
+from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design
 from anchorkit.cropsim import CropParams, random_crop, simulate
 from anchorkit.geometry import Box
 from anchorkit.matching import MatchConfig, Strategy
 from anchorkit.prng import SplitMix64, substream
 from anchorkit.reports import emit_reports
-from builders import record as make_record
+from builders import record as make_record, rows
+from oracles import naive_simulate
 
 SAM = MatchConfig(strategy=Strategy.SAM)
 WARM = MatchConfig()
@@ -95,20 +98,22 @@ class TestSimulate:
 
     def test_zero_crops_zero_counters(self):
         out = simulate([self.aligned_record()], detector_design(), SAM, 0, seed=1)
-        (s,) = out.per_face
-        assert (s.crops_seen, s.crops_positive) == (0, 0)
-        assert s.best_observed_iou == 0.0
-        assert s.best_ideal_iou == 0.0
+        s = out.per_face
+        assert len(s.face) == 1
+        assert (s.crops_seen[0], s.crops_positive[0]) == (0, 0)
+        assert s.best_observed_iou[0] == 0.0
+        assert s.best_ideal_iou[0] == 0.0
 
     def test_grid_aligned_face_always_positive(self):
         out = simulate(
             [self.aligned_record()], detector_design(), SAM, 25, seed=4, params=FULL_PATCH
         )
-        (s,) = out.per_face
-        assert s.crops_seen == 25
-        assert s.crops_positive == 25
-        assert s.best_observed_iou == 1.0
-        assert s.best_ideal_iou == 1.0
+        s = out.per_face
+        assert len(s.face) == 1
+        assert s.crops_seen[0] == 25
+        assert s.crops_positive[0] == 25
+        assert s.best_observed_iou[0] == 1.0
+        assert s.best_ideal_iou[0] == 1.0
 
     def test_full_scale_square_equals_repeated_single_crop(self):
         # With scale 1.0 on square images every crop is the same deterministic
@@ -116,10 +121,10 @@ class TestSimulate:
         rec = record("img/b.jpg", 320, 320, [(100.0, 120.0, 40.0, 30.0)])
         one = simulate([rec], detector_design(), SAM, 1, seed=6, params=FULL_PATCH)
         many = simulate([rec], detector_design(), SAM, 40, seed=6, params=FULL_PATCH)
-        s1, s40 = one.per_face[0], many.per_face[0]
-        assert s40.crops_seen == 40 * s1.crops_seen
-        assert s40.crops_positive == 40 * s1.crops_positive
-        assert s40.best_observed_iou == s1.best_observed_iou
+        s1, s40 = one.per_face, many.per_face
+        assert s40.crops_seen[0] == 40 * s1.crops_seen[0]
+        assert s40.crops_positive[0] == 40 * s1.crops_positive[0]
+        assert s40.best_observed_iou[0] == s1.best_observed_iou[0]
 
     def test_extreme_ar_face_warm_vs_sam(self):
         # AR 2.4 with the optimal scale on the 64 rung: the grid reaches the
@@ -130,16 +135,16 @@ class TestSimulate:
         rec = record("img/e.jpg", 1280, 640, [(500.0 - w / 2, 328.0 - h / 2, w, h)])
         sam = simulate([rec], detector_design(), SAM, 200, seed=7, params=FULL_PATCH)
         warm = simulate([rec], detector_design(), WARM, 200, seed=7, params=FULL_PATCH)
-        s, m = sam.per_face[0], warm.per_face[0]
+        s, m = sam.per_face, warm.per_face
         expected = analytic_max_iou(2.4, 1.0)
 
-        assert s.crops_positive == 0
-        assert m.crops_positive >= 1
-        assert s.best_observed_iou == pytest.approx(expected, abs=1e-9)
-        assert s.best_observed_iou <= s.best_ideal_iou + 1e-9
+        assert s.crops_positive[0] == 0
+        assert m.crops_positive[0] >= 1
+        assert s.best_observed_iou[0] == pytest.approx(expected, abs=1e-9)
+        assert s.best_observed_iou[0] <= s.best_ideal_iou[0] + 1e-9
         # Frozen outcome for the pinned seed.
-        assert (s.crops_seen, m.crops_seen) == (154, 154)
-        assert m.crops_positive == 153
+        assert (s.crops_seen[0], m.crops_seen[0]) == (154, 154)
+        assert m.crops_positive[0] == 153
 
     def test_observed_never_exceeds_ideal_bound(self):
         recs = [
@@ -147,8 +152,9 @@ class TestSimulate:
                    [(100, 100, 50, 120), (400, 300, 33.5, 21.0), (700, 150, 90, 90)]),
         ]
         out = simulate(recs, detector_design(), WARM, 60, seed=13)
-        for s in out.per_face:
-            assert s.best_observed_iou <= s.best_ideal_iou + 1e-9
+        s = out.per_face
+        assert len(s.face) == 3
+        assert (s.best_observed_iou <= s.best_ideal_iou + 1e-9).all()
 
     def test_same_seed_byte_identical(self):
         recs = [
@@ -166,7 +172,7 @@ class TestSimulate:
         other2 = record("img/y.jpg", 640, 640, [(200, 200, 32, 32), (33, 41, 77, 20)])
         a = simulate([base, other1], detector_design(), WARM, 25, seed=3)
         b = simulate([base, other2], detector_design(), WARM, 25, seed=3)
-        assert a.per_face[0] == b.per_face[0]
+        assert rows(a.per_face)[0] == rows(b.per_face)[0]
 
     def test_missing_dims_names_record(self):
         rec = make_record("img/missing.jpg", [(0, 0, 4, 4)])
@@ -176,11 +182,75 @@ class TestSimulate:
     def test_invalid_faces_excluded(self):
         rec = record("img/z.jpg", 640, 640, [(100, 100, 64, 64), (0, 0, 10, 10)], invalid=[1])
         out = simulate([rec], detector_design(), SAM, 2, seed=0)
-        assert [s.face for s in out.per_face] == [0]
+        assert out.per_face.face.tolist() == [0]
 
     def test_negative_crops_rejected(self):
         with pytest.raises(ValueError):
             simulate([], detector_design(), SAM, -1, seed=0)
+
+
+
+# A two-level design on a 128-pixel output canvas keeps each crop's grid small.
+SMALL_DESIGN = AnchorDesign(levels=(PyramidLevel("A", 16, (12.0, 24.0)),
+                                    PyramidLevel("B", 32, (48.0,))))
+
+
+@st.composite
+def sim_corpora(draw):
+    """Up to three images with dims. A face is inside the image, so crops
+    may retain it; centred right of the image, so no crop ever does; or
+    dropped, by its invalid flag or zero width."""
+    records = []
+    for n in range(draw(st.integers(0, 3))):
+        w, h = draw(st.integers(40, 300)), draw(st.integers(40, 300))
+        boxes, invalid = [], []
+        for j in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["inside", "inside", "outside", "invalid", "flat"]))
+            fw, fh = draw(st.integers(2, 90)), draw(st.integers(2, 90))
+            if kind == "outside":
+                x, y = w + draw(st.integers(0, 20)), draw(st.integers(-20, h))
+            else:
+                x, y = draw(st.integers(-10, w - 1)), draw(st.integers(-10, h - 1))
+            if kind == "invalid":
+                invalid.append(j)
+            boxes.append((x, y, 0 if kind == "flat" else fw, fh))
+        records.append(record(f"img/{n}.jpg", w, h, boxes, invalid))
+    return records
+
+
+SEEN = record("img/seen.jpg", 200, 120, [(40, 30, 50, 40), (90, 60, 20, 60)])
+NEVER_SEEN = record("img/never.jpg", 200, 120, [(60, 40, 30, 30), (205, 40, 30, 30)])
+ALL_EMPTY = record("img/empty.jpg", 200, 120, [(200, 0, 10, 10), (230, 100, 40, 8)])
+
+
+class TestSimulateDifferential:
+    """simulate's table against the per-crop scalar loop in oracles.py."""
+
+    @settings(max_examples=100)
+    @given(records=sim_corpora(), strategy=st.sampled_from(list(Strategy)),
+           n_crops=st.integers(0, 6), seed=st.integers(0, 2**32),
+           scales=st.sampled_from([(1.0,), (0.3, 0.6), (0.3, 0.45, 0.6, 0.8, 1.0)]))
+    @example(records=[SEEN, ALL_EMPTY], strategy=Strategy.WARM, n_crops=0, seed=1, scales=(1.0,))
+    @example(records=[ALL_EMPTY, SEEN], strategy=Strategy.SAM, n_crops=5, seed=2, scales=(0.3, 0.6))
+    @example(records=[NEVER_SEEN], strategy=Strategy.SAM_COMPENSATE, n_crops=4, seed=3,
+             scales=(1.0,))
+    def test_matches_scalar_loop(self, records, strategy, n_crops, seed, scales):
+        cfg = MatchConfig(strategy=strategy)
+        params = CropParams(scale_options=scales, output_side=128.0)
+        got = simulate(records, SMALL_DESIGN, cfg, n_crops, seed, params).per_face
+        want = naive_simulate(records, SMALL_DESIGN, cfg, n_crops, seed, params)
+        assert [f.name for f in fields(got)] == list(want)
+        for name, column in want.items():
+            assert getattr(got, name).tolist() == column, name
+        assert got.crops_seen.dtype.kind == got.crops_positive.dtype.kind == "i"
+
+    def test_cases_reach_the_edges(self):
+        # The examples above hold a face no crop retains and an image whose
+        # every crop is empty.
+        params = CropParams(scale_options=(0.3, 0.6), output_side=128.0)
+        out = simulate([NEVER_SEEN, ALL_EMPTY], SMALL_DESIGN, MatchConfig(), 5, 2, params)
+        assert out.per_face.crops_seen.tolist()[1:] == [0, 0, 0]
+        assert out.per_face.crops_seen[0] > 0
 
 
 class TestPrng:

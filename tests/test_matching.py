@@ -15,7 +15,7 @@ from anchorkit.anchors import (
     detector_design,
     generate_anchor_boxes,
 )
-from anchorkit.geometry import iou_pairs
+from anchorkit.geometry import iou_matrix, iou_pairs
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
@@ -27,7 +27,6 @@ from anchorkit.matching import (
     arsd_contains_right,
     assign_labels_xywh,
     extreme_domain_contains,
-    iou_matrix,
     theta,
     warm_threshold,
 )
@@ -257,8 +256,8 @@ class TestAssignLabels:
         face = [0.0, 0.0, 64.0, 64.0]
         res = assign_labels_xywh(anchors, [face], SAM)
         assert list(res.labels) == [0, NEGATIVE]
-        assert res.per_face[0].max_iou == 1.0
-        assert res.per_face[0].positive_count == 1
+        assert res.max_iou[0] == 1.0
+        assert res.positive_count[0] == 1
 
     def test_empty_anchor_list_rejected(self):
         # A grid is never empty: a canvas with no cells is refused where the
@@ -272,7 +271,7 @@ class TestAssignLabels:
         anchors, _ = small_scene(0)
         res = assign_labels_xywh(anchors, np.empty((0, 4)), SAM)
         assert np.all(res.labels == NEGATIVE)
-        assert res.per_face == []
+        assert len(res.max_iou) == len(res.positive_count) == len(res.effective_tp) == 0
 
     def test_invalid_face_rejected(self):
         anchors, _ = small_scene(0)
@@ -299,7 +298,7 @@ class TestAssignLabels:
                 assign_labels_xywh(anchors, [[10, 10, 8, 8], face], SAM)
         # Just below the bound a face is scored, with a finite IoU.
         res = assign_labels_xywh(anchors, [[0, 0, 2.0**510, 4]], SAM)
-        assert 0.0 <= res.per_face[0].max_iou < 1e-100
+        assert 0.0 <= res.max_iou[0] < 1e-100
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -319,10 +318,11 @@ class TestAssignLabels:
         )
         assert list(res.labels) == labels
         assert list(res.compensated) == compensated
-        for j, fm in enumerate(res.per_face):
-            assert fm.max_iou == pytest.approx(per_max[j], abs=1e-12)
-            assert fm.positive_count == pos_count[j]
-            assert fm.effective_tp == pytest.approx(tp[j], abs=1e-15)
+        assert len(res.max_iou) == len(faces)
+        for j in range(len(faces)):
+            assert res.max_iou[j] == pytest.approx(per_max[j], abs=1e-12)
+            assert res.positive_count[j] == pos_count[j]
+            assert res.effective_tp[j] == pytest.approx(tp[j], abs=1e-15)
 
     def test_strict_positive_threshold(self):
         # Nested boxes giving IoU exactly 0.5: not strictly above, so no positive.
@@ -330,9 +330,9 @@ class TestAssignLabels:
         assert np.asarray(anchors).tolist() == [[0.0, -25.0, 50.0, 100.0]]
         face = [0.0, -25.0, 100.0, 100.0]
         res = assign_labels_xywh(anchors, [face], SAM)
-        assert res.per_face[0].max_iou == 0.5
+        assert res.max_iou[0] == 0.5
         assert res.labels[0] == IGNORE
-        assert res.per_face[0].positive_count == 0
+        assert res.positive_count[0] == 0
 
     def test_strict_negative_threshold(self):
         # IoU exactly tn stays ignore; strictly below becomes negative.
@@ -349,8 +349,8 @@ class TestAssignLabels:
         face = [0.0, 0.0, 40.0, 40.0]
         res = assign_labels_xywh(anchors, [face, list(face)], SAM)
         assert res.labels[0] == 0
-        assert res.per_face[0].positive_count == 1
-        assert res.per_face[1].positive_count == 0
+        assert res.positive_count[0] == 1
+        assert res.positive_count[1] == 0
 
     def test_label_partition(self):
         anchors, faces = small_scene(11, n_faces=8)
@@ -362,16 +362,16 @@ class TestAssignLabels:
         anchors, faces = small_scene(5, n_faces=6)
         res = assign_labels_xywh(anchors, faces, DEFAULT)
         rows = np.asarray(anchors)
-        for i in np.flatnonzero(res.positive_mask()):
+        for i in np.flatnonzero(res.labels >= 0):
             j = res.labels[i]
             v = naive_iou(tuple(rows[i]), tuple(faces[j]))
-            assert v > res.per_face[j].effective_tp
+            assert v > res.effective_tp[j]
 
     def test_negative_anchors_below_tn(self):
         anchors, faces = small_scene(6, n_faces=6)
         res = assign_labels_xywh(anchors, faces, DEFAULT)
         rows = np.asarray(anchors)
-        for i in np.flatnonzero(res.negative_mask()):
+        for i in np.flatnonzero(res.labels == NEGATIVE):
             best = max(naive_iou(tuple(rows[i]), tuple(f)) for f in faces)
             assert best < DEFAULT.tn
 
@@ -384,10 +384,10 @@ class TestCompensation:
         face = [145.0, 145.0, 40.0, 40.0]  # IoU vs anchor 3 = 100/1600
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
         res = assign_labels_xywh(anchors, [face], cfg)
-        assert res.per_face[0].max_iou == 100 / 1600
+        assert res.max_iou[0] == 100 / 1600
         assert res.labels.tolist() == [NEGATIVE, NEGATIVE, NEGATIVE, 0]
         assert res.compensated.tolist() == [False, False, False, True]
-        assert res.per_face[0].positive_count == 1
+        assert res.positive_count[0] == 1
 
     def test_compensation_does_not_steal_positives(self):
         # Two identical faces: face 0 wins the anchor; face 1's compensation
@@ -398,7 +398,7 @@ class TestCompensation:
         res = assign_labels_xywh(anchors, [face, list(face)], cfg)
         assert res.labels[0] == 0
         assert not res.compensated[0]
-        assert res.per_face[1].positive_count == 0
+        assert res.positive_count[1] == 0
 
     def test_plain_sam_never_compensates(self):
         anchors, faces = small_scene(9)
@@ -421,8 +421,8 @@ class TestWarmBehaviour:
             anchors, faces = small_scene(seed, n_faces=6)
             sam = assign_labels_xywh(anchors, faces, SAM)
             warm = assign_labels_xywh(anchors, faces, DEFAULT)
-            sam_pos = set(np.flatnonzero(sam.positive_mask()))
-            warm_pos = set(np.flatnonzero(warm.positive_mask()))
+            sam_pos = set(np.flatnonzero(sam.labels >= 0))
+            warm_pos = set(np.flatnonzero(warm.labels >= 0))
             assert sam_pos <= warm_pos
 
     def test_extreme_ar_face_on_detector_grid(self):
@@ -441,10 +441,10 @@ class TestWarmBehaviour:
 
         sam = assign_labels_xywh(anchors, [face], SAM)
         warm = assign_labels_xywh(anchors, [face], DEFAULT)
-        assert sam.per_face[0].max_iou == pytest.approx(expected, abs=1e-9)
-        assert sam.per_face[0].positive_count == 0
-        assert warm.per_face[0].positive_count >= 1
-        assert warm.per_face[0].effective_tp == pytest.approx(0.46, abs=1e-12)
+        assert sam.max_iou[0] == pytest.approx(expected, abs=1e-9)
+        assert sam.positive_count[0] == 0
+        assert warm.positive_count[0] >= 1
+        assert warm.effective_tp[0] == pytest.approx(0.46, abs=1e-12)
 
 
 class TestPerformance:
@@ -526,8 +526,8 @@ class TestGridKernel:
         )
         assert res.labels.tolist() == labels
         assert res.compensated.tolist() == compensated
-        assert [fm.max_iou for fm in res.per_face] == per_max
-        assert [fm.positive_count for fm in res.per_face] == pos_count
+        assert res.max_iou.tolist() == per_max
+        assert res.positive_count.tolist() == pos_count
         assert res.label_counts() == {
             "positive": sum(v >= 0 for v in labels),
             "negative": labels.count(NEGATIVE),
@@ -571,7 +571,7 @@ class TestGridKernel:
         res = assign_labels_xywh(grid, [[100.0, 100.0, 8.0, 8.0]], cfg)
         assert res.labels.tolist() == [0] + [NEGATIVE] * 15
         assert res.compensated.tolist() == [True] + [False] * 15
-        assert (res.per_face[0].max_iou, res.per_face[0].positive_count) == (0.0, 1)
+        assert (res.max_iou[0], res.positive_count[0]) == (0.0, 1)
 
 
 class TestResources:
@@ -592,7 +592,7 @@ class TestResources:
             tracemalloc.stop()
         assert len(grid) == 15 * 1000 * 700
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
-        assert res.per_face[0].positive_count > 0
+        assert res.positive_count[0] > 0
         assert counts["positive"] + counts["negative"] + counts["ignore"] == len(grid)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -609,5 +609,6 @@ class TestResources:
         assert len(calls) > 10
         assert np.array_equal(parts.labels, whole.labels)
         assert np.array_equal(parts.compensated, whole.compensated)
-        assert parts.per_face == whole.per_face
+        for name in ("max_iou", "positive_count", "effective_tp"):
+            assert np.array_equal(getattr(parts, name), getattr(whole, name))
         assert parts.label_counts() == whole.label_counts()

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 import anchorkit.reports
-from anchorkit.ams import AmsReport, FaceColumns, FaceMatchStat
-from anchorkit.cropsim import FaceSimStat, SimOutcome
-from anchorkit.matching import FaceMatch, MatchConfig, MatchResult
+from anchorkit.ams import AmsReport, FaceMatchStat, run_ams
+from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes
+from anchorkit.corpus import kept_faces
+from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
+from anchorkit.matching import MatchConfig, MatchResult, assign_labels_xywh
 from anchorkit.reports import (
     FACE_STATS_CSV_HEADER,
     MATCH_CSV_HEADER,
     SIM_CSV_HEADER,
     MatchReport,
-    MatchRow,
     emit_reports,
     json_text,
 )
+from builders import record, rows
 
 REPORT = AmsReport(
     t_p=0.5,
@@ -35,11 +37,10 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def face_columns(ar=(0.449275, 4.0)) -> FaceColumns:
-    """Two kept faces, 0 and 2, of one image: the ams per-face columns."""
-    return FaceColumns(
-        images=["a.jpg"],
-        record=np.array([0, 0]),
+def face_stats(ar=(0.449275, 4.0)) -> FaceMatchStat:
+    """Two kept faces, 0 and 2, of one image: the ams per-face table."""
+    return FaceMatchStat(
+        image=np.array(["a.jpg", "a.jpg"], dtype=object),
         face=np.array([0, 2]),
         ar=np.array(ar),
         width=np.array([31.5, 12.0]),
@@ -48,8 +49,9 @@ def face_columns(ar=(0.449275, 4.0)) -> FaceColumns:
     )
 
 
-STATS = face_columns()
-NO_STATS = FaceColumns([], *(np.empty(0, dtype=t) for t in (int, int, float, float, float, bool)))
+STATS = face_stats()
+NO_STATS = FaceMatchStat(np.empty(0, dtype=object),
+                         *(np.empty(0, dtype=t) for t in (int, float, float, float, bool)))
 
 
 class TestAmsReportFormats:
@@ -97,9 +99,8 @@ class TestFaceStatsFormats:
         # or doubled line break, and repeated values share their text.
         monkeypatch.setattr(anchorkit.reports, "_ROW_BLOCK", 3)
         n = 7
-        columns = FaceColumns(
-            images=["a.jpg", "b.jpg"],
-            record=np.array([0, 0, 0, 1, 1, 1, 1]),
+        columns = FaceMatchStat(
+            image=np.array(["a.jpg"] * 3 + ["b.jpg"] * 4, dtype=object),
             face=np.arange(n),
             ar=np.array([0.5, 2.0, 0.5, -0.0, 0.0, 1 / 3, 2.0]),
             width=np.full(n, 8.0),
@@ -107,8 +108,8 @@ class TestFaceStatsFormats:
             matched=np.arange(n) % 2 == 0,
         )
         want = [FACE_STATS_CSV_HEADER] + [
-            f"{'ab'[r]}.jpg,{i},{a:.6f},{w:.6f},{m:.6f},{int(k)}"
-            for r, i, a, w, m, k in zip(columns.record.tolist(), range(n), columns.ar.tolist(),
+            f"{p},{i},{a:.6f},{w:.6f},{m:.6f},{int(k)}"
+            for p, i, a, w, m, k in zip(columns.image.tolist(), range(n), columns.ar.tolist(),
                                         columns.width.tolist(), columns.max_iou.tolist(),
                                         columns.matched.tolist())
         ]
@@ -121,8 +122,7 @@ class TestFaceStatsFormats:
 
     def test_rows_in_field_order(self):
         assert [f.name for f in dataclasses.fields(FaceMatchStat)] == FACE_STATS_CSV_HEADER.split(",")
-        columns = [np.asarray(column).tolist() for column in STATS.columns()]
-        assert [column[1] for column in columns] == ["a.jpg", 2, 4.0, 12.0, 0.333333, False]
+        assert rows(STATS)[1] == ("a.jpg", 2, 4.0, 12.0, 0.333333, False)
 
     def test_json(self):
         data = json.loads(emit_reports(REPORT, "json", STATS))
@@ -148,7 +148,9 @@ class TestMatchResultFormats:
             row_labels=np.array([0, -2, 1]),
             row_compensated=np.array([False, False, True]),
             background=-1,
-            per_face=[FaceMatch(0, 0.81, 1, 0.5), FaceMatch(1, 0.42, 1, 0.46)],
+            max_iou=np.array([0.81, 0.42]),
+            positive_count=np.array([1, 1]),
+            effective_tp=np.array([0.5, 0.46]),
         )
         assert result.labels.tolist() == [0, -1, -2, 1]
         assert result.compensated.tolist() == [False, False, False, True]
@@ -168,7 +170,7 @@ class TestMatchResultFormats:
     def test_csv(self):
         lines = emit_reports(self.report(), "csv").strip().split("\n")
         assert lines[0] == MATCH_CSV_HEADER == "image,face,ar,max_iou,positive_count,effective_tp"
-        assert self.report().per_face[1] == MatchRow("a.jpg", 2, 3.0, 0.42, 1, 0.46)
+        assert rows(self.report().per_face)[1] == ("a.jpg", 2, 3.0, 0.42, 1, 0.46)
         assert lines[1] == "a.jpg,0,2.000000,0.810000,1,0.500000"
         assert lines[2] == "a.jpg,2,3.000000,0.420000,1,0.460000"
 
@@ -183,8 +185,9 @@ class TestSimOutcomeFormats:
         return SimOutcome(
             seed=7,
             n_crops=200,
-            per_face=(
-                FaceSimStat("a.jpg", 0, 154, 153, 0.476557, 0.476557),
+            per_face=FaceSimStat(
+                np.array(["a.jpg"], dtype=object), np.array([0]), np.array([154]),
+                np.array([153]), np.array([0.476557]), np.array([0.476557]),
             ),
         )
 
@@ -241,4 +244,85 @@ class TestJsonFinite:
         with pytest.raises(ValueError):
             json_text({"eta": value})
         with pytest.raises(ValueError):
-            emit_reports(REPORT, "json", face_columns(ar=(value, 4.0)))
+            emit_reports(REPORT, "json", face_stats(ar=(value, 4.0)))
+
+
+MATCH = MatchConfig()
+SCENE = [
+    record("a.jpg", [(100, 100, 64, 64), (300, 200, 40, 90), (0, 0, 4, 4)], 640.0, 640.0,
+           invalid=[2]),
+    record("b.jpg", [(50, 50, 128, 128)], 640.0, 480.0),
+]
+
+
+def add_images(report: MatchReport, records) -> MatchReport:
+    """Fold records into report as the match command does, each on its own canvas."""
+    for rec in records:
+        idx, xywh = kept_faces(rec)
+        grid = generate_anchor_boxes(detector_design(), rec.width, rec.height)
+        report.add(rec.path, idx, xywh, assign_labels_xywh(grid, xywh, MATCH))
+    return report
+
+
+class TestEmptyTables:
+    """A table with no rows renders as its header alone and an empty per_face list."""
+
+    def check(self, report, header, per_face=None):
+        assert emit_reports(report, "csv", per_face) == header + "\n"
+        assert json.loads(emit_reports(report, "json", per_face))["per_face"] == []
+
+    def test_run_ams_with_no_faces(self):
+        dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], invalid=[0])
+        for records in ([], [dropped]):
+            report, faces = run_ams(records, ams_design(1.0), 0.5)
+            self.check(report, FACE_STATS_CSV_HEADER, faces)
+
+    def test_match_report_with_no_images(self):
+        report = MatchReport(MATCH)
+        self.check(report, MATCH_CSV_HEADER)
+        assert json.loads(emit_reports(report, "json"))["n_faces_matched"] == 0
+        assert "faces     0 (matched 0)" in emit_reports(report, "table")
+
+    def test_simulate_with_no_kept_faces(self):
+        dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
+        for records in ([], [dropped], [record("e.jpg", [], 64.0, 64.0)]):
+            self.check(simulate(records, detector_design(), MATCH, 3, seed=0), SIM_CSV_HEADER)
+
+
+class TestColumnTypes:
+    """Positions and counts are integer columns, so they print as integers."""
+
+    def test_match_report_counts_are_integers(self):
+        report = add_images(MatchReport(MATCH), SCENE)
+        lines = emit_reports(report, "csv").splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            _, face, _, _, count, _ = line.split(",")
+            assert face.isdigit() and count.isdigit(), line
+        assert report.per_face.positive_count.tolist() == [
+            row["positive_count"] for row in json.loads(emit_reports(report, "json"))["per_face"]
+        ]
+        _, face, _, _, count, _ = rows(report.per_face)[0]
+        assert type(face) is type(count) is int
+
+    def test_simulate_counts_are_integers(self):
+        out = simulate(SCENE, detector_design(), MATCH, 5, seed=2)
+        lines = emit_reports(out, "csv").splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            _, face, seen, positive, _, _ = line.split(",")
+            assert face.isdigit() and seen.isdigit() and positive.isdigit(), line
+        assert all(type(v) is int for row in rows(out.per_face) for v in row[1:4])
+
+    def test_add_after_read(self):
+        # Each read joins the images added so far into one table, and a
+        # later add joins onto that table.
+        images = SCENE * 2
+        whole = add_images(MatchReport(MATCH), images)
+        report, n = MatchReport(MATCH), 0
+        for rec in images:
+            add_images(report, [rec])
+            n += len(kept_faces(rec)[0])
+            assert rows(report.per_face) == rows(whole.per_face)[:n]
+        assert report.n_matched == whole.n_matched
+        assert emit_reports(report, "csv") == emit_reports(whole, "csv")
