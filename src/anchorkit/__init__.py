@@ -40,16 +40,11 @@ from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix
 from .matching import (
     IGNORE,
     NEGATIVE,
-    DomainSide,
     MatchConfig,
     MatchResult,
     Strategy,
     arsd_contains,
-    arsd_contains_left,
-    arsd_contains_right,
     assign_labels_xywh,
-    extreme_domain_contains,
-    theta,
     warm_threshold,
 )
 from .reports import MatchReport, emit_reports
@@ -72,7 +67,6 @@ __all__ = [
     "ConvSpec",
     "CropParams",
     "CropResult",
-    "DomainSide",
     "FACE_COLUMNS",
     "FaceMatchStat",
     "FaceSimStat",
@@ -93,14 +87,11 @@ __all__ = [
     "analytic_max_iou",
     "ar_coverage",
     "arsd_contains",
-    "arsd_contains_left",
-    "arsd_contains_right",
     "aspect_ratio",
     "assign_labels_xywh",
     "boundary_ar",
     "detector_design",
     "emit_reports",
-    "extreme_domain_contains",
     "generate_anchor_boxes",
     "generate_synthetic",
     "ideal_max_intersection",
@@ -119,6 +110,5 @@ __all__ = [
     "run_ams",
     "serialize_wider",
     "simulate",
-    "theta",
     "warm_threshold",
 ]

@@ -324,16 +324,15 @@ def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) ->
 def read_dims_csv(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     """Read a `path,width,height` sidecar CSV mapping image paths to pixel dims.
 
-    A dimension that is not a positive finite number, or a path listed
-    twice, raises ValueError naming the line.
+    Lines end at "\n" only, as in parse_wider. A dimension that is not a
+    positive finite number, or a path listed twice, raises ValueError naming
+    the line.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+            return read_dims_csv(fh)
     dims: dict[str, tuple[float, float]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue

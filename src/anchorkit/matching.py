@@ -10,9 +10,8 @@ domain; with amplitude zero it degenerates to SAM exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -31,12 +30,6 @@ class Strategy(Enum):
     SAM = "sam"
     SAM_COMPENSATE = "sam_compensate"
     WARM = "warm"
-
-
-class DomainSide(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -78,96 +71,43 @@ class MatchConfig:
             raise ValueError("anchor_ar must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "t0": self.t0,
-            "tn": self.tn,
-            "delta": self.delta,
-            "eta0": self.eta0,
-            "eta1": self.eta1,
-            "anchor_ar": self.anchor_ar,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MatchConfig":
-        return cls(
-            strategy=Strategy(str(data["strategy"]).lower()),
-            t0=float(data["t0"]),
-            tn=float(data["tn"]),
-            delta=float(data["delta"]),
-            eta0=float(data["eta0"]),
-            eta1=float(data["eta1"]),
-            anchor_ar=float(data["anchor_ar"]),
-        )
+        return {**asdict(self), "strategy": self.strategy.value}
 
 
 def arsd_contains(r, anchor_ar: float, eta: float):
-    """Whether aspect ratio r lies in the open sampling domain D(anchor_ar, eta),
-    the union of its two halves. r is a float, or an array checked elementwise."""
-    return arsd_contains_left(r, anchor_ar, eta) | arsd_contains_right(r, anchor_ar, eta)
-
-
-def _check_domain(r, anchor_ar: float, eta: float) -> None:
+    """Whether aspect ratio r lies in the open sampling domain D(anchor_ar, eta):
+    anchor_ar/eta < r < anchor_ar*eta. r is a float, or an array checked
+    elementwise."""
     if np.any(np.less_equal(r, 0)):
         raise ValueError("aspect ratios must be positive")
     if not 0 < anchor_ar < math.inf:
         raise ValueError(f"anchor_ar must be positive and finite, not {anchor_ar!r}")
     if not 1 < eta < math.inf:
         raise ValueError(f"eta must be finite and greater than 1, not {eta!r}")
+    return (anchor_ar / eta < r) & (r < anchor_ar * eta)
 
 
-def arsd_contains_left(r, anchor_ar: float, eta: float):
-    """Left half of the sampling domain: anchor_ar/eta < r < anchor_ar."""
-    _check_domain(r, anchor_ar, eta)
-    return (anchor_ar / eta < r) & (r < anchor_ar)
+def warm_threshold(r, cfg: MatchConfig):
+    """Positive threshold under WARM for aspect ratio r, a float or an array.
 
-
-def arsd_contains_right(r, anchor_ar: float, eta: float):
-    """Right half of the sampling domain: anchor_ar <= r < anchor_ar*eta."""
-    _check_domain(r, anchor_ar, eta)
-    return (anchor_ar <= r) & (r < anchor_ar * eta)
-
-
-def extreme_domain_contains(r: float, cfg: MatchConfig) -> DomainSide:
-    """Which half of the extreme-AR domain E(eta1, eta0) contains r, if any.
-
-    E is the band between the inner and outer sampling domains:
-    LEFT = (anchor_ar/eta1, anchor_ar/eta0], RIGHT = [anchor_ar*eta0, anchor_ar*eta1).
+    The extreme-AR domain is the band between D(anchor_ar, eta0) and
+    D(anchor_ar, eta1), in two halves: (anchor_ar/eta1, anchor_ar/eta0] and
+    [anchor_ar*eta0, anchor_ar*eta1). In it the threshold is t0 - delta*theta,
+    where theta is zero at the inner (eta0) edge and grows linearly toward
+    one at the outer (eta1) edge; elsewhere it is t0. Always within
+    [t0 - delta, t0]. A float r gives a float.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=np.float64)
+    if np.any(r <= 0):
         raise ValueError("aspect ratio must be positive")
-    ra = cfg.anchor_ar
-    if ra / cfg.eta1 < r <= ra / cfg.eta0:
-        return DomainSide.LEFT
-    if ra * cfg.eta0 <= r < ra * cfg.eta1:
-        return DomainSide.RIGHT
-    return DomainSide.NONE
-
-
-def theta(r: float, cfg: MatchConfig) -> float:
-    """Threshold change rate for an extreme-AR face, in [0, 1].
-
-    Zero at the inner (eta0) edge of the extreme domain, approaching one at
-    the outer (eta1) edge; linear in between. The endpoints are the analytic
-    domain boundaries, making this a pure function of r.
-    """
-    side = extreme_domain_contains(r, cfg)
-    ra = cfg.anchor_ar
-    if side is DomainSide.LEFT:
-        lo, hi = ra / cfg.eta1, ra / cfg.eta0
-        return (hi - r) / (hi - lo)
-    if side is DomainSide.RIGHT:
-        lo, hi = ra * cfg.eta0, ra * cfg.eta1
-        return (r - lo) / (hi - lo)
-    raise ValueError(f"aspect ratio {r} lies outside the extreme-AR domain")
-
-
-def warm_threshold(r: float, cfg: MatchConfig) -> float:
-    """Per-face positive threshold under WARM: t0 - delta*theta(r) inside the
-    extreme-AR domain, t0 elsewhere. Always within [t0 - delta, t0]."""
-    if extreme_domain_contains(r, cfg) is DomainSide.NONE:
-        return cfg.t0
-    return cfg.t0 - cfg.delta * theta(r, cfg)
+    ra, t = cfg.anchor_ar, np.full(r.shape, cfg.t0, dtype=np.float64)
+    lo, hi = ra / cfg.eta1, ra / cfg.eta0
+    on = (lo < r) & (r <= hi)
+    t[on] = cfg.t0 - cfg.delta * ((hi - r[on]) / (hi - lo))
+    lo, hi = ra * cfg.eta0, ra * cfg.eta1
+    on = (lo <= r) & (r < hi)
+    t[on] = cfg.t0 - cfg.delta * ((r[on] - lo) / (hi - lo))
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass
@@ -220,13 +160,6 @@ class MatchResult:
         return counts
 
 
-def effective_thresholds(face_ars: Sequence[float], cfg: MatchConfig) -> np.ndarray:
-    """Per-face positive thresholds for the configured strategy."""
-    if cfg.strategy is Strategy.WARM:
-        return np.array([warm_threshold(float(r), cfg) for r in face_ars], dtype=np.float64)
-    return np.full(len(face_ars), cfg.t0, dtype=np.float64)
-
-
 def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig) -> MatchResult:
     """Assign positive/negative/ignore labels to the anchors of grid against
     (m, 4) xywh faces.
@@ -260,7 +193,10 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         raise ValueError("faces must be finite, each value below 2**511 in magnitude")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
         raise ValueError("faces must have positive dimensions")
-    tp = effective_thresholds(faces[:, 3] / faces[:, 2], cfg)
+    if cfg.strategy is Strategy.WARM:
+        tp = warm_threshold(faces[:, 3] / faces[:, 2], cfg)
+    else:
+        tp = np.full(m, cfg.t0, dtype=np.float64)
 
     # Per face and plane, and per axis (x, y): first candidate cell and count.
     corner = faces[:, None, :2]

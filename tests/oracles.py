@@ -105,6 +105,24 @@ def naive_assign(anchors, faces, tp_per_face, tn, compensate=False):
     return labels, compensated, per_face_max, pos_count
 
 
+def naive_warm_threshold(r: float, cfg) -> float:
+    """WARM's positive threshold for one aspect ratio r, piecewise from the
+    definition: on the extreme band between D(Ra, eta0) and D(Ra, eta1),
+    t0 - delta*theta with theta rising linearly from 0 at the band's inner
+    (eta0) edge toward 1 at its outer (eta1) edge; t0 anywhere else. The
+    inner edges belong to the band and the outer edges do not."""
+    if r <= 0:
+        raise ValueError("aspect ratio must be positive")
+    ra = cfg.anchor_ar
+    if ra / cfg.eta1 < r <= ra / cfg.eta0:
+        inner, outer = ra / cfg.eta0, ra / cfg.eta1
+    elif ra * cfg.eta0 <= r < ra * cfg.eta1:
+        inner, outer = ra * cfg.eta0, ra * cfg.eta1
+    else:
+        return cfg.t0
+    return cfg.t0 - cfg.delta * ((r - inner) / (outer - inner))
+
+
 def naive_ideal_max_iou(face_w: float, face_ar: float, design) -> float:
     """Best IoU of one face against design's size ladder under concentric
     placement, one size at a time: the scalar loop ams.ideal_max_iou

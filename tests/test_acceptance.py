@@ -31,7 +31,7 @@ from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh, warm_t
 from anchorkit.reports import emit_reports
 from anchorkit.rfd import rfd_output_shape, rfd_param_count, rfd_receptive_fields, rfd_spec
 from builders import record
-from oracles import rfd_forward_naive, zero_weights
+from oracles import naive_warm_threshold, rfd_forward_naive, zero_weights
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 WIDER_ENV = "ANCHORKIT_WIDER_ANNOTATIONS"
@@ -219,15 +219,18 @@ def test_criterion_5_threshold_function():
         and abs(warm_threshold((1 / 3) * (1 + eps), cfg) - 0.4) < 1e-6
     )
     sweep = np.exp(np.linspace(np.log(0.02), np.log(50.0), 10_000))
-    values = np.array([warm_threshold(float(r), cfg) for r in sweep])
+    values = warm_threshold(sweep, cfg)
     banded = bool(np.all(values >= 0.4 - 1e-12) and np.all(values <= 0.5 + 1e-12))
+    expected = np.array([naive_warm_threshold(float(r), cfg) for r in sweep])
+    exact = values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     elapsed = time.perf_counter() - t0
-    ok = at_anchor and inner_edges and outer_limits and banded
+    ok = at_anchor and inner_edges and outer_limits and banded and exact
     _criterion(5, ok and elapsed < 1.0,
                f"T0 at anchor AR: {at_anchor}, continuous at eta0 edges: {inner_edges}, "
                f"limits T0-delta at eta1 edges: {outer_limits}, "
-               f"band [0.4, 0.5] on 10^4-point sweep: {banded} ({elapsed * 1e3:.0f} ms)")
+               f"band [0.4, 0.5] on 10^4-point sweep: {banded}, "
+               f"bitwise equal to the scalar definition: {exact} ({elapsed * 1e3:.0f} ms)")
 
 
 def test_criterion_6_crop_convergence():

@@ -304,6 +304,18 @@ class TestBadInput:
         assert main(["match", "--annotations", mini_file, "--dims", str(dims)]) == 1
         _one_error_line(capsys, needle)
 
+    def test_dims_path_holding_a_unicode_line_break(self, tmp_path, capsys):
+        # Both files end lines at "\n" only, so "\x85" stays inside the path.
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a\x85b.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
+        dims = tmp_path / "dims.csv"
+        dims.write_text("path,width,height\na\x85b.jpg,640,640\n", encoding="utf-8")
+        assert main(["parse", "--annotations", str(ann)]) == 0
+        capsys.readouterr()
+        assert main(["match", "--annotations", str(ann), "--dims", str(dims)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n_images"] == 1 and data["per_face"][0]["image"] == "a\x85b.jpg"
+
 
 class TestSimulateCommand:
     def test_with_dims_sidecar(self, tmp_path, capsys):

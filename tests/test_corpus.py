@@ -397,6 +397,12 @@ class TestDimsSidecar:
         assert (records[0].width, records[0].height) == (1024.0, 768.0)
         assert records[1].width is None
 
+    def test_read_splits_lines_at_newline_only(self):
+        text = "path,width,height\na\u2028b.jpg,1,2\n"
+        assert read_dims_csv(io.StringIO(text)) == {"a\u2028b.jpg": (1.0, 2.0)}
+        assert read_dims_csv(io.StringIO("a\x85b.jpg,3,4\r\nc.jpg,5,6")) == {
+            "a\x85b.jpg": (3.0, 4.0), "c.jpg": (5.0, 6.0)}
+
     def test_read_rejects_malformed(self):
         with pytest.raises(ValueError):
             read_dims_csv(io.StringIO("a.jpg,12\n"))

@@ -19,19 +19,14 @@ from anchorkit.geometry import iou_matrix, iou_pairs
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
-    DomainSide,
     MatchConfig,
     Strategy,
     arsd_contains,
-    arsd_contains_left,
-    arsd_contains_right,
     assign_labels_xywh,
-    extreme_domain_contains,
-    theta,
     warm_threshold,
 )
 
-from oracles import eager_anchor_rows, naive_assign, naive_iou
+from oracles import eager_anchor_rows, naive_assign, naive_iou, naive_warm_threshold
 
 DEFAULT = MatchConfig()
 SAM = MatchConfig(strategy=Strategy.SAM)
@@ -95,13 +90,9 @@ class TestMatchConfig:
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE, t0=0.6, tn=0.3, delta=0.2,
                           eta0=1.8, eta1=4.0, anchor_ar=1.25)
         data = cfg.to_json_dict()
-        assert set(data) == {"strategy", "t0", "tn", "delta", "eta0", "eta1", "anchor_ar"}
-        assert MatchConfig.from_json_dict(data) == cfg
-
-    def test_json_strategy_case_insensitive(self):
-        data = MatchConfig().to_json_dict()
-        data["strategy"] = "WARM"
-        assert MatchConfig.from_json_dict(data).strategy is Strategy.WARM
+        assert list(data) == ["strategy", "t0", "tn", "delta", "eta0", "eta1", "anchor_ar"]
+        assert data == {"strategy": "sam_compensate", "t0": 0.6, "tn": 0.3, "delta": 0.2,
+                        "eta0": 1.8, "eta1": 4.0, "anchor_ar": 1.25}
 
 
 class TestSamplingDomains:
@@ -116,80 +107,151 @@ class TestSamplingDomains:
         assert arsd_contains(0.45, 1.0, 2.25)  # 1/2.25 ~ 0.4444 < 0.45
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^eta must be finite and greater than 1, not 1.0$"):
             arsd_contains(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^aspect ratios must be positive$"):
             arsd_contains(-1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="^aspect ratios must be positive$"):
+            arsd_contains(np.array([1.0, 0.0]), 1.0, 2.0)
+        with pytest.raises(ValueError, match="^anchor_ar must be positive and finite, not inf$"):
+            arsd_contains(1.0, math.inf, 2.0)
 
     def test_halves_boundary_conventions(self):
-        # left half excludes the anchor AR, right half includes it
-        assert not arsd_contains_left(1.0, 1.0, 2.0)
-        assert arsd_contains_right(1.0, 1.0, 2.0)
-        assert arsd_contains_left(0.6, 1.0, 2.0)
-        assert not arsd_contains_right(0.6, 1.0, 2.0)
-        assert not arsd_contains_right(2.0, 1.0, 2.0)
+        # Both halves are open at their outer edge and meet at the anchor AR,
+        # which lies inside; one ulp inward of either edge is inside.
+        assert arsd_contains(1.0, 1.0, 2.0)
+        assert arsd_contains(0.6, 1.0, 2.0)
+        assert not arsd_contains(2.0, 1.0, 2.0)
+        assert not arsd_contains(0.5, 1.0, 2.0)
+        assert arsd_contains(math.nextafter(2.0, 0.0), 1.0, 2.0)
+        assert arsd_contains(math.nextafter(0.5, 1.0), 1.0, 2.0)
+        assert not arsd_contains(3.0, 1.5, 2.0) and arsd_contains(math.nextafter(3.0, 0.0), 1.5, 2.0)
+        assert not arsd_contains(0.75, 1.5, 2.0) and arsd_contains(math.nextafter(0.75, 1.0), 1.5, 2.0)
 
     @given(st.floats(min_value=0.05, max_value=20.0, allow_nan=False))
     def test_halves_partition_full_domain(self, r):
-        full = arsd_contains(r, 1.0, 2.5)
-        left = arsd_contains_left(r, 1.0, 2.5)
-        right = arsd_contains_right(r, 1.0, 2.5)
-        assert full == (left or right)
-        assert not (left and right)
+        # The domain is its left half (1/2.5, 1) joined to its right half
+        # [1, 2.5); an array is checked elementwise, a float gives a bool.
+        inside = arsd_contains(r, 1.0, 2.5)
+        assert type(inside) is bool
+        assert inside == (1 / 2.5 < r < 1.0 or 1.0 <= r < 2.5)
+        edges = [r, 1 / 2.5, 2.5, 1.0, math.nextafter(2.5, 0.0), math.nextafter(1 / 2.5, 1.0)]
+        got = arsd_contains(np.array(edges), 1.0, 2.5)
+        assert got.tolist() == [arsd_contains(v, 1.0, 2.5) for v in edges]
 
 
 class TestExtremeDomain:
+    """Membership of the extreme band, read off the WARM threshold: inside
+    the band it is below t0 except on the inner edges, where theta is 0."""
+
     def test_right_member(self):
-        assert extreme_domain_contains(2.4, DEFAULT) is DomainSide.RIGHT
+        assert warm_threshold(2.4, DEFAULT) < DEFAULT.t0
 
     def test_anchor_ar_itself(self):
-        assert extreme_domain_contains(1.0, DEFAULT) is DomainSide.NONE
+        assert warm_threshold(1.0, DEFAULT) == DEFAULT.t0
 
     def test_left_member(self):
         # 1/3 < 0.4 <= 1/2
-        assert extreme_domain_contains(0.4, DEFAULT) is DomainSide.LEFT
+        assert warm_threshold(0.4, DEFAULT) < DEFAULT.t0
 
     def test_edges(self):
-        assert extreme_domain_contains(2.0, DEFAULT) is DomainSide.RIGHT
-        assert extreme_domain_contains(3.0, DEFAULT) is DomainSide.NONE
-        assert extreme_domain_contains(0.5, DEFAULT) is DomainSide.LEFT
-        assert extreme_domain_contains(1 / 3, DEFAULT) is DomainSide.NONE
+        # Inner edges are in the band with theta exactly 0; outer edges are
+        # out, while one ulp inward of them the threshold is nearly t0 - delta.
+        assert warm_threshold(2.0, DEFAULT) == warm_threshold(0.5, DEFAULT) == 0.5
+        assert warm_threshold(3.0, DEFAULT) == warm_threshold(1 / 3, DEFAULT) == 0.5
+        assert warm_threshold(math.nextafter(3.0, 0.0), DEFAULT) == pytest.approx(0.4, abs=1e-12)
+        assert warm_threshold(math.nextafter(1 / 3, 1.0), DEFAULT) == pytest.approx(0.4, abs=1e-12)
+        assert warm_threshold(math.nextafter(2.0, 0.0), DEFAULT) == 0.5
+        assert warm_threshold(math.nextafter(0.5, 1.0), DEFAULT) == 0.5
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            extreme_domain_contains(0.0, DEFAULT)
+        with pytest.raises(ValueError, match="aspect ratio must be positive"):
+            warm_threshold(0.0, DEFAULT)
+        with pytest.raises(ValueError, match="aspect ratio must be positive"):
+            warm_threshold(np.array([2.4, -1.0]), DEFAULT)
 
 
 class TestTheta:
+    """theta, the rate at which WARM lowers the threshold, through
+    warm_threshold = t0 - delta*theta with the default delta of 0.1."""
+
     def test_inner_boundary(self):
-        assert theta(2.0, DEFAULT) == 0.0
+        assert warm_threshold(2.0, DEFAULT) == 0.5
 
     def test_right_interior(self):
-        assert theta(2.4, DEFAULT) == pytest.approx(0.4, abs=1e-12)
+        # theta(2.4) = 0.4
+        assert warm_threshold(2.4, DEFAULT) == pytest.approx(0.46, abs=1e-12)
 
     def test_left_interior(self):
-        # (0.5 - 0.426966) / (0.5 - 1/3)
-        assert theta(0.426966, DEFAULT) == pytest.approx(0.438204, abs=1e-6)
+        # theta = (0.5 - 0.426966) / (0.5 - 1/3) = 0.438204
+        assert warm_threshold(0.426966, DEFAULT) == pytest.approx(0.4561796, abs=1e-7)
 
     def test_left_inner_boundary(self):
-        assert theta(0.5, DEFAULT) == 0.0
+        assert warm_threshold(0.5, DEFAULT) == 0.5
 
-    def test_outside_domain_rejected(self):
-        for r in (1.0, 3.0, 5.0, 0.25):
-            with pytest.raises(ValueError):
-                theta(r, DEFAULT)
+    def test_outside_domain_gives_t0(self):
+        assert warm_threshold(np.array([1.0, 3.0, 5.0, 0.25]), DEFAULT).tolist() == [0.5] * 4
 
     @given(st.floats(min_value=2.0, max_value=2.999999, allow_nan=False))
     def test_range_and_monotone_right(self, r):
-        v = theta(r, DEFAULT)
-        assert 0.0 <= v < 1.0
-        assert theta(min(r + 0.0005, 2.9999995), DEFAULT) >= v
+        v = warm_threshold(r, DEFAULT)
+        assert 0.4 < v <= 0.5
+        assert warm_threshold(min(r + 0.0005, 2.9999995), DEFAULT) <= v
 
     @given(st.floats(min_value=0.34, max_value=0.4995, allow_nan=False))
     def test_monotone_left(self, r):
         # Toward the outer edge (smaller r on the left side) theta grows, so
         # the threshold never increases; r - 0.0005 stays inside (1/3, 0.5].
         assert warm_threshold(r - 0.0005, DEFAULT) <= warm_threshold(r, DEFAULT) + 1e-12
+
+
+@st.composite
+def warm_cases(draw):
+    """A valid WARM config and aspect ratios on and around its band: every
+    band edge and its neighbours one ulp away, the anchor AR, and random
+    ratios across the band. eta1 is sometimes the float just above eta0, so
+    a half of the band can be empty."""
+    t0 = draw(st.floats(0.05, 1.0))
+    eta0 = draw(st.floats(1.0, 8.0, exclude_min=True))
+    tight = draw(st.booleans())
+    eta1 = math.nextafter(eta0, math.inf) if tight else eta0 * draw(st.floats(1.0, 4.0, exclude_min=True))
+    cfg = MatchConfig(t0=t0, tn=0.0, delta=t0 * draw(st.floats(0.0, 0.99)), eta0=eta0,
+                      eta1=eta1, anchor_ar=draw(st.floats(0.1, 10.0)))
+    ra = cfg.anchor_ar
+    edges = [ra / cfg.eta1, ra / cfg.eta0, ra * cfg.eta0, ra * cfg.eta1]
+    ratios = [ra] + [e for edge in edges for e in
+                     (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+    ratios += draw(st.lists(st.floats(edges[0] / 2, edges[3] * 2), max_size=20))
+    return cfg, ratios
+
+
+class TestWarmDifferential:
+    """warm_threshold against the piecewise scalar definition, bit for bit."""
+
+    @given(case=warm_cases())
+    @settings(max_examples=300)
+    def test_matches_scalar_definition(self, case):
+        cfg, ratios = case
+        want = np.array([naive_warm_threshold(r, cfg) for r in ratios])
+        got = warm_threshold(np.array(ratios), cfg)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        ones = [warm_threshold(r, cfg) for r in ratios]
+        assert all(type(one) is float for one in ones)
+        assert np.array(ones).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_tight_band_cases_reached(self):
+        # eta1 = nextafter(eta0) can make ra/eta1 == ra/eta0: an empty left half.
+        cfg = MatchConfig(eta0=3.0, eta1=math.nextafter(3.0, 4.0), anchor_ar=0.9)
+        assert cfg.anchor_ar / cfg.eta1 == cfg.anchor_ar / cfg.eta0
+        r = np.array([0.9 / 3.0, 2.7, math.nextafter(2.7, 3.0), 1.0])
+        assert warm_threshold(r, cfg).tolist() == [naive_warm_threshold(v, cfg) for v in r.tolist()]
+
+    def test_empty_and_shaped_input(self):
+        assert warm_threshold(np.empty(0), DEFAULT).shape == (0,)
+        grid = np.array([[1.0, 2.4], [0.4, 5.0]])
+        assert warm_threshold(grid, DEFAULT).tolist() == [
+            [naive_warm_threshold(v, DEFAULT) for v in row] for row in grid.tolist()]
 
 
 class TestWarmThreshold:
@@ -307,7 +369,7 @@ class TestAssignLabels:
         anchors, faces = small_scene(seed)
         res = assign_labels_xywh(anchors, faces, cfg)
 
-        tp = [warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
+        tp = [naive_warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
               for f in faces]
         labels, compensated, per_max, pos_count = naive_assign(
             [tuple(a) for a in np.asarray(anchors)],
@@ -319,10 +381,10 @@ class TestAssignLabels:
         assert list(res.labels) == labels
         assert list(res.compensated) == compensated
         assert len(res.max_iou) == len(faces)
+        assert res.effective_tp.tolist() == tp
         for j in range(len(faces)):
             assert res.max_iou[j] == pytest.approx(per_max[j], abs=1e-12)
             assert res.positive_count[j] == pos_count[j]
-            assert res.effective_tp[j] == pytest.approx(tp[j], abs=1e-15)
 
     def test_strict_positive_threshold(self):
         # Nested boxes giving IoU exactly 0.5: not strictly above, so no positive.
@@ -518,7 +580,7 @@ class TestGridKernel:
         assert rows.tobytes() == eager_anchor_rows(design, w, h).tobytes()
         cfg = MatchConfig(strategy=strategy, tn=tn)
         res = assign_labels_xywh(grid, faces, cfg)
-        tp = [warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
+        tp = [naive_warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
               for f in faces]
         labels, compensated, per_max, pos_count = naive_assign(
             [tuple(a) for a in rows], [tuple(f) for f in faces], tp, tn,
@@ -528,6 +590,7 @@ class TestGridKernel:
         assert res.compensated.tolist() == compensated
         assert res.max_iou.tolist() == per_max
         assert res.positive_count.tolist() == pos_count
+        assert res.effective_tp.tolist() == tp
         assert res.label_counts() == {
             "positive": sum(v >= 0 for v in labels),
             "negative": labels.count(NEGATIVE),

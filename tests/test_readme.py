@@ -1,0 +1,49 @@
+"""The README's library example runs and prints what its comments say, and
+every public name resolves."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import anchorkit
+from anchorkit import MatchConfig, Strategy, assign_labels_xywh
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_example_and_public_names():
+    # Run the block statement by statement, keeping each bare expression's value.
+    scope, values = {}, []
+    tree = ast.parse(library_example())
+    for node in tree.body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README", "exec"), scope)
+    boundary, best_iou, tp, rows, positives, counts = values
+    assert boundary == 2.25
+    assert best_iou == pytest.approx(0.4766, abs=5e-5)
+    assert type(tp) is float and tp == pytest.approx(0.46, abs=1e-12)
+    assert len(scope["grid"]) == 102_300 and rows.shape == (102_300, 4)
+    assert positives > 0
+    assert set(counts) == {"positive", "negative", "ignore", "compensated"}
+
+    # The same face gets no positive anchor under SAM.
+    call = next(n.value for n in tree.body
+                if isinstance(n, ast.Assign) and n.targets[0].id == "result")
+    face = ast.literal_eval(call.args[1])
+    sam = assign_labels_xywh(scope["grid"], face, MatchConfig(strategy=Strategy.SAM))
+    assert sam.positive_count[0] == 0
+    assert np.array_equal(sam.max_iou, scope["result"].max_iou)
+
+    names = anchorkit.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(anchorkit, name), name
