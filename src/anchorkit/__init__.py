@@ -35,7 +35,7 @@ from .corpus import (
     parse_wider,
     serialize_wider,
 )
-from .cropsim import CropParams, CropResult, FaceSimStat, SimOutcome, random_crop, simulate
+from .cropsim import CropParams, FaceSimStat, SimOutcome, simulate
 from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix, iou_pairs
 from .matching import (
     IGNORE,
@@ -66,7 +66,6 @@ __all__ = [
     "Box",
     "ConvSpec",
     "CropParams",
-    "CropResult",
     "FACE_COLUMNS",
     "FaceMatchStat",
     "FaceSimStat",
@@ -102,7 +101,6 @@ __all__ = [
     "kept_faces",
     "ladder_design",
     "parse_wider",
-    "random_crop",
     "rfd_output_shape",
     "rfd_param_count",
     "rfd_receptive_fields",

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .ams import ideal_max_iou
+from . import ams
 from .anchors import AnchorDesign, generate_anchor_boxes
 from .corpus import ImageRecord, kept_faces
-from .geometry import Box
 from .matching import MatchConfig, assign_labels_xywh
 from .prng import SplitMix64, substream
 
@@ -48,60 +47,32 @@ class CropParams:
             raise ValueError(f"output_side must be positive and finite, not {self.output_side!r}")
 
 
-@dataclass(frozen=True)
-class CropResult:
-    """Faces surviving one crop, as (x, y, w, h) tuples in output-canvas
-    coordinates, with their positions in the faces the crop was drawn over."""
+def _crops(width, height, xywh: np.ndarray, params: CropParams, rng: SplitMix64, n: int):
+    """Draw n square crops of a width x height image and transform its (m, 4)
+    xywh faces into output coordinates, all at once.
 
-    boxes: tuple[tuple[float, float, float, float], ...]
-    source_indices: tuple[int, ...]
-    patch: Box
-    scale_factor: float
-
-
-def random_crop(
-    image_w: float,
-    image_h: float,
-    faces: Sequence[Sequence[float]],
-    params: CropParams,
-    rng: SplitMix64,
-) -> CropResult:
-    """Draw one square crop and transform the faces, xywh rows, into output
-    coordinates.
-
-    A face is kept when its center lies in the half-open patch
+    Each crop takes three draws from rng, in the order scale index, patch x,
+    patch y. A face is kept when its center lies in the half-open patch
     [x0, x0+side) x [y0, y0+side); kept boxes are clipped to the patch and
-    scaled by output_side/side. Advances rng in place (three draws).
+    scaled by output_side/side. Returns (crop, face, boxes): the crop and
+    face index of each kept pair, ordered by crop and then by face, and its
+    (pairs, 4) output box. Every value is that of drawing and transforming
+    the crops one at a time in float arithmetic.
     """
-    if image_w <= 0 or image_h <= 0:
+    if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
-    scale = params.scale_options[rng.next_index(len(params.scale_options))]
-    side = scale * min(image_w, image_h)
-    if side > image_w or side > image_h:
-        raise ValueError("no valid patch position: patch exceeds image")
-    x0 = rng.uniform(0.0, image_w - side)
-    y0 = rng.uniform(0.0, image_h - side)
-    factor = params.output_side / side
-
-    kept: list[tuple[float, float, float, float]] = []
-    kept_idx: list[int] = []
-    for i, (x, y, w, h) in enumerate(faces):
-        if not (x0 <= x + w / 2.0 < x0 + side and y0 <= y + h / 2.0 < y0 + side):
-            continue
-        nx1 = max(x, x0)
-        ny1 = max(y, y0)
-        nx2 = min(x + w, x0 + side)
-        ny2 = min(y + h, y0 + side)
-        kept.append(
-            ((nx1 - x0) * factor, (ny1 - y0) * factor, (nx2 - nx1) * factor, (ny2 - ny1) * factor)
-        )
-        kept_idx.append(i)
-    return CropResult(
-        boxes=tuple(kept),
-        source_indices=tuple(kept_idx),
-        patch=Box(x0, y0, side, side),
-        scale_factor=factor,
-    )
+    u = rng.next_floats(3 * n).reshape(n, 3)
+    k = len(params.scale_options)
+    pick = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
+    side = np.array(params.scale_options)[pick, None] * min(width, height)
+    lo = (np.array([width, height]) - side) * u[:, 1:]  # patch corners, (x0, y0)
+    hi = lo + side
+    centre = xywh[:, :2] + xywh[:, 2:] / 2.0
+    crop, face = np.nonzero(((lo[:, None] <= centre) & (centre < hi[:, None])).all(axis=2))
+    lo, hi, near, far = lo[crop], hi[crop], xywh[face, :2], (xywh[:, :2] + xywh[:, 2:])[face]
+    # Python's max(a, b) and min(a, b), which keep a on ties.
+    n1, n2 = np.where(lo > near, lo, near), np.where(hi < far, hi, far)
+    return crop, face, np.hstack([n1 - lo, n2 - n1]) * (params.output_side / side[crop])
 
 
 @dataclass(frozen=True)
@@ -133,12 +104,6 @@ class SimOutcome:
     per_face: FaceSimStat
 
 
-def _raise_to(best: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
-    """best[at] = values wherever values is strictly greater."""
-    up = values > best[at]
-    best[at[up]] = values[up]
-
-
 def simulate(
     records: Iterable[ImageRecord],
     design: AnchorDesign,
@@ -150,10 +115,12 @@ def simulate(
     """Run n_crops seeded crops per image and aggregate per-face outcomes
     into one table.
 
-    The anchor grid of the output canvas is built once; each crop assigns
-    labels on it under cfg and records whether each retained face drew at
-    least one positive anchor and what its best grid IoU was. Every record
-    must carry pixel dimensions.
+    The anchor grid of the output canvas is built once; each crop that
+    retains a face assigns labels on it under cfg and records whether each
+    retained face drew at least one positive anchor and what its best grid
+    IoU was. An image's crops are drawn and bounded in blocks of at most
+    ams.FACE_BLOCK crop-face cells (or one crop); the values do not depend
+    on the block. Every record must carry pixel dimensions.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
@@ -175,20 +142,28 @@ def simulate(
         # This image's faces are rows start .. end-1 of the columns.
         start, end = end, end + len(idx)
         face[start:end] = idx
+        if not len(idx):
+            continue
         rng = substream(seed, img_idx)
-        rows = xywh.tolist()
-        for _ in range(n_crops):
-            crop = random_crop(rec.width, rec.height, rows, params, rng)
-            if not crop.boxes:
-                continue
-            k = start + np.array(crop.source_indices)
-            boxes = np.array(crop.boxes)
-            bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
-            result = assign_labels_xywh(grid, boxes, cfg)
-            seen[k] += 1
-            positive[k] += result.positive_count > 0
-            _raise_to(best_ideal, k, bounds)
-            _raise_to(best_obs, k, result.max_iou)
+        block = max(1, ams.FACE_BLOCK // len(idx))
+        for first in range(0, n_crops, block):
+            crop, k, boxes = _crops(rec.width, rec.height, xywh, params, rng,
+                                    min(block, n_crops - first))
+            k += start
+            bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
+            observed = np.empty(len(k))
+            hit = np.empty(len(k), dtype=bool)
+            starts = np.flatnonzero(np.diff(crop, prepend=-1)).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(k)]):
+                result = assign_labels_xywh(grid, boxes[lo:hi], cfg)
+                observed[lo:hi] = result.max_iou
+                hit[lo:hi] = result.positive_count > 0
+            # Every value is finite and >= +0.0, and a crop holds a face at
+            # most once, so these folds equal the crop-by-crop updates.
+            np.add.at(seen, k, 1)
+            np.add.at(positive, k, hit)
+            np.maximum.at(best_ideal, k, bounds)
+            np.maximum.at(best_obs, k, observed)
 
     table = FaceSimStat(np.repeat(paths, sizes), face, seen, positive, best_obs, best_ideal)
     return SimOutcome(seed=seed, n_crops=n_crops, per_face=table)

@@ -241,14 +241,14 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
             wide = np.full(claim.size, background, dtype=np.int64)
             wide[np.searchsorted(claim, rows)] = labels
             rows, labels, compensated = claim, wide, np.zeros(claim.size, dtype=bool)
-        slot = np.searchsorted(rows, face_arg)
-        for j in range(m):
-            if positive_count[j] == 0:
-                k = slot[j]
-                if labels[k] < 0:
-                    labels[k] = j
-                    compensated[k] = True
-                    positive_count[j] += 1
+        # The lowest unmatched face claims a shared slot, if it is not positive.
+        j = np.flatnonzero(positive_count == 0)
+        slot, first = np.unique(np.searchsorted(rows, face_arg[j]), return_index=True)
+        free = labels[slot] < 0
+        slot, j = slot[free], j[first[free]]
+        labels[slot] = j
+        compensated[slot] = True
+        positive_count[j] = 1
 
     return MatchResult(len(grid), rows, labels, compensated, background,
                        face_max, positive_count, tp)

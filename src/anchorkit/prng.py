@@ -8,7 +8,10 @@ whose stream could change between versions:
   constant 0x9E3779B97F4A7C15; each output word is the finalizer mix of the
   advanced state.
 * Floats: the top 53 bits of an output word scaled by 2**-53, giving a
-  uniform draw in [0, 1).
+  uniform draw in [0, 1). The k-th word after state ``s`` is
+  ``mix64(s + k*GAMMA mod 2**64)``, so ``next_floats`` computes a run of
+  draws at once, in uint64 arrays whose products wrap, bit-identical to
+  drawing them one by one.
 * Substreams: stream ``i`` of master seed ``s`` starts from state
   ``mix64(mix64(s) + i)``. Values drawn from one substream never depend on
   how many values other substreams consumed.
@@ -16,13 +19,19 @@ whose stream could change between versions:
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a bijective avalanche mix on 64-bit words."""
-    z &= _MASK64
+def mix64(z):
+    """SplitMix64 finalizer: a bijective avalanche mix on 64-bit words.
+
+    z is an int, giving an int, or a uint64 array, giving one word per
+    element (array products wrap mod 2**64, so the masks are no-ops there).
+    """
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -45,16 +54,12 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
-    def next_index(self, n: int) -> int:
-        """Uniform integer in [0, n).
-
-        Derived from the float path; the bias for any practical n (far below
-        2**53) is negligible and keeps the cost at one word per index.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        k = int(self.next_float() * n)
-        return min(k, n - 1)
+    def next_floats(self, n: int) -> np.ndarray:
+        """The next n next_float() draws as one float64 array."""
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        words = mix64(np.uint64(self._state) + k * np.uint64(_GAMMA))
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        return (words >> 11) * 2.0**-53
 
 
 def substream(seed: int, index: int) -> SplitMix64:

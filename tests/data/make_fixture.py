@@ -18,6 +18,11 @@ from anchorkit.prng import substream
 EVENTS = ["0--Parade", "1--Handshaking", "2--Demonstration", "3--Riot", "4--Dancing"]
 
 
+def index(rng, n: int) -> int:
+    """Integer in [0, n) from one float draw."""
+    return min(int(rng.next_float() * n), n - 1)
+
+
 def main() -> None:
     lines = []
     for i in range(50):
@@ -30,21 +35,21 @@ def main() -> None:
             lines.append("0")
             lines.append("0 0 0 0 0 0 0 0 0 0")
             continue
-        n_faces = 1 + rng.next_index(6)
+        n_faces = 1 + index(rng, 6)
         lines.append(str(n_faces))
         for j in range(n_faces):
-            x = rng.next_index(900)
-            y = rng.next_index(600)
-            w = 4 + rng.next_index(220)
-            h = 4 + rng.next_index(260)
+            x = index(rng, 900)
+            y = index(rng, 600)
+            w = 4 + index(rng, 220)
+            h = 4 + index(rng, 260)
             if i == 23 and j == 0:
                 w = 0  # degenerate box, retained and flagged by the parser
-            blur = rng.next_index(3)
-            expression = rng.next_index(2)
-            illumination = rng.next_index(2)
+            blur = index(rng, 3)
+            expression = index(rng, 2)
+            illumination = index(rng, 2)
             invalid = 1 if (i == 31 and j == 0) else 0
-            occlusion = rng.next_index(3)
-            pose = rng.next_index(2)
+            occlusion = index(rng, 3)
+            pose = index(rng, 2)
             lines.append(
                 f"{x} {y} {w} {h} {blur} {expression} {illumination} "
                 f"{invalid} {occlusion} {pose}"

@@ -2,8 +2,9 @@
 library's vectorized paths. Kept deliberately independent: plain Python
 loops over xywh tuples, annotation lines and tensor elements (and one eager
 numpy grid builder), no shared code with the package internals beyond its
-public types. naive_simulate is the one exception: it checks only the crop
-simulation's aggregation, so it runs the library's public per-crop steps."""
+public types. naive_simulate is the one exception: it checks the crop
+simulation's draws, crops and aggregation, so it runs the library's public
+kernel and ideal bound on each crop that naive_random_crop draws."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 from anchorkit.ams import ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
 from anchorkit.corpus import ImageRecord, WiderParseError, kept_faces
-from anchorkit.cropsim import random_crop
 from anchorkit.matching import assign_labels_xywh
 from anchorkit.prng import substream
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
@@ -214,6 +214,38 @@ def naive_parse_wider(source) -> list:
 
 
 
+def naive_random_crop(image_w, image_h, faces, params, rng):
+    """Draw one square crop and transform the faces, xywh rows, into output
+    coordinates, one face at a time.
+
+    Three draws from rng: scale index, patch x, patch y. A face is kept when
+    its center lies in the half-open patch [x0, x0+side) x [y0, y0+side);
+    kept boxes are clipped to the patch and scaled by output_side/side.
+    Returns the kept (x, y, w, h) tuples and their indices in faces.
+    """
+    if image_w <= 0 or image_h <= 0:
+        raise ValueError("image dimensions must be positive")
+    n = len(params.scale_options)
+    scale = params.scale_options[min(int(rng.next_float() * n), n - 1)]
+    side = scale * min(image_w, image_h)
+    x0 = rng.uniform(0.0, image_w - side)
+    y0 = rng.uniform(0.0, image_h - side)
+    factor = params.output_side / side
+    kept, kept_idx = [], []
+    for i, (x, y, w, h) in enumerate(faces):
+        if not (x0 <= x + w / 2.0 < x0 + side and y0 <= y + h / 2.0 < y0 + side):
+            continue
+        nx1 = max(x, x0)
+        ny1 = max(y, y0)
+        nx2 = min(x + w, x0 + side)
+        ny2 = min(y + h, y0 + side)
+        kept.append(
+            ((nx1 - x0) * factor, (ny1 - y0) * factor, (nx2 - nx1) * factor, (ny2 - ny1) * factor)
+        )
+        kept_idx.append(i)
+    return kept, kept_idx
+
+
 def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
     """Crop simulation aggregated one crop and one face at a time, as scalar
     counters and strictly-greater maxima. Returns the cropsim.FaceSimStat
@@ -230,13 +262,13 @@ def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
         best_ideal = [0.0] * len(idx)
         rows = xywh.tolist()
         for _ in range(n_crops):
-            crop = random_crop(rec.width, rec.height, rows, params, rng)
-            if not crop.boxes:
+            boxes, source = naive_random_crop(rec.width, rec.height, rows, params, rng)
+            if not boxes:
                 continue
-            boxes = np.array(crop.boxes)
+            boxes = np.array(boxes)
             bounds = ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design).tolist()
             result = assign_labels_xywh(grid, boxes, cfg)
-            for k, bound, max_iou, count in zip(crop.source_indices, bounds,
+            for k, bound, max_iou, count in zip(source, bounds,
                                                 result.max_iou.tolist(),
                                                 result.positive_count.tolist()):
                 seen[k] += 1

@@ -53,6 +53,10 @@ def inputs(tmp_path_factory):
 _MATCH = ["match", "--annotations", "{mixed}", "--dims", "{dims}"]
 _SIM = ["simulate", "--annotations", "{wider}", "--dims", "{dims}", "--crops", "3",
         "--seed", "7", "--strategy", "sam_compensate"]
+# 20 crops per image, so most faces are seen in several crops and the
+# per-face maxima and counters fold many crops.
+_SIM20 = ["simulate", "--annotations", "{wider}", "--dims", "{dims}", "--crops", "20",
+          "--seed", "7"]
 
 CASES = {
     **{
@@ -88,6 +92,16 @@ CASES = {
                                          "--anchor-ar", "1.25"],
     "simulate-json": _SIM,
     "simulate-csv": _SIM + ["--format", "csv"],
+    **{
+        f"simulate-{name}-{fmt}": _SIM20 + extra + ["--format", fmt]
+        for name, extra in (
+            ("warm", ["--strategy", "warm"]),
+            ("sam", ["--strategy", "sam"]),
+            ("scales", ["--scales", "0.3,1.0", "--output-side", "320"]),
+            ("design-file", ["--design", "{design}"]),
+        )
+        for fmt in ("json", "csv")
+    },
     "rfd-table": ["rfd", "--channels", "64"],
     "rfd-json-bias": ["rfd", "--channels", "64", "--bias", "--format", "json"],
     "rfd-table-bias": ["rfd", "--channels", "12", "--bias"],
@@ -134,7 +148,15 @@ GOLDEN = {
     "rfd-table": (0, "54c0fa40c228ef2efe3651f84f8a609d80efe909968587547f65a7d84442d351"),
     "rfd-table-bias": (0, "1406df474209c0a98551a242bd0908b8cd01defacaf3571904326b558424724e"),
     "simulate-csv": (0, "0d222ae6b07cb57ef603ed30159c530deb0fe46b8d2fa726552aed9a8cb47e9a"),
+    "simulate-design-file-csv": (0, "80981f9e5a4ea3a85b9f3da7dfd0c27054cb71598dfc0d329fedb1cf4d836f49"),
+    "simulate-design-file-json": (0, "0e46f2d0753bb82c5230065b48d7dda69e791ffdaac2aaaf971de764cc2edb6a"),
     "simulate-json": (0, "4ab73a3dbd21846574c6c8df7ec998281285144c6bd365315523d2908f2f2045"),
+    "simulate-sam-csv": (0, "45716b0079c8d1837f6ba6979fe1a3782bd43e24a69342fbe40136073d94c5bc"),
+    "simulate-sam-json": (0, "aec0f4e83072bfd317e21c54b84338c6a833cd3f6132007c61aab4ccb2eb0c07"),
+    "simulate-scales-csv": (0, "d5dccd0af22b5a38a9a914a5a94d1eb7132bd3add96d45140382d35be4d31860"),
+    "simulate-scales-json": (0, "47e33225453a12d4fa19d2a781a694c45bc44bf22ce4b4ba05eaa22d69de9488"),
+    "simulate-warm-csv": (0, "cfa6ee6c65acc9d48b70a6c31d9f3952656797b23dabac73485d738381285bc8"),
+    "simulate-warm-json": (0, "a2ec4de4b3e7f010518105fe862bc3066a0250fcb38dfb395043118668aebaa8"),
 }
 
 

@@ -1,22 +1,26 @@
 import math
+import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anchorkit.ams import analytic_max_iou
 from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design
-from anchorkit.cropsim import CropParams, random_crop, simulate
-from anchorkit.geometry import Box
+from anchorkit import ams, cropsim
+from anchorkit.cropsim import CropParams, _crops, simulate
 from anchorkit.matching import MatchConfig, Strategy
 from anchorkit.prng import SplitMix64, substream
 from anchorkit.reports import emit_reports
 from builders import record as make_record, rows
-from oracles import naive_simulate
+from oracles import naive_random_crop, naive_simulate
 
 SAM = MatchConfig(strategy=Strategy.SAM)
 WARM = MatchConfig()
 FULL_PATCH = CropParams(scale_options=(1.0,))
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def record(path, width, height, boxes, invalid=()):
@@ -43,52 +47,100 @@ class TestCropParams:
             CropParams(**kwargs)
 
 
+def crops(width, height, faces, params, rng, n=1):
+    return _crops(width, height, np.array(faces, dtype=np.float64).reshape(-1, 4),
+                  params, rng, n)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
 class TestRandomCrop:
+    """_crops: an image's crops drawn and transformed at once."""
+
     def test_full_crop_of_square_image_is_uniform_resize(self):
         faces = [(10, 20, 40, 80), (200, 100, 32, 32)]
-        crop = random_crop(320, 320, faces, FULL_PATCH, SplitMix64(1))
-        assert crop.patch == Box(0.0, 0.0, 320.0, 320.0)
-        assert crop.scale_factor == 2.0
-        assert crop.source_indices == (0, 1)
-        for before, after in zip(faces, crop.boxes):
-            assert after == tuple(v * 2 for v in before)
-            assert after[3] / after[2] == pytest.approx(before[3] / before[2], rel=1e-12)
+        crop, face, boxes = crops(320, 320, faces, FULL_PATCH, SplitMix64(1), 3)
+        # Every full patch of a square image is the image itself.
+        assert crop.tolist() == [0, 0, 1, 1, 2, 2]
+        assert face.tolist() == [0, 1, 0, 1, 0, 1]
+        assert boxes.tolist() == [[v * 2.0 for v in f] for f in faces] * 3
 
     def test_center_on_far_edge_is_dropped(self):
         # Retention is half-open: a center exactly on the right edge is out.
         faces = [(98, 40, 4, 10)]  # cx == 100 == patch edge
-        crop = random_crop(100, 100, faces, FULL_PATCH, SplitMix64(3))
-        assert crop.boxes == ()
+        crop, face, boxes = crops(100, 100, faces, FULL_PATCH, SplitMix64(3), 4)
+        assert crop.size == face.size == 0
+        assert boxes.shape == (0, 4)
 
     def test_half_clipped_face_arithmetic(self):
-        # Face sticking out of the patch: kept (center inside), clipped, scaled.
+        # Face sticking out of the patch: kept (center inside), clipped, and
+        # scaled by 640 / 100.
         faces = [(92, 40, 10, 10)]  # cx = 97 < 100, clipped at x = 100
-        crop = random_crop(100, 100, faces, FULL_PATCH, SplitMix64(3))
-        assert crop.scale_factor == 6.4
-        (b,) = crop.boxes
-        assert b == (92 * 6.4, 40 * 6.4, 8 * 6.4, 10 * 6.4)
-        assert b[3] / b[2] == pytest.approx(1.25, rel=1e-12)
+        crop, face, boxes = crops(100, 100, faces, FULL_PATCH, SplitMix64(3))
+        assert (crop.tolist(), face.tolist()) == ([0], [0])
+        assert boxes.tolist() == [[92 * 6.4, 40 * 6.4, 8 * 6.4, 10 * 6.4]]
+        assert boxes[0, 3] / boxes[0, 2] == pytest.approx(1.25, rel=1e-12)
 
     def test_same_rng_state_same_crop(self):
-        faces = [(30, 30, 40, 40)]
+        faces = [(30, 30, 40, 40), (100, 20, 90, 60)]
         params = CropParams(scale_options=(0.4, 0.7, 1.0))
-        a = random_crop(300, 200, faces, params, SplitMix64(9))
-        b = random_crop(300, 200, faces, params, SplitMix64(9))
-        assert a == b
+        a = crops(300, 200, faces, params, SplitMix64(9), 20)
+        b = crops(300, 200, faces, params, SplitMix64(9), 20)
+        for x, y in zip(a, b):
+            assert bits(x) == bits(y)
+        assert len(set(a[0].tolist())) > 1
 
     def test_patch_within_image(self):
+        # Face centres on a lattice finer than the smallest patch, so every
+        # crop keeps some. Each centre has a face with its top-left corner at
+        # the image's and one with its bottom-right corner at the image's:
+        # the first starts at the patch's corner only if the patch starts
+        # inside the image, the second fills the patch only if it ends inside.
+        w_img, h_img = 517, 301
         params = CropParams(scale_options=(0.3, 0.6, 1.0))
-        rng = SplitMix64(5)
-        for _ in range(200):
-            crop = random_crop(517, 301, [], params, rng)
-            p = crop.patch
-            assert p.w == p.h
-            assert p.x >= 0 and p.y >= 0
-            assert p.x2 <= 517 + 1e-9 and p.y2 <= 301 + 1e-9
+        centres = [(cx, cy) for cx in range(25, w_img, 50) for cy in range(25, h_img, 50)]
+        top_left = [(0, 0, 2 * cx, 2 * cy) for cx, cy in centres]
+        bottom_right = [(2 * cx - w_img, 2 * cy - h_img, 2 * (w_img - cx), 2 * (h_img - cy))
+                        for cx, cy in centres]
+        crop, face, boxes = crops(w_img, h_img, top_left + bottom_right, params,
+                                  SplitMix64(5), 200)
+        assert np.unique(crop).tolist() == list(range(200))
+        first = face < len(centres)
+        assert (boxes[first, :2] == 0.0).all()
+        x2, y2 = (boxes[~first, :2] + boxes[~first, 2:]).T
+        assert x2 == pytest.approx(np.full(x2.size, 640.0), rel=1e-12)
+        assert y2 == pytest.approx(np.full(y2.size, 640.0), rel=1e-12)
 
     def test_rejects_bad_image(self):
-        with pytest.raises(ValueError):
-            random_crop(0, 10, [], FULL_PATCH, SplitMix64(0))
+        for w, h in ((0, 10), (10, -1)):
+            with pytest.raises(ValueError, match="image dimensions must be positive"):
+                crops(w, h, [], FULL_PATCH, SplitMix64(0))
+
+    @settings(max_examples=300)
+    @given(
+        dims=st.tuples(*[st.one_of(st.integers(1, 2000), st.floats(0.5, 2000.0))] * 2),
+        faces=st.lists(st.tuples(st.floats(-100.0, 2100.0), st.floats(-100.0, 2100.0),
+                                 st.floats(0.01, 800.0), st.floats(0.01, 800.0)),
+                       max_size=8),
+        # The scalar crop divides by the patch side, which tiny scales underflow.
+        scales=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5),
+        output_side=st.floats(1.0, 2000.0),
+        state=st.integers(0, 2**64 - 1),
+        n=st.integers(0, 8),
+    )
+    @example(dims=(100, 100), faces=[(-0.0, -0.0, 150.0, 150.0), (98.0, 40.0, 4.0, 10.0)],
+             scales=[1.0], output_side=640.0, state=3, n=2)
+    def test_matches_scalar_crops(self, dims, faces, scales, output_side, state, n):
+        params = CropParams(scale_options=scales, output_side=output_side)
+        rng, oracle = SplitMix64(state), SplitMix64(state)
+        crop, face, boxes = crops(*dims, faces, params, rng, n)
+        want = [naive_random_crop(*dims, faces, params, oracle) for _ in range(n)]
+        assert crop.tolist() == [c for c, (kept, _) in enumerate(want) for _ in kept]
+        assert face.tolist() == [i for _, idx in want for i in idx]
+        assert bits(boxes) == bits([box for kept, _ in want for box in kept] or np.empty((0, 4)))
+        assert rng.next_u64() == oracle.next_u64()
 
 
 class TestSimulate:
@@ -253,6 +305,55 @@ class TestSimulateDifferential:
         assert out.per_face.crops_seen[0] > 0
 
 
+class TestFaceBlock:
+    """simulate draws an image's crops ams.FACE_BLOCK crop-face cells at a time."""
+
+    RECORDS = [
+        record("img/five.jpg", 300, 200, [(10, 10, 40, 50), (60, 30, 20, 60), (150, 80, 90, 30),
+                                          (200, 120, 35, 35), (250, 20, 30, 90)]),
+        record("img/none.jpg", 200, 120, [(40, 30, 50, 40)], invalid=[0]),
+        record("img/one.jpg", 120, 160, [(30, 40, 60, 70)]),
+        record("img/three.jpg", 256, 256, [(0, 0, 128, 128), (100, 100, 40, 20), (180, 30, 30, 30)]),
+    ]
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_block_does_not_change_columns(self, block, monkeypatch):
+        params = CropParams(scale_options=(0.3, 0.6, 1.0), output_side=128.0)
+        want = simulate(self.RECORDS, SMALL_DESIGN, WARM, 9, 5, params).per_face
+        calls = []
+        bound = ams.ideal_max_iou
+        monkeypatch.setattr(ams, "FACE_BLOCK", block)
+        monkeypatch.setattr(ams, "ideal_max_iou", lambda *a: calls.append(1) or bound(*a))
+        got = simulate(self.RECORDS, SMALL_DESIGN, WARM, 9, 5, params).per_face
+        for f in fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
+        assert bits(got.best_observed_iou) == bits(want.best_observed_iou)
+        assert bits(got.best_ideal_iou) == bits(want.best_ideal_iou)
+        # One bound call per block; the image with no kept face draws nothing.
+        assert len(calls) == sum(-(-9 // max(1, block // m)) for m in (5, 1, 3))
+
+    def test_memory_bounded_by_face_block(self, monkeypatch):
+        # 200 faces x 1000 crops: drawn in one piece, the crops alone peak
+        # near 13 MB. The kernel is stubbed, since its memory has its own
+        # bounds in test_matching.py and its calls would dominate the time.
+        def kernel(grid, boxes, cfg):
+            return SimpleNamespace(max_iou=np.ones(len(boxes)),
+                                   positive_count=np.ones(len(boxes), dtype=np.int64))
+
+        monkeypatch.setattr(cropsim, "assign_labels_xywh", kernel)
+        faces = [(20 * i + 2, 30 * j + 3, 14, 20) for i in range(20) for j in range(10)]
+        rec = record("img/crowd.jpg", 400, 300, faces)
+        tracemalloc.start()
+        try:
+            out = simulate([rec], SMALL_DESIGN, WARM, 1000, 3, CropParams(output_side=128.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.per_face.crops_seen.sum() > 50_000
+        assert peak < 3_000_000
+
+
 class TestPrng:
     def test_substreams_are_stable(self):
         a = substream(42, 0)
@@ -270,13 +371,19 @@ class TestPrng:
         assert all(0.0 <= x < 1.0 for x in xs)
         assert 0.4 < sum(xs) / len(xs) < 0.6
 
-    def test_next_index_bounds(self):
-        rng = SplitMix64(5)
-        ks = [rng.next_index(7) for _ in range(2000)]
-        assert set(ks) == {0, 1, 2, 3, 4, 5, 6}
-
-    def test_next_index_validates(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).next_index(0)
+    def test_substream_rejects_negative_index(self):
         with pytest.raises(ValueError):
             substream(0, -1)
+
+    @given(state=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 64, 2**64 - 1)),
+           n=st.integers(0, 40))
+    @example(state=2**64 - 1, n=0)
+    @example(state=2**64 - GAMMA, n=3)  # the first word's state is 0
+    @example(state=GAMMA - 1, n=2)
+    def test_next_floats_equal_sequential_draws(self, state, n):
+        batch, one = SplitMix64(state), SplitMix64(state)
+        got = batch.next_floats(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert bits(got) == bits([one.next_float() for _ in range(n)])
+        # Both generators end in the same state.
+        assert batch.next_u64() == one.next_u64()

@@ -462,6 +462,19 @@ class TestCompensation:
         assert not res.compensated[0]
         assert res.positive_count[1] == 0
 
+    def test_lowest_unmatched_face_claims_a_shared_anchor(self):
+        # Both faces are unmatched and their argmax is anchor 3, which is not
+        # positive. Face 0 claims it although face 1 overlaps it more; face 1
+        # is left without positives.
+        anchors = one_level(100, (10.0,), 200, 200)
+        faces = [[130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0]]
+        cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
+        res = assign_labels_xywh(anchors, faces, cfg)
+        assert res.max_iou.tolist() == [100 / 1600, 100 / 400]
+        assert res.labels.tolist() == [NEGATIVE, NEGATIVE, NEGATIVE, 0]
+        assert res.compensated.tolist() == [False, False, False, True]
+        assert res.positive_count.tolist() == [1, 0]
+
     def test_plain_sam_never_compensates(self):
         anchors, faces = small_scene(9)
         res = assign_labels_xywh(anchors, faces, SAM)
