@@ -36,7 +36,6 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, FaceSimStat, SimOutcome, simulate
-from .geometry import Box, aspect_ratio, ideal_max_intersection, iou, iou_matrix, iou_pairs
 from .matching import (
     IGNORE,
     NEGATIVE,
@@ -45,6 +44,7 @@ from .matching import (
     Strategy,
     arsd_contains,
     assign_labels_xywh,
+    iou_pairs,
     warm_threshold,
 )
 from .reports import MatchReport, emit_reports
@@ -63,7 +63,6 @@ __all__ = [
     "AmsReport",
     "AnchorDesign",
     "AnchorGrid",
-    "Box",
     "ConvSpec",
     "CropParams",
     "FACE_COLUMNS",
@@ -86,17 +85,13 @@ __all__ = [
     "analytic_max_iou",
     "ar_coverage",
     "arsd_contains",
-    "aspect_ratio",
     "assign_labels_xywh",
     "boundary_ar",
     "detector_design",
     "emit_reports",
     "generate_anchor_boxes",
     "generate_synthetic",
-    "ideal_max_intersection",
     "ideal_max_iou",
-    "iou",
-    "iou_matrix",
     "iou_pairs",
     "kept_faces",
     "ladder_design",

@@ -182,16 +182,17 @@ class AnchorGrid:
     at ((i+0.5)*stride, (j+0.5)*stride), w wide and h = w * aspect_ratio
     high, not clipped to the image (clipping would change IoU values), and
     is row first + (j*nx + i)*step. Rows are thus ordered by (level,
-    row-major grid cell, size). len() and shape come from the plane table;
-    np.asarray(grid) builds the (N, 4) float64 xywh rows. A canvas with no
-    cells, more than MAX_GRID_ROWS anchors, an anchor height of 0, or an
-    anchor side of MAX_EXTENT or more is refused before any array is built.
+    row-major grid cell, size). len(), shape and np.asarray(grid), the
+    (N, 4) float64 xywh rows built plane by plane, all come from the plane
+    table. A canvas with no cells, more than MAX_GRID_ROWS anchors, an
+    anchor height of 0, or an anchor side of MAX_EXTENT or more is refused
+    before any array is built.
     """
 
     def __init__(self, design: AnchorDesign, image_w: float, image_h: float):
         if image_w <= 0 or image_h <= 0:
             raise ValueError("image dimensions must be positive")
-        self._levels, planes, rows = [], [], 0
+        planes, rows = [], 0
         for level in design.levels:
             nx = math.floor(image_w / level.stride)
             ny = math.floor(image_h / level.stride)
@@ -207,7 +208,6 @@ class AnchorGrid:
             k = len(level.sizes)
             planes += [(level.stride, s, s * design.aspect_ratio, nx, ny, rows + t, k)
                        for t, s in enumerate(level.sizes)]
-            self._levels.append((level, nx, ny))
             rows += nx * ny * k
         if rows > MAX_GRID_ROWS:
             raise ValueError(f"a {image_w}x{image_h} canvas asks for {rows} anchors, "
@@ -228,18 +228,14 @@ class AnchorGrid:
         return (self._rows, 4)
 
     def __array__(self, dtype=None, copy=None):
-        blocks = []
-        for level, nx, ny in self._levels:
-            xs = (np.arange(nx, dtype=np.float64) + 0.5) * level.stride
-            ys = (np.arange(ny, dtype=np.float64) + 0.5) * level.stride
-            sizes = np.asarray(level.sizes, dtype=np.float64)
-            k = sizes.size
-            cx = np.repeat(np.tile(xs, ny), k)
-            cy = np.repeat(np.repeat(ys, nx), k)
-            w = np.tile(sizes, nx * ny)
-            h = w * self.design.aspect_ratio
-            blocks.append(np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h]))
-        rows = np.concatenate(blocks, axis=0)
+        rows = np.empty((self._rows, 4), dtype=np.float64)
+        for s, (w, h), (nx, ny), first, step in zip(
+                self.stride.tolist(), self.size.tolist(), self.cells.tolist(),
+                self.first.tolist(), self.step.tolist()):
+            plane = rows[first:first + nx * ny * step:step].reshape(ny, nx, 4)
+            plane[..., 0] = (np.arange(nx, dtype=np.float64) + 0.5) * s - w / 2.0
+            plane[..., 1] = ((np.arange(ny, dtype=np.float64) + 0.5) * s - h / 2.0)[:, None]
+            plane[..., 2:] = w, h
         return rows if dtype is None else rows.astype(dtype, copy=False)
 
 

@@ -246,7 +246,8 @@ def corpus_counts(records: Iterable[ImageRecord]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class LogUniformAR:
-    """Aspect ratios drawn log-uniformly from [lo, hi]."""
+    """Aspect ratios drawn log-uniformly from [lo, hi]; lo, hi and hi/lo
+    must be finite."""
 
     lo: float
     hi: float
@@ -254,6 +255,9 @@ class LogUniformAR:
     def __post_init__(self):
         if not 0 < self.lo <= self.hi:
             raise ValueError("need 0 < lo <= hi")
+        if not (self.hi < math.inf and self.hi / self.lo < math.inf):
+            raise ValueError(f"aspect ratio bounds lo={self.lo!r}, hi={self.hi!r} must be "
+                             f"finite, and so must hi/lo")
 
     def ar_for(self, index: int, rng: SplitMix64) -> float:
         return self.lo * (self.hi / self.lo) ** rng.next_float()

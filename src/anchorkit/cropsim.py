@@ -120,7 +120,9 @@ def simulate(
     retained face drew at least one positive anchor and what its best grid
     IoU was. An image's crops are drawn and bounded in blocks of at most
     ams.FACE_BLOCK crop-face cells (or one crop); the values do not depend
-    on the block. Every record must carry pixel dimensions.
+    on the block. Every record must carry pixel dimensions, and on every
+    image that keeps a face the smallest crop patch must have a side above
+    0 and a finite rescale factor; both are checked before any draw.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
@@ -132,6 +134,12 @@ def simulate(
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
 
     kept = [kept_faces(rec) for rec in record_list]
+    scale = min(params.scale_options)  # if its patch rescales, larger ones do
+    for rec, (idx, _) in zip(record_list, kept):
+        side = scale * min(rec.width, rec.height)
+        if len(idx) and not (side > 0 and math.isfinite(params.output_side / side)):
+            raise ValueError(f"image {rec.path!r}: crop scale {scale!r} gives a patch side of "
+                             f"{side!r} px, too small to rescale to {params.output_side!r} px")
     sizes = [len(idx) for idx, _ in kept]
     paths = np.array([rec.path for rec in record_list], dtype=object)
     face = np.empty(sum(sizes), dtype=np.int64)

@@ -1,6 +1,6 @@
 """Anchor label assignment: fixed-threshold SAM, the WARM variable-threshold
 strategy, the anchor-compensation baseline, and aspect-ratio sampling-domain
-membership tests.
+membership tests. iou_pairs is the one IoU routine.
 
 assign_labels_xywh states the label contract. WARM lowers the positive
 threshold linearly for faces whose aspect ratio falls in the extreme-AR
@@ -16,7 +16,6 @@ from enum import Enum
 import numpy as np
 
 from .anchors import MAX_EXTENT, AnchorGrid
-from .geometry import iou_pairs
 
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
@@ -72,6 +71,27 @@ class MatchConfig:
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "strategy": self.strategy.value}
+
+
+def iou_pairs(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of two broadcastable (..., 4) xywh box arrays.
+
+    Each axis overlap is clamped at zero and by both boxes' extents: the
+    subtraction of rounded corner coordinates can otherwise exceed the true
+    width by an ulp, which would push the IoU of identical thin boxes above 1.
+    The clamp also means no pair of boxes can score above the IoU of their
+    two shapes placed concentrically.
+    """
+    a = np.asarray(a_xywh, dtype=np.float64)
+    b = np.asarray(b_xywh, dtype=np.float64)
+    ax1, ay1, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.maximum(np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1), 0.0)
+    ih = np.maximum(np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1), 0.0)
+    iw = np.minimum(iw, np.minimum(aw, bw))
+    ih = np.minimum(ih, np.minimum(ah, bh))
+    inter = iw * ih
+    return inter / ((aw * ah) + (bw * bh) - inter)
 
 
 def arsd_contains(r, anchor_ar: float, eta: float):
@@ -203,9 +223,10 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     lo, count = _cell_range(corner, corner + faces[:, None, 2:], grid.size,
                             grid.stride[:, None], grid.cells)
     span = count[..., 0] * count[..., 1]
-    (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
-    inter = np.minimum(aw, fw) * np.minimum(ah, fh)
-    bound = inter / ((aw * ah) + (fw * fh) - inter)  # concentric shapes' IoU
+    # The concentric bound: each plane's anchor shape against each face
+    # shape, both with their corner at (0, 0).
+    bound = iou_pairs(np.hstack([np.zeros_like(grid.size), grid.size]),
+                      np.hstack([np.zeros_like(faces[:, 2:]), faces[:, 2:]])[:, None])
 
     face_max = np.zeros(m, dtype=np.float64)
     face_arg = np.zeros(m, dtype=np.int64)

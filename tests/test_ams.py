@@ -9,20 +9,22 @@ import anchorkit.ams
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
 from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
 from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic, kept_faces
-from anchorkit.geometry import Box, iou as box_iou, iou_matrix
+from anchorkit.matching import iou_pairs
 from builders import record, rows
-from oracles import naive_ideal_max_iou
+from oracles import naive_ideal_max_iou, naive_iou
 
 
 def geometry_ladder_max(face_w: float, face_ar: float, design) -> float:
-    """Independent route to the ideal ladder IoU: build concentric Box pairs
-    and take the geometry module's IoU, maximizing over the design sizes."""
-    face = Box(0.0, 0.0, face_w, face_w * face_ar)
+    """Independent route to the ideal ladder IoU: place each design size's
+    anchor centred on the face, as xywh rows, and take the scalar IoU,
+    maximizing over the sizes."""
+    face_h = face_w * face_ar
+    cx, cy = face_w / 2.0, face_h / 2.0
     best = 0.0
     for s in design.sizes:
         h = s * design.aspect_ratio
-        anchor = Box(face.cx - s / 2.0, face.cy - h / 2.0, s, h)
-        best = max(best, box_iou(face, anchor))
+        anchor = (cx - s / 2.0, cy - h / 2.0, s, h)
+        best = max(best, naive_iou((0.0, 0.0, face_w, face_h), anchor))
     return best
 
 
@@ -116,7 +118,7 @@ class TestIdealMaxIou:
         x = rng.uniform(0, 640 - 1, n)
         y = rng.uniform(0, 640 - 1, n)
         faces = np.column_stack([x, y, w, w * ar])
-        grid_max = iou_matrix(anchors, faces).max(axis=0)
+        grid_max = iou_pairs(np.asarray(anchors)[:, None], faces).max(axis=0)
         for j in range(n):
             assert grid_max[j] <= ideal_max_iou(w[j], ar[j], design) + 1e-9
 

@@ -21,6 +21,25 @@ from oracles import eager_anchor_rows
 SQRT2 = math.sqrt(2.0)
 
 
+@st.composite
+def grid_designs(draw):
+    """A design of 1-3 levels with 1-4 sizes each, its strides fractional
+    or whole, on a canvas of independent width and height that holds at
+    least one cell of every level."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    pool = draw(st.lists(st.floats(0.25, 64.0, allow_nan=False), min_size=sum(counts),
+                         max_size=sum(counts), unique=True))
+    strides = draw(st.lists(st.one_of(st.floats(0.5, 12.0), st.sampled_from([1.0, 4.0, 8.0])),
+                            min_size=len(counts), max_size=len(counts)))
+    levels, k = [], 0
+    for i, (count, stride) in enumerate(zip(counts, strides)):
+        levels.append(PyramidLevel(f"L{i}", stride, tuple(sorted(pool[k:k + count]))))
+        k += count
+    design = AnchorDesign(levels=tuple(levels), aspect_ratio=draw(st.floats(0.1, 10.0)))
+    side = st.floats(max(strides), 40.0)
+    return design, draw(side), draw(side)
+
+
 class TestDetectorDesign:
     def test_fifteen_sizes_min_max(self):
         d = detector_design()
@@ -205,6 +224,15 @@ class TestGenerateAnchors:
         assert rows.shape == grid.shape == (len(grid), 4)
         assert rows.tobytes() == eager_anchor_rows(design, w, h).tobytes()
         assert np.asarray(grid, dtype=np.float32).dtype == np.float32
+
+    @given(scene=grid_designs(), dtype=st.sampled_from([None, np.float64, np.float32]))
+    def test_rows_match_eager_builder_any_design(self, scene, dtype):
+        # 1-3 levels of 1-4 sizes each, fractional strides, non-square canvases.
+        design, w, h = scene
+        rows = np.asarray(generate_anchor_boxes(design, w, h), dtype=dtype)
+        expected = eager_anchor_rows(design, w, h).astype(dtype or np.float64)
+        assert rows.dtype == expected.dtype
+        assert rows.tobytes() == expected.tobytes()
 
     def test_plane_table(self):
         # One plane per (level, size); row of cell (i, j) = first + (j*nx + i)*step.

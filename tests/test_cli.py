@@ -218,6 +218,44 @@ class TestBadInput:
         assert main(argv) == 1
         _one_error_line(capsys, field)
 
+    @pytest.mark.parametrize("argv, bounds", [
+        (["ams", "--synthetic", "3", "--ar-hi", "inf"], "hi=inf"),
+        (["ams", "--synthetic", "3", "--ar-lo", "1e-320", "--ar-hi", "1"], "lo=1e-320"),
+    ], ids=["ar-hi-inf", "ar-ratio-overflow"])
+    def test_log_uniform_ar_bounds_named(self, argv, bounds, capsys):
+        # An infinite bound, or hi/lo overflowing to inf, is refused by the law.
+        assert main(argv) == 1
+        _one_error_line(capsys, "aspect ratio bounds", bounds)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dims, scales, face", [
+        ("5e-324", "1.0", "-1 -1 2 2"),
+        ("0.5", "5e-324", "0 0 1 1"),
+        ("0.5", "1e-310", "0 0 1 1"),
+    ], ids=["subnormal-image", "zero-patch-side", "infinite-rescale"])
+    def test_crop_patch_too_small_to_rescale(self, dims, scales, face, tmp_path, capsys):
+        # Refused before any crop is drawn: no overflow warning, no traceback,
+        # and no run that silently keeps no face.
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a.jpg\n1\n%s 0 0 0 0 0 0\n" % face, encoding="utf-8")
+        sidecar = tmp_path / "dims.csv"
+        sidecar.write_text("a.jpg,%s,%s\n" % (dims, dims), encoding="utf-8")
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(sidecar),
+                "--crops", "2", "--scales", scales]
+        assert main(argv) == 1
+        _one_error_line(capsys, "image 'a.jpg'", f"crop scale {float(scales)!r}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_image_without_kept_faces_is_not_refused(self, tmp_path, capsys):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a.jpg\n1\n0 0 1 1 0 0 0 1 0 0\nb.jpg\n1\n0 0 8 8 0 0 0 0 0 0\n",
+                       encoding="utf-8")
+        sidecar = tmp_path / "dims.csv"
+        sidecar.write_text("a.jpg,5e-324,5e-324\nb.jpg,64,64\n", encoding="utf-8")
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(sidecar), "--crops", "2"]
+        assert main(argv) == 0
+        assert [f["image"] for f in json.loads(capsys.readouterr().out)["per_face"]] == ["b.jpg"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--eta", "nan"), ("--eta", "inf"), ("--eta", "1"), ("--eta", "0.5"),
         ("--anchor-ar", "nan"), ("--anchor-ar", "inf"), ("--anchor-ar", "0"),

@@ -1,7 +1,8 @@
-"""The README's library example runs and prints what its comments say, and
-every public name resolves."""
+"""The README's library example runs and prints what its comments say,
+every public name resolves, and every module the README describes exists."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import anchorkit
 from anchorkit import MatchConfig, Strategy, assign_labels_xywh
 
 README = Path(__file__).parent.parent / "README.md"
+PACKAGE = Path(anchorkit.__file__).parent
 
 
 def library_example() -> str:
@@ -47,3 +49,10 @@ def test_library_example_and_public_names():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(anchorkit, name), name
+
+
+def test_module_bullets_name_package_files():
+    bullets = re.findall(r"^- \*\*(\w+)\*\* —", README.read_text(encoding="utf-8"), re.M)
+    assert bullets
+    for name in bullets:
+        assert (PACKAGE / f"{name}.py").is_file(), name
