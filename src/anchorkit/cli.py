@@ -137,12 +137,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
     max_stride = max(lv.stride for lv in design.levels)
 
     report = MatchReport(cfg)
+    grids = {}  # one grid per distinct canvas, keyed by (width, height)
     for rec in records:
         idx, xywh = kept_faces(rec)
         if len(idx) == 0:
             continue
-        grid = generate_anchor_boxes(design, *_canvas_for(rec, xywh, max_stride))
-        report.add(rec.path, idx, xywh, assign_labels_xywh(grid, xywh, cfg))
+        canvas = _canvas_for(rec, xywh, max_stride)
+        if canvas not in grids:
+            grids[canvas] = generate_anchor_boxes(design, *canvas)
+        report.add(rec.path, idx, xywh, assign_labels_xywh(grids[canvas], xywh, cfg))
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 

@@ -20,9 +20,10 @@ from .anchors import MAX_EXTENT, AnchorGrid
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
 IGNORE = -2
-# Most candidate (face, anchor) pairs assign_labels_xywh expands at once,
+# Most candidate (face, anchor) pairs the kernel expands at once,
 # before the overlap test; a chunk of faces always holds at least one face.
-PAIR_BUDGET = 2**20
+# Each pair expanded takes a few hundred bytes of temporaries.
+PAIR_BUDGET = 2**15
 
 
 class Strategy(Enum):
@@ -134,7 +135,8 @@ def warm_threshold(r, cfg: MatchConfig):
 class MatchResult:
     """Per-anchor labels, held sparsely, plus per-face statistics.
 
-    rows are the anchor rows that assignment touched (ascending), with their
+    rows are the anchor rows that a face overlaps with an IoU of at least
+    cfg.tn, and those anchor compensation claimed (ascending), with their
     row_labels and row_compensated flags; every other anchor carries the
     background label and is not compensated. labels and compensated build
     the dense per-anchor arrays on each read: labels[i] is a face index
@@ -203,12 +205,40 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     overlap to the smaller extent and rounding is monotone, so no anchor on
     it can score more, and it can make no anchor positive or ignore. A face
     whose best IoU found is below cfg.tn is scored again over every plane,
-    so its max IoU and argmax are those of the whole grid.
+    so its max IoU and argmax are those of the whole grid. Pairs below
+    cfg.tn are not kept: they decide no label, since their anchor is either
+    negative, the background when cfg.tn > 0, or has a better pair.
+    """
+    return _assign(grid, face_xywh, 0, cfg)
+
+
+def _assign(grid: AnchorGrid, face_xywh: np.ndarray, group, cfg: MatchConfig) -> MatchResult:
+    """assign_labels_xywh for many independent sets of faces on one grid at
+    once: face f belongs to set group[f] (a non-negative int per face, or
+    one int for all of them).
+
+    Each set is labelled on its own copy of grid: the anchor row r of set g
+    is keyed g * len(grid) + r, and the result covers n_groups * len(grid)
+    keys, n_groups being the largest group id plus one (one with no face).
+    Restricted to the keys of set g and to its faces, in the order given,
+    the result is that of assign_labels_xywh on those faces alone, with
+    labels naming indices into face_xywh. A face that overlaps no anchor
+    claims its set's first row. The background label is shared, so under
+    cfg.tn == 0 a set id with no face reads IGNORE, not NEGATIVE. The
+    decisive pairs of all sets are held until the end, so callers keep the
+    sets small. A group count whose keys would reach 2**63 is refused
+    before any array is built.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
     m = faces.shape[0]
+    group = np.broadcast_to(np.asarray(group, dtype=np.int64), (m,))
+    if m and group.min() < 0:
+        raise ValueError("group ids must be non-negative")
+    n_groups = int(group.max()) + 1 if m else 1
+    if n_groups * len(grid) >= 2**63:
+        raise ValueError(f"{n_groups} groups of {len(grid)} anchors overflow the int64 row keys")
     if not (np.abs(faces) < MAX_EXTENT).all():
         raise ValueError("faces must be finite, each value below 2**511 in magnitude")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
@@ -229,25 +259,27 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
                       np.hstack([np.zeros_like(faces[:, 2:]), faces[:, 2:]])[:, None])
 
     face_max = np.zeros(m, dtype=np.float64)
-    face_arg = np.zeros(m, dtype=np.int64)
+    base = group * len(grid)  # each face's key of its set's row 0
+    face_arg = base.copy()
     kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
     todo, counts = np.arange(m), np.where(bound < cfg.tn, 0, span)
     for _ in range(2):  # the second pass rescores, over every plane, faces below tn
         for part in _chunks(counts.sum(axis=1), PAIR_BUDGET):
             j = todo[part]
-            row, face, val = pairs = _candidates(grid, faces, j, counts[part], lo[j], count[j])
+            row, face, val = _candidates(grid, faces, base, j, counts[part], lo[j], count[j])
             first = np.lexsort((row, -val, face))
             first = first[_starts(face[first])]
             face_max[face[first]] = val[first]
             face_arg[face[first]] = row[first]
-            kept = _decisive(*map(np.concatenate, zip(kept, pairs)), tp)
+            reach = val >= cfg.tn  # pairs below tn decide no label
+            kept = _decisive(*map(np.concatenate, zip(kept, (row[reach], face[reach], val[reach]))), tp)
         todo = np.flatnonzero(face_max < cfg.tn)
         counts = span[todo]
 
     row, face, val = kept
     first = _starts(row)
     rows = row[first]
-    labels = np.where(val[first] < cfg.tn, NEGATIVE, IGNORE)
+    labels = np.full(rows.size, IGNORE)
     up = val > tp[face]  # at most one pair per row: its best positive
     labels[np.cumsum(first)[up] - 1] = face[up]
     positive_count = np.bincount(face[up], minlength=m)
@@ -255,7 +287,7 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     compensated = np.zeros(rows.size, dtype=bool)
 
     if cfg.strategy is Strategy.SAM_COMPENSATE:
-        # Give every row a face may claim a slot: row 0 may be untouched.
+        # Give every row a face may claim a slot: a set's row 0 may be untouched.
         claim = np.sort(np.concatenate([rows, face_arg[positive_count == 0]]))
         claim = claim[_starts(claim)]
         if claim.size > rows.size:
@@ -271,7 +303,7 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         compensated[slot] = True
         positive_count[j] = 1
 
-    return MatchResult(len(grid), rows, labels, compensated, background,
+    return MatchResult(n_groups * len(grid), rows, labels, compensated, background,
                        face_max, positive_count, tp)
 
 
@@ -298,12 +330,13 @@ def _chunks(pairs: np.ndarray, budget: int):
         lo = hi
 
 
-def _candidates(grid, faces, j, counts, lo, count):
-    """(anchor row, face, IoU) of the anchors that strictly overlap a face
+def _candidates(grid, faces, base, j, counts, lo, count):
+    """(row key, face, IoU) of the anchors that strictly overlap a face
     faces[j[f]], among the counts[f, p] anchors of plane p whose cells start
-    at lo[f, p] and number count[f, p] per axis. The overlap test is one
-    test per axis, so each axis's cells are tested once and the hits paired;
-    the anchor corners come from the same float operations as the rows."""
+    at lo[f, p] and number count[f, p] per axis; anchor row r of face i is
+    keyed base[i] + r. The overlap test is one test per axis, so each axis's
+    cells are tested once and the hits paired; the anchor corners come from
+    the same float operations as the rows."""
     group = np.flatnonzero(counts.ravel())
     face, plane = j[group // counts.shape[1]], group % counts.shape[1]
     lo, count = lo.reshape(-1, 2)[group], count.reshape(-1, 2)[group]
@@ -315,9 +348,10 @@ def _candidates(grid, faces, j, counts, lo, count):
     xi = (np.cumsum(nx) - nx)[at] + off % nx[at]
     yi = (np.cumsum(ny) - ny)[at] + off // nx[at]
     p = plane[at]
-    row = grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
+    face = face[at]
+    row = base[face] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
     val = iou_pairs(np.stack([ax1[xi], ay1[yi], aw[at], ah[at]], -1), f[at])
-    return row, face[at], val
+    return row, face, val
 
 
 def _axis_hits(lo, count, stride, size, f1, f2):

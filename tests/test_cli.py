@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 import anchorkit.anchors
+import anchorkit.cli
+from anchorkit.anchors import generate_anchor_boxes
 from anchorkit.cli import build_parser, main
-from anchorkit.matching import MatchConfig
+from anchorkit.matching import MatchConfig, assign_labels_xywh
 
 FIXTURE = str(Path(__file__).parent / "data" / "wider_50.txt")
 
@@ -170,6 +172,32 @@ class TestMatchCommand:
 
     def test_bad_config_exit_1(self, mini_file, capsys):
         assert main(["match", "--annotations", mini_file, "--tp", "0.3", "--tn", "0.4"]) == 1
+
+    def test_one_grid_per_distinct_canvas(self, tmp_path, capsys, monkeypatch):
+        # Five images with faces on two canvases, plus one with none: two
+        # grids, each reused, and still one kernel call per image.
+        names = ["a", "b", "c", "d", "e", "f"]
+        ann = tmp_path / "ann.txt"
+        ann.write_text("".join(f"{n}.jpg\n1\n{10 + i} 20 30 40 0 0 0 0 0 0\n" for i, n in
+                               enumerate(names[:5])) + "f.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n",
+                       encoding="utf-8")
+        dims = tmp_path / "dims.csv"
+        dims.write_text("".join(f"{n}.jpg,{w},{h}\n" for n, (w, h) in
+                                zip(names, [(640, 480), (320, 320), (640, 480), (640, 480),
+                                            (320, 320), (128, 128)])), encoding="utf-8")
+        argv = ["match", "--annotations", str(ann), "--dims", str(dims), "--format", "csv"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        built, kernel = [], []
+        monkeypatch.setattr(anchorkit.cli, "generate_anchor_boxes",
+                            lambda d, w, h: built.append((w, h)) or generate_anchor_boxes(d, w, h))
+        monkeypatch.setattr(anchorkit.cli, "assign_labels_xywh",
+                            lambda g, f, c: kernel.append(g) or assign_labels_xywh(g, f, c))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert built == [(640.0, 480.0), (320.0, 320.0)]
+        assert [(g.image_w, g.image_h) for g in kernel] == [built[i] for i in (0, 1, 0, 0, 1)]
+        assert kernel[0] is kernel[2] is kernel[3] and kernel[1] is kernel[4]
 
 
 def _refuse_constant(name):

@@ -337,11 +337,11 @@ class TestFaceBlock:
         # 200 faces x 1000 crops: drawn in one piece, the crops alone peak
         # near 13 MB. The kernel is stubbed, since its memory has its own
         # bounds in test_matching.py and its calls would dominate the time.
-        def kernel(grid, boxes, cfg):
+        def kernel(grid, boxes, group, cfg):
             return SimpleNamespace(max_iou=np.ones(len(boxes)),
                                    positive_count=np.ones(len(boxes), dtype=np.int64))
 
-        monkeypatch.setattr(cropsim, "assign_labels_xywh", kernel)
+        monkeypatch.setattr(cropsim, "_assign", kernel)
         faces = [(20 * i + 2, 30 * j + 3, 14, 20) for i in range(20) for j in range(10)]
         rec = record("img/crowd.jpg", 400, 300, faces)
         tracemalloc.start()
@@ -352,6 +352,55 @@ class TestFaceBlock:
             tracemalloc.stop()
         assert out.per_face.crops_seen.sum() > 50_000
         assert peak < 3_000_000
+
+    def test_kernel_memory_does_not_grow_with_crops(self):
+        # Six faces near AR 1 and four tall ones (AR 5.2), whose crops often
+        # fall below tn and are scored again over every plane. One kernel
+        # call per block peaks near 9 MB at 1,000 crops; runs of
+        # cropsim._RUN_FACES faces stay near their 50-crop peak of about
+        # 5.5 MB. Keeping the pairs below tn, or expanding 2**20 candidate
+        # pairs at once, takes runs of 64 faces to 25-38 MB (and one call
+        # per crop peaked near 10 MB).
+        faces = [(40 + 55 * i, 60 + 37 * (i % 3), 20 + 4 * i, 24 + 3 * i) for i in range(6)]
+        faces += [(380 + 60 * i, 40 + 20 * i, 24 + 6 * i, 5.2 * (24 + 6 * i)) for i in range(4)]
+        rec = record("img/ten.jpg", 640, 480, faces)
+        peaks = []
+        for n in (50, 1000):
+            tracemalloc.start()
+            try:
+                out = simulate([rec], detector_design(), WARM, n, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert out.per_face.crops_seen.sum() > 4_000
+        assert (out.per_face.crops_positive[6:] > 0).all()
+        assert peaks[1] < peaks[0] + 1_000_000, peaks
+        assert peaks[1] < 8_000_000, peaks
+
+    @pytest.mark.parametrize("run", [1, 3, 7, 64])
+    def test_one_kernel_call_per_run_of_crops(self, run, monkeypatch):
+        # Every full patch of a square image keeps all three faces, so a run
+        # holds max(1, run // 3) crops and the 40 crops take that many calls.
+        rec = record("img/sq.jpg", 256, 256, [(0, 0, 128, 128), (100, 100, 40, 20),
+                                              (180, 30, 30, 30)])
+        want = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
+        calls = []
+        kernel = cropsim._assign
+
+        def counted(grid, boxes, group, cfg):
+            calls.append(group.tolist())
+            return kernel(grid, boxes, group, cfg)
+
+        monkeypatch.setattr(cropsim, "_RUN_FACES", run)
+        monkeypatch.setattr(cropsim, "_assign", counted)
+        got = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
+        for f in fields(got):
+            assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
+        per_call = max(1, run // 3)
+        assert len(calls) == -(-40 // per_call)
+        # Each call holds whole crops, numbered from 0 in draw order.
+        assert calls[0] == [g for g in range(per_call) for _ in range(3)]
+        assert sum(map(len, calls)) == 40 * 3
 
 
 class TestPrng:

@@ -15,11 +15,13 @@ from anchorkit.anchors import (
     detector_design,
     generate_anchor_boxes,
 )
+from anchorkit.anchors import MAX_GRID_ROWS
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
     MatchConfig,
     Strategy,
+    _assign,
     arsd_contains,
     assign_labels_xywh,
     iou_pairs,
@@ -604,6 +606,9 @@ class TestGridKernel:
         assert res.max_iou.tolist() == per_max
         assert res.positive_count.tolist() == pos_count
         assert res.effective_tp.tolist() == tp
+        # Pairs below tn are not kept, so no listed row is negative: with
+        # tn > 0 negative is the background, and with tn 0 no row is.
+        assert NEGATIVE not in res.row_labels.tolist()
         assert res.label_counts() == {
             "positive": sum(v >= 0 for v in labels),
             "negative": labels.count(NEGATIVE),
@@ -688,3 +693,100 @@ class TestResources:
         for name in ("max_iou", "positive_count", "effective_tp"):
             assert np.array_equal(getattr(parts, name), getattr(whole, name))
         assert parts.label_counts() == whole.label_counts()
+
+
+def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
+    """_assign over all faces at once against one assign_labels_xywh call per
+    group, on every field, with budget (if given) as PAIR_BUDGET for the
+    grouped call only."""
+    group = np.asarray(group, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(anchorkit.matching, "PAIR_BUDGET", budget)
+        got = _assign(grid, faces, group, cfg)
+    n, n_groups = len(grid), int(group.max(initial=0)) + 1
+    assert got.n_anchors == n_groups * n
+    assert np.array_equal(got.rows, np.sort(got.rows))
+    for g in range(n_groups):
+        mine = np.flatnonzero(group == g)
+        on = got.rows // n == g
+        if not mine.size:
+            assert not on.any()
+            continue
+        want = assign_labels_xywh(grid, faces[mine], cfg)
+        assert got.rows[on].tolist() == (g * n + want.rows).tolist()
+        labels = np.where(want.row_labels >= 0, mine[want.row_labels.clip(0)], want.row_labels)
+        assert got.row_labels[on].tolist() == labels.tolist()
+        assert got.row_compensated[on].tolist() == want.row_compensated.tolist()
+        assert got.background == want.background
+        for name in ("max_iou", "positive_count", "effective_tp"):
+            a, b = getattr(got, name)[mine], getattr(want, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+class TestGroupedKernel:
+    """_assign, the core behind assign_labels_xywh and simulate's runs of
+    crops, against one public call per group."""
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([None, 1]),
+           data=st.data())
+    @settings(max_examples=150)
+    def test_matches_one_call_per_group(self, scene, strategy, tn, budget, data):
+        design, w, h, faces = scene
+        # Each face twice (the copies in reverse order), under interleaved
+        # group ids, so a face and its copy may share a group or not.
+        faces = np.vstack([faces, faces[::-1]])
+        group = data.draw(st.lists(st.integers(0, 3), min_size=len(faces),
+                                   max_size=len(faces)))
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        assert_grouped_equals_per_group(generate_anchor_boxes(design, w, h), faces,
+                                        group, cfg, budget)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_shared_argmax_and_off_grid_faces(self, strategy, budget):
+        # In groups 0 and 1 two unmatched faces share their argmax anchor 3
+        # (see TestCompensation), which the lower face index claims. Faces 4
+        # and 5 overlap nothing and claim the first row of groups 2 and 0.
+        grid = one_level(100, (10.0,), 200, 200)
+        a, b, off = [130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0], [900.0, 5, 8, 8]
+        faces = np.array([a, b, a, b, off, off])
+        group = [1, 0, 0, 1, 2, 0]
+        cfg = MatchConfig(strategy=strategy)
+        assert_grouped_equals_per_group(grid, faces, group, cfg, budget)
+        res = _assign(grid, faces, group, cfg)
+        if strategy is Strategy.SAM_COMPENSATE:
+            assert res.rows.tolist() == [0, 3, 4 + 3, 8]
+            assert res.row_labels.tolist() == [5, 1, 0, 4]
+            assert res.positive_count.tolist() == [1, 1, 0, 0, 1, 1]
+
+    def test_every_face_in_group_zero_is_the_public_call(self):
+        anchors, faces = small_scene(3, n_faces=12)
+        for strategy in Strategy:
+            cfg = MatchConfig(strategy=strategy)
+            assert_grouped_equals_per_group(anchors, faces, np.zeros(12), cfg)
+
+    def test_key_range_checked_before_any_array(self):
+        # A 4096 x 4096 stride-1 grid has MAX_GRID_ROWS anchors and no rows
+        # built; 2**39 groups of it would key row 0 of the last at 2**63 - 2**24.
+        grid = one_level(1, (1.0,), 4096, 4096)
+        assert len(grid) == MAX_GRID_ROWS and MAX_GRID_ROWS * 2**39 == 2**63
+        face = [[10.0, 10.0, 1.0, 1.0]]  # anchor (10, 10) of the grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow the int64 row keys"):
+                _assign(grid, [[math.nan] * 4], [2**39 - 1], DEFAULT)
+            with pytest.raises(ValueError, match="overflow the int64 row keys"):
+                _assign(one_level(8, (8.0,), 16, 16), face, [2**61], DEFAULT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # One group fewer fits: its keys stop below 2**63.
+        res = _assign(grid, face, [2**39 - 2], DEFAULT)
+        assert res.n_anchors == 2**63 - 2**24
+        assert res.positive_count.tolist() == [1]
+        assert res.rows.min() >= (2**39 - 2) * MAX_GRID_ROWS
+        with pytest.raises(ValueError, match="non-negative"):
+            _assign(grid, face, [-1], DEFAULT)
