@@ -105,10 +105,9 @@ class SimOutcome:
 
 
 # Most faces simulate labels in one kernel call: a run of whole crops (or
-# one crop) is scored at once, each crop its own set of faces. A longer run
-# holds more pairs at once and sorts longer arrays: one call per block of
-# crops peaked near 140 MB RSS on 5 images x 200 crops, against 37 MB for
-# runs of 64 faces, and was slower.
+# one crop), each crop its own set of faces. The kernel re-sorts all its kept
+# pairs once per slice of pairs, so one call per block of crops ran 5-15%
+# slower on 5 images x 200 crops and peaked about 1 MB higher in RSS.
 _RUN_FACES = 64
 
 

@@ -20,8 +20,9 @@ from .anchors import MAX_EXTENT, AnchorGrid
 # Label codes used in MatchResult.labels; non-negative entries are face indices.
 NEGATIVE = -1
 IGNORE = -2
-# Most candidate (face, anchor) pairs the kernel expands at once,
-# before the overlap test; a chunk of faces always holds at least one face.
+# Most candidate cells, and most (face, anchor) pairs, the kernel holds at
+# once: faces are taken in slices by their cells on both axes, then (face,
+# plane) groups in slices by their pairs; a slice holds at least one item.
 # Each pair expanded takes a few hundred bytes of temporaries.
 PAIR_BUDGET = 2**15
 
@@ -87,12 +88,7 @@ def iou_pairs(a_xywh: np.ndarray, b_xywh: np.ndarray) -> np.ndarray:
     b = np.asarray(b_xywh, dtype=np.float64)
     ax1, ay1, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx1, by1, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.maximum(np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1), 0.0)
-    ih = np.maximum(np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1), 0.0)
-    iw = np.minimum(iw, np.minimum(aw, bw))
-    ih = np.minimum(ih, np.minimum(ah, bh))
-    inter = iw * ih
-    return inter / ((aw * ah) + (bw * bh) - inter)
+    return _iou(_overlap(ax1, aw, bx1, bw) * _overlap(ay1, ah, by1, bh), (aw * ah) + (bw * bh))
 
 
 def arsd_contains(r, anchor_ar: float, eta: float):
@@ -195,17 +191,15 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     overlaps none) unless that anchor is already positive for another face;
     such anchors are flagged in MatchResult.compensated.
 
-    The cost grows with the candidate pairs, never with the anchor count.
-    For each face and anchor plane, the cells whose anchors can overlap the
-    face form an index range, computed from the cell centres and widened by
-    one cell; only the anchors in it that strictly overlap the face are
-    scored. Every other pair has IoU exactly 0, which is never positive and
-    never raises a max. A plane is skipped for a face when the IoU of their
-    shapes placed concentrically is below cfg.tn: iou_pairs clamps each axis
-    overlap to the smaller extent and rounding is monotone, so no anchor on
-    it can score more, and it can make no anchor positive or ignore. A face
-    whose best IoU found is below cfg.tn is scored again over every plane,
-    so its max IoU and argmax are those of the whole grid. Pairs below
+    The cost grows with the pairs that can matter, never with the anchor
+    count. Per face and anchor plane, the cells whose anchors can overlap
+    the face form an index range on each axis (from the cell centres,
+    widened by one cell), and each axis's cells are scored alone by their
+    overlap with the face. On a plane an anchor's IoU rises with each axis
+    overlap and every rounded step is monotone, so the per-axis maxima give
+    the face's max IoU exactly. Only anchors whose x and y cells each reach
+    min(cfg.tn, that max) against the other axis's maximum are scored: they
+    hold every pair that can decide a label, and the argmax. Pairs below
     cfg.tn are not kept: they decide no label, since their anchor is either
     negative, the background when cfg.tn > 0, or has a better pair.
     """
@@ -252,29 +246,42 @@ def _assign(grid: AnchorGrid, face_xywh: np.ndarray, group, cfg: MatchConfig) ->
     corner = faces[:, None, :2]
     lo, count = _cell_range(corner, corner + faces[:, None, 2:], grid.size,
                             grid.stride[:, None], grid.cells)
-    span = count[..., 0] * count[..., 1]
-    # The concentric bound: each plane's anchor shape against each face
-    # shape, both with their corner at (0, 0).
-    bound = iou_pairs(np.hstack([np.zeros_like(grid.size), grid.size]),
-                      np.hstack([np.zeros_like(faces[:, 2:]), faces[:, 2:]])[:, None])
-
-    face_max = np.zeros(m, dtype=np.float64)
+    n_planes, none = grid.stride.size, np.iinfo(np.int64).max
+    face_max, face_arg = np.zeros(m), np.full(m, none)
     base = group * len(grid)  # each face's key of its set's row 0
-    face_arg = base.copy()
     kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-    todo, counts = np.arange(m), np.where(bound < cfg.tn, 0, span)
-    for _ in range(2):  # the second pass rescores, over every plane, faces below tn
-        for part in _chunks(counts.sum(axis=1), PAIR_BUDGET):
-            j = todo[part]
-            row, face, val = _candidates(grid, faces, base, j, counts[part], lo[j], count[j])
-            first = np.lexsort((row, -val, face))
-            first = first[_starts(face[first])]
-            face_max[face[first]] = val[first]
-            face_arg[face[first]] = row[first]
-            reach = val >= cfg.tn  # pairs below tn decide no label
-            kept = _decisive(*map(np.concatenate, zip(kept, (row[reach], face[reach], val[reach]))), tp)
-        todo = np.flatnonzero(face_max < cfg.tn)
-        counts = span[todo]
+    for part in _chunks(count.sum(axis=(1, 2)), PAIR_BUDGET):
+        # One item per (face, plane) of the slice, face-major.
+        face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes), n_planes)
+        (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
+        area = (aw * ah) + (f[:, 2] * f[:, 3])
+        lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
+        gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
+        gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
+        top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
+        np.maximum.at(top_w, gx, iw)
+        np.maximum.at(top_h, gy, ih)
+        face_max[part] = _iou(top_w * top_h, area).reshape(-1, n_planes).max(axis=1)
+        # A pair reaches c only if each of its cells, paired with the other
+        # axis's best cell, does.
+        c = np.minimum(cfg.tn, face_max[face])
+        x = np.flatnonzero(_iou(iw * top_h[gx], area[gx]) >= c[gx])
+        y = np.flatnonzero(_iou(top_w[gy] * ih, area[gy]) >= c[gy])
+        gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
+        nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
+        x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
+        for sl in _chunks(nx * ny, PAIR_BUDGET):
+            at, off = _expand(nx[sl] * ny[sl])
+            at += sl.start
+            xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
+            p, fc = plane[at], face[at]
+            row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
+            val = _iou(iw[xi] * ih[yi], area[at])
+            top = val == face_max[fc]  # the argmax: the lowest row at the max
+            np.minimum.at(face_arg, fc[top], row[top])
+            up = val >= cfg.tn  # pairs below tn decide no label
+            kept = _decisive(*map(np.concatenate, zip(kept, (row[up], fc[up], val[up]))), tp)
+    face_arg = np.where(face_arg == none, base, face_arg)
 
     row, face, val = kept
     first = _starts(row)
@@ -318,51 +325,39 @@ def _cell_range(f1, f2, size, stride, cells):
     return lo.astype(np.int64), np.maximum(hi - lo, 0).astype(np.int64)
 
 
-def _chunks(pairs: np.ndarray, budget: int):
-    """Slices of consecutive faces with at most budget candidate pairs in
-    all, or one face."""
-    ends = np.cumsum(pairs)
-    lo = 0
-    while lo < pairs.size:
+def _chunks(counts: np.ndarray, budget: int):
+    """Slices of consecutive items with at most budget counts in all, or one item."""
+    ends, lo = np.cumsum(counts), 0
+    while lo < counts.size:
         base = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
         yield slice(lo, hi)
         lo = hi
 
 
-def _candidates(grid, faces, base, j, counts, lo, count):
-    """(row key, face, IoU) of the anchors that strictly overlap a face
-    faces[j[f]], among the counts[f, p] anchors of plane p whose cells start
-    at lo[f, p] and number count[f, p] per axis; anchor row r of face i is
-    keyed base[i] + r. The overlap test is one test per axis, so each axis's
-    cells are tested once and the hits paired; the anchor corners come from
-    the same float operations as the rows."""
-    group = np.flatnonzero(counts.ravel())
-    face, plane = j[group // counts.shape[1]], group % counts.shape[1]
-    lo, count = lo.reshape(-1, 2)[group], count.reshape(-1, 2)[group]
-    s, (aw, ah), f = grid.stride[plane], grid.size[plane].T, faces[face]
-    gx, i, ax1 = _axis_hits(lo[:, 0], count[:, 0], s, aw, f[:, 0], f[:, 0] + f[:, 2])
-    gy, k, ay1 = _axis_hits(lo[:, 1], count[:, 1], s, ah, f[:, 1], f[:, 1] + f[:, 3])
-    nx, ny = np.bincount(gx, minlength=group.size), np.bincount(gy, minlength=group.size)
-    at, off = _expand(nx * ny)
-    xi = (np.cumsum(nx) - nx)[at] + off % nx[at]
-    yi = (np.cumsum(ny) - ny)[at] + off // nx[at]
-    p = plane[at]
-    face = face[at]
-    row = base[face] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
-    val = iou_pairs(np.stack([ax1[xi], ay1[yi], aw[at], ah[at]], -1), f[at])
-    return row, face, val
-
-
-def _axis_hits(lo, count, stride, size, f1, f2):
-    """(group, cell, anchor low edge) of each cell lo[g] .. lo[g]+count[g]-1
-    of group g whose anchor, centred at (cell+0.5)*stride[g] and size[g]
-    long, strictly overlaps [f1[g], f2[g]]; in group order."""
+def _axis_hits(lo, count, stride, size, f1, f_len):
+    """(group, cell, overlap) of each cell lo[g] .. lo[g]+count[g]-1 of
+    group g whose anchor, centred at (cell+0.5)*stride[g] and size[g] long,
+    strictly overlaps [f1[g], f1[g]+f_len[g]]; in group order. The anchor's
+    low edge comes from the same float operations as the grid rows."""
     g, off = _expand(count)
     cell = lo[g] + off
     a1 = (cell + 0.5) * stride[g] - size[g] / 2.0
-    hit = np.flatnonzero((a1 < f2[g]) & (a1 + size[g] > f1[g]))
-    return g[hit], cell[hit], a1[hit]
+    hit = np.flatnonzero((a1 < f1[g] + f_len[g]) & (a1 + size[g] > f1[g]))
+    g = g[hit]
+    return g, cell[hit], _overlap(a1[hit], size[g], f1[g], f_len[g])
+
+
+def _overlap(a1, a_len, b1, b_len):
+    """The overlap of [a1, a1+a_len] and [b1, b1+b_len], clamped as
+    iou_pairs describes."""
+    o = np.maximum(np.minimum(a1 + a_len, b1 + b_len) - np.maximum(a1, b1), 0.0)
+    return np.minimum(o, np.minimum(a_len, b_len))
+
+
+def _iou(inter, area):
+    """IoU from the intersection and the sum of the two areas."""
+    return inter / (area - inter)
 
 
 def _expand(count):

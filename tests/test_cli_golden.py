@@ -2,10 +2,11 @@
 `cli.main` invocations over the committed fixtures in tests/data.
 
 The inputs are fixture files rather than `--synthetic`, so no digest
-depends on libm's log/exp. The `match` cases run on a few image blocks cut
-from wider_50.txt: the fallback canvas and the stride-1 `ams` design make
-whole-file runs too slow for the suite. A change that alters any output
-byte fails here; update a digest only when the output is meant to change.
+depends on libm's log/exp. Most `match` cases run on a few image blocks cut
+from wider_50.txt. Two run the stride-1 `ams` design over the whole file,
+once with the dims CSV and once on fallback canvases; each takes about 1.5 s.
+A change that alters any output byte fails here; update a digest only when
+the output is meant to change.
 """
 
 import hashlib
@@ -87,6 +88,9 @@ CASES = {
     "match-design-ams-step-sqrt2-text": ["match", "--annotations", "{small}",
                                          "--design", "ams", "--scale-step",
                                          "1.41421356237310", "--format", "csv"],
+    "match-design-ams-whole": ["match", "--annotations", "{wider}", "--dims", "{dims}",
+                               "--design", "ams"],
+    "match-design-ams-whole-no-dims": ["match", "--annotations", "{wider}", "--design", "ams"],
     "match-design-file": _MATCH + ["--design", "{design}"],
     "match-design-file-table": _MATCH + ["--design", "{design}", "--format", "table",
                                          "--anchor-ar", "1.25"],
@@ -128,6 +132,8 @@ GOLDEN = {
     "match-design-ams-ar": (0, "0eab366c2d0e9cf37b3060c7b4baf0c42be5795b484276ffe3527a179575ccaf"),
     "match-design-ams-step-1.3": (0, "166546ad27fd0a0c2ed913366e8ce567103bc0dddd9092a40ea8327286e84113"),
     "match-design-ams-step-sqrt2-text": (0, "470d34f84fa394131f5ba26bb6f354e74672180965137bba69348bd3e517af71"),
+    "match-design-ams-whole": (0, "64e2c20bf84cc295a7b234df237319edbe89a2afad5b46171f7ba77d35bc0e25"),
+    "match-design-ams-whole-no-dims": (0, "4d021b83a1ea34430417b8ed1aa84e8d50a18768f522cd8a4aa82eaad55b5446"),
     "match-design-detector": (0, "f8d5123a9635a611de833d81d349f229aa003e415d38299a43ddceb79a9f947d"),
     "match-design-file": (0, "99fc2eb0c75554b8a6734e1eb4f53781bc94fade2de220e89d9e93277d2d2cba"),
     "match-design-file-table": (0, "1d5ce4b1528ba44618e7bbd8b7efe1f1923362d94940375863965777d86c8abc"),

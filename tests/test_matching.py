@@ -546,18 +546,28 @@ SCENE_SIZES = (1.0, 2.0, 3.0, 4.0, 5.5, 8.0, 11.0, 16.0, 22.5, 32.0)
 
 @st.composite
 def grid_scenes(draw):
-    """A random 1-3-level design on a small canvas, and up to five faces:
-    free boxes, copies of an anchor, boxes touching an anchor's right edge,
-    repeats of an earlier face, and boxes partly or wholly off the canvas."""
-    n_levels = draw(st.integers(1, 3))
-    strides = draw(st.lists(st.sampled_from([0.75, 1.0, 2.0, 4.0, 5.5, 8.0]),
-                            min_size=n_levels, max_size=n_levels, unique=True))
-    sizes = sorted(draw(st.lists(st.sampled_from(SCENE_SIZES), min_size=n_levels,
-                                 max_size=5, unique=True)))
-    cut = sorted(draw(st.lists(st.integers(1, len(sizes) - 1), min_size=n_levels - 1,
-                               max_size=n_levels - 1, unique=True))) if n_levels > 1 else []
-    parts = [sizes[a:b] for a, b in zip([0] + cut, cut + [len(sizes)])]
-    levels = [PyramidLevel(f"L{k}", s, tuple(p)) for k, (s, p) in enumerate(zip(strides, parts))]
+    """A random 1-3-level design, or a fine ladder (stride 0.75 or 1, six to
+    twelve sizes), on a small canvas, and up to five faces: free boxes,
+    boxes of aspect ratio 0.05-20, copies of an anchor, boxes touching an
+    anchor's right edge, boxes whose edges sit on an anchor's edges or 1 ulp
+    either side, repeats of an earlier face, and boxes partly or wholly off
+    the canvas."""
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.1, 1.19, 1.25]))
+        first = draw(st.sampled_from([1.0, 1.5, 2.0]))
+        sizes = tuple(first * step**k for k in range(draw(st.integers(6, 12))))
+        levels = [PyramidLevel("F", draw(st.sampled_from([0.75, 1.0])), sizes)]
+    else:
+        n_levels = draw(st.integers(1, 3))
+        strides = draw(st.lists(st.sampled_from([0.75, 1.0, 2.0, 4.0, 5.5, 8.0]),
+                                min_size=n_levels, max_size=n_levels, unique=True))
+        sizes = sorted(draw(st.lists(st.sampled_from(SCENE_SIZES), min_size=n_levels,
+                                     max_size=5, unique=True)))
+        cut = sorted(draw(st.lists(st.integers(1, len(sizes) - 1), min_size=n_levels - 1,
+                                   max_size=n_levels - 1, unique=True))) if n_levels > 1 else []
+        parts = [sizes[a:b] for a, b in zip([0] + cut, cut + [len(sizes)])]
+        levels = [PyramidLevel(f"L{k}", s, tuple(p))
+                  for k, (s, p) in enumerate(zip(strides, parts))]
     design = AnchorDesign(levels=tuple(levels),
                           aspect_ratio=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
     w = draw(st.sampled_from([8.0, 13.5, 20.0, 24.0]))
@@ -567,12 +577,23 @@ def grid_scenes(draw):
     side = st.floats(0.5, 40.0, allow_nan=False)
     faces = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["free", "anchor", "touching", "repeat", "off"]))
+        kind = draw(st.sampled_from(["free", "extreme", "anchor", "touching", "edge",
+                                     "repeat", "off"]))
         anchor = rows[draw(st.integers(0, len(rows) - 1))].tolist()
-        if kind == "anchor":
+        if kind == "extreme":
+            fw = draw(side)
+            faces.append([draw(coord), draw(coord), fw, fw * 20.0 ** draw(st.floats(-1.0, 1.0))])
+        elif kind == "anchor":
             faces.append(anchor)
         elif kind == "touching":
             faces.append([anchor[0] + anchor[2], anchor[1], draw(side), anchor[3]])
+        elif kind == "edge":
+            # The anchor, or the anchor moved to start at its far edge on an
+            # axis, with each value kept or moved 1 ulp either way.
+            x, y, aw, ah = anchor
+            x, y = x + aw * draw(st.integers(0, 1)), y + ah * draw(st.integers(0, 1))
+            faces.append([np.nextafter(v, v + draw(st.sampled_from([-1.0, 0.0, 1.0])))
+                          for v in (x, y, aw, ah)])
         elif kind == "repeat" and faces:
             faces.append(list(faces[draw(st.integers(0, len(faces) - 1))]))
         elif kind == "off":
@@ -654,38 +675,81 @@ class TestGridKernel:
         assert res.compensated.tolist() == [True] + [False] * 15
         assert (res.max_iou[0], res.positive_count[0]) == (0.0, 1)
 
+    @pytest.mark.parametrize("x, inside, row", [(32.0, 0.0, 7), (-8.0, 0.0, 4)])
+    def test_touching_is_no_overlap(self, x, inside, row):
+        # A face against the outer edge of the last or first column overlaps
+        # nothing, so it claims anchor 0; 1 ulp inward it overlaps one anchor.
+        grid = one_level(8, (8.0,), 32, 32)
+        cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
+        res = assign_labels_xywh(grid, [[x, 8.0, 8.0, 8.0]], cfg)
+        assert res.rows.tolist() == [0] and res.max_iou.tolist() == [0.0]
+        res = assign_labels_xywh(grid, [[np.nextafter(x, inside), 8.0, 8.0, 8.0]], cfg)
+        assert res.rows.tolist() == [row] and 0.0 < res.max_iou[0] < 1e-12
+
+
+def one_face_on_a_ten_million_row_grid(face, monkeypatch):
+    """assign_labels_xywh of one face on the 10.5M-row stride-1 ams grid of a
+    1000x700 canvas, its label counts, and the tracemalloc peak of building
+    the grid and labelling, with the anchor rows forbidden."""
+    def no_rows(self, dtype=None, copy=None):
+        raise AssertionError("the anchor rows were built")
+
+    monkeypatch.setattr(anchorkit.anchors.AnchorGrid, "__array__", no_rows)
+    tracemalloc.start()
+    try:
+        grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
+        res = assign_labels_xywh(grid, [face], DEFAULT)
+        counts = res.label_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 15 * 1000 * 700
+    assert counts["positive"] + counts["negative"] + counts["ignore"] == len(grid)
+    return res, counts, peak
+
 
 class TestResources:
     def test_one_face_on_a_ten_million_row_grid(self, monkeypatch):
         # Neither the grid nor the kernel builds per-anchor arrays: the rows
         # are never asked for, and the peak stays far below one float per anchor.
-        def no_rows(self, dtype=None, copy=None):
-            raise AssertionError("the anchor rows were built")
-
-        monkeypatch.setattr(anchorkit.anchors.AnchorGrid, "__array__", no_rows)
-        tracemalloc.start()
-        try:
-            grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
-            res = assign_labels_xywh(grid, [[500.0, 300.0, 40.0, 60.0]], DEFAULT)
-            counts = res.label_counts()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(grid) == 15 * 1000 * 700
+        res, _, peak = one_face_on_a_ten_million_row_grid([500.0, 300.0, 40.0, 60.0],
+                                                          monkeypatch)
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert res.positive_count[0] > 0
-        assert counts["positive"] + counts["negative"] + counts["ignore"] == len(grid)
+
+    def test_extreme_ar_face_is_scored_per_axis(self, monkeypatch):
+        # A 60x330 face (AR 5.5) stays below tn on every plane. The per-axis
+        # maxima over its 9,010 candidate cells give its max IoU, only the
+        # pairs at that max are expanded, for the argmax, and none is kept.
+        # Expanding its 1.3M candidate pairs peaked near 200 MB.
+        res, counts, peak = one_face_on_a_ten_million_row_grid([500.0, 300.0, 60.0, 330.0],
+                                                               monkeypatch)
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert res.max_iou.tolist() == [0.269435868650014]
+        assert (counts["positive"], counts["ignore"], res.rows.size) == (0, 0, 0)
+
+    def test_large_face_keeps_to_the_pair_budget(self, monkeypatch):
+        # A 300x400 face has 3.0M candidate pairs, of which 185,176 reach tn.
+        # Those are expanded in slices of (face, plane) groups, so the peak
+        # is the decisive pairs kept; a chunk that held the whole face
+        # peaked near 180-210 MB.
+        res, counts, peak = one_face_on_a_ten_million_row_grid([500.0, 300.0, 300.0, 400.0],
+                                                               monkeypatch)
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert (counts["positive"], counts["ignore"]) == (42_364, 142_812)
+        assert res.positive_count.tolist() == [42_364]
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_small_pair_budget_gives_the_same_result(self, strategy, monkeypatch):
         anchors, faces = small_scene(4, n_faces=30)
         cfg = MatchConfig(strategy=strategy)
         whole = assign_labels_xywh(anchors, faces, cfg)
+        # _decisive runs once per slice of pairs.
         calls = []
-        candidates = anchorkit.matching._candidates
+        decisive = anchorkit.matching._decisive
         monkeypatch.setattr(anchorkit.matching, "PAIR_BUDGET", 64)
-        monkeypatch.setattr(anchorkit.matching, "_candidates",
-                            lambda *args: calls.append(1) or candidates(*args))
+        monkeypatch.setattr(anchorkit.matching, "_decisive",
+                            lambda *args: calls.append(1) or decisive(*args))
         parts = assign_labels_xywh(anchors, faces, cfg)
         assert len(calls) > 10
         assert np.array_equal(parts.labels, whole.labels)
