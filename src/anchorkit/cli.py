@@ -13,6 +13,9 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
+from . import matching
 from .ams import run_ams
 from .anchors import AnchorDesign, ams_design, detector_design, generate_anchor_boxes, ladder_design, load_design
 from .corpus import (
@@ -28,8 +31,8 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, simulate
-from .matching import MatchConfig, Strategy, assign_labels_xywh
-from .reports import MatchReport, emit_reports, json_text
+from .matching import MatchConfig, Strategy, _chunks, _expand, assign_labels_xywh
+from .reports import LABEL_KINDS, MatchReport, MatchRow, emit_reports, json_text
 from .rfd import rfd_param_count, rfd_receptive_fields, rfd_spec
 
 _SQRT2_TEXT = "1.4142135624"
@@ -130,22 +133,53 @@ def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
     return float(w), float(h)
 
 
+def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
+    """Label every image that keeps a face on the grid of its canvas. The
+    images of one canvas are labelled in runs of whole images holding at
+    most matching.RUN_FACES faces (or one image), one kernel call per run."""
+    max_stride = max(lv.stride for lv in design.levels)
+
+    # The images that keep a face, numbered in file order, and their numbers
+    # by distinct canvas, in order of first use.
+    paths, idx, xywh, by_canvas = [], [], [], {}
+    for rec in records:
+        i, f = kept_faces(rec)
+        if len(i):
+            by_canvas.setdefault(_canvas_for(rec, f, max_stride), []).append(len(paths))
+            paths.append(rec.path)
+            idx.append(i)
+            xywh.append(f)
+    sizes = np.array(list(map(len, idx)), dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes  # each image's first face
+    faces = np.concatenate([np.empty((0, 4)), *xywh])
+    max_iou, tp = np.zeros((2, len(faces)))
+    positive = np.zeros(len(faces), dtype=np.int64)
+    n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
+    for canvas, numbers in by_canvas.items():
+        grid = generate_anchor_boxes(design, *canvas)
+        # One kernel call per run of whole images, each image its own group.
+        # Each group is a copy of the grid and keeps a face, so a call's
+        # anchors and tallies are the sums over its images.
+        for run in _chunks(sizes[numbers], matching.RUN_FACES):
+            picks = numbers[run]
+            group, offset = _expand(sizes[picks])
+            at = starts[picks][group] + offset
+            result = assign_labels_xywh(grid, faces[at], cfg, group=group)
+            max_iou[at], positive[at], tp[at] = (result.max_iou, result.positive_count,
+                                                 result.effective_tp)
+            n_anchors += result.n_anchors
+            for kind, count in result.label_counts().items():
+                labels[kind] += count
+    table = MatchRow(np.repeat(np.array(paths, dtype=object), sizes),
+                     np.concatenate([np.empty(0, dtype=np.int64), *idx]),
+                     faces[:, 3] / faces[:, 2], max_iou, positive, tp)
+    return MatchReport(cfg, len(paths), n_anchors, labels, table)
+
+
 def _cmd_match(args: argparse.Namespace) -> int:
     records = _load_records(args)
     cfg = _match_config(args)
-    design = _design_for(args)
-    max_stride = max(lv.stride for lv in design.levels)
-
-    report = MatchReport(cfg)
-    grids = {}  # one grid per distinct canvas, keyed by (width, height)
-    for rec in records:
-        idx, xywh = kept_faces(rec)
-        if len(idx) == 0:
-            continue
-        canvas = _canvas_for(rec, xywh, max_stride)
-        if canvas not in grids:
-            grids[canvas] = generate_anchor_boxes(design, *canvas)
-        report.add(rec.path, idx, xywh, assign_labels_xywh(grids[canvas], xywh, cfg))
+    report = _match_report(records, _design_for(args), cfg)
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 

@@ -20,10 +20,10 @@ from typing import Iterable
 
 import numpy as np
 
-from . import ams
+from . import ams, matching
 from .anchors import AnchorDesign, generate_anchor_boxes
 from .corpus import ImageRecord, kept_faces
-from .matching import MatchConfig, _assign, _chunks
+from .matching import MatchConfig, _chunks, assign_labels_xywh
 from .prng import SplitMix64, substream
 
 
@@ -104,13 +104,6 @@ class SimOutcome:
     per_face: FaceSimStat
 
 
-# Most faces simulate labels in one kernel call: a run of whole crops (or
-# one crop), each crop its own set of faces. The kernel re-sorts all its kept
-# pairs once per slice of pairs, so one call per block of crops ran 5-15%
-# slower on 5 images x 200 crops and peaked about 1 MB higher in RSS.
-_RUN_FACES = 64
-
-
 def simulate(
     records: Iterable[ImageRecord],
     design: AnchorDesign,
@@ -128,10 +121,11 @@ def simulate(
     and what its best grid IoU was. An image's crops are drawn and bounded
     in blocks of at most ams.FACE_BLOCK crop-face cells (or one crop), and a
     block's crops are labelled in runs of whole crops holding at most
-    _RUN_FACES faces (or one crop), one kernel call per run; the values
-    depend on neither. Every record must carry pixel dimensions, and on every
-    image that keeps a face the smallest crop patch must have a side above
-    0 and a finite rescale factor; both are checked before any draw.
+    matching.RUN_FACES faces (or one crop), one kernel call per run; the
+    values depend on neither. Every record must carry pixel dimensions, and
+    on every image that keeps a face the smallest crop patch must have a
+    side above 0 and a finite rescale factor; both are checked before any
+    draw.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
@@ -172,9 +166,10 @@ def simulate(
             hit = np.empty(len(k), dtype=bool)
             # The pairs of the i-th crop that keeps a face are ends[i] .. ends[i+1]-1.
             ends = np.append(np.flatnonzero(np.diff(crop, prepend=-1)), len(k))
-            for run in _chunks(np.diff(ends), _RUN_FACES):
+            for run in _chunks(np.diff(ends), matching.RUN_FACES):
                 lo, hi = ends[run.start], ends[run.stop]
-                result = _assign(grid, boxes[lo:hi], crop[lo:hi] - crop[lo], cfg)
+                result = assign_labels_xywh(grid, boxes[lo:hi], cfg,
+                                            group=crop[lo:hi] - crop[lo])
                 observed[lo:hi] = result.max_iou
                 hit[lo:hi] = result.positive_count > 0
             # Every value is finite and >= +0.0, and a crop holds a face at

@@ -25,6 +25,11 @@ IGNORE = -2
 # plane) groups in slices by their pairs; a slice holds at least one item.
 # Each pair expanded takes a few hundred bytes of temporaries.
 PAIR_BUDGET = 2**15
+# Most faces that simulate and match pass in one grouped assign_labels_xywh
+# call: a run of whole sets of faces (or one set). A call holds its sets'
+# decisive pairs until it ends. In process on simulate_crops, one call per
+# block of crops was within about 10% of this in time and peaked higher.
+RUN_FACES = 64
 
 
 class Strategy(Enum):
@@ -178,7 +183,8 @@ class MatchResult:
         return counts
 
 
-def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig) -> MatchResult:
+def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig,
+                       group=0) -> MatchResult:
     """Assign positive/negative/ignore labels to the anchors of grid against
     (m, 4) xywh faces.
 
@@ -191,6 +197,20 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     overlaps none) unless that anchor is already positive for another face;
     such anchors are flagged in MatchResult.compensated.
 
+    group labels many independent sets of faces at once: face f belongs to
+    set group[f], a non-negative int per face, or one int for all of them
+    (the default puts every face in set 0). Each set is labelled on its own
+    copy of grid: the anchor row r of set g is keyed g * len(grid) + r, and
+    the result covers n_groups * len(grid) keys, n_groups being the largest
+    group id plus one (a set id may have no face). Restricted to the keys of
+    set g and to its faces, in the order given, the result is that of this
+    function on those faces alone, with labels naming indices into
+    face_xywh; a face that overlaps no anchor claims its set's first row.
+    The background label is shared, so under cfg.tn == 0 a set id with no
+    face reads IGNORE, not NEGATIVE. The decisive pairs of all sets are held
+    until the end, so callers keep the sets small (see RUN_FACES). A group
+    count whose keys would reach 2**63 is refused before any array is built.
+
     The cost grows with the pairs that can matter, never with the anchor
     count. Per face and anchor plane, the cells whose anchors can overlap
     the face form an index range on each axis (from the cell centres,
@@ -201,27 +221,9 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     min(cfg.tn, that max) against the other axis's maximum are scored: they
     hold every pair that can decide a label, and the argmax. Pairs below
     cfg.tn are not kept: they decide no label, since their anchor is either
-    negative, the background when cfg.tn > 0, or has a better pair.
-    """
-    return _assign(grid, face_xywh, 0, cfg)
-
-
-def _assign(grid: AnchorGrid, face_xywh: np.ndarray, group, cfg: MatchConfig) -> MatchResult:
-    """assign_labels_xywh for many independent sets of faces on one grid at
-    once: face f belongs to set group[f] (a non-negative int per face, or
-    one int for all of them).
-
-    Each set is labelled on its own copy of grid: the anchor row r of set g
-    is keyed g * len(grid) + r, and the result covers n_groups * len(grid)
-    keys, n_groups being the largest group id plus one (one with no face).
-    Restricted to the keys of set g and to its faces, in the order given,
-    the result is that of assign_labels_xywh on those faces alone, with
-    labels naming indices into face_xywh. A face that overlaps no anchor
-    claims its set's first row. The background label is shared, so under
-    cfg.tn == 0 a set id with no face reads IGNORE, not NEGATIVE. The
-    decisive pairs of all sets are held until the end, so callers keep the
-    sets small. A group count whose keys would reach 2**63 is refused
-    before any array is built.
+    negative, the background when cfg.tn > 0, or has a better pair. Each
+    slice of pairs is reduced to its decisive pairs alone, and the slices'
+    survivors once more at the end.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
@@ -249,7 +251,7 @@ def _assign(grid: AnchorGrid, face_xywh: np.ndarray, group, cfg: MatchConfig) ->
     n_planes, none = grid.stride.size, np.iinfo(np.int64).max
     face_max, face_arg = np.zeros(m), np.full(m, none)
     base = group * len(grid)  # each face's key of its set's row 0
-    kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for part in _chunks(count.sum(axis=(1, 2)), PAIR_BUDGET):
         # One item per (face, plane) of the slice, face-major.
         face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes), n_planes)
@@ -280,10 +282,14 @@ def _assign(grid: AnchorGrid, face_xywh: np.ndarray, group, cfg: MatchConfig) ->
             top = val == face_max[fc]  # the argmax: the lowest row at the max
             np.minimum.at(face_arg, fc[top], row[top])
             up = val >= cfg.tn  # pairs below tn decide no label
-            kept = _decisive(*map(np.concatenate, zip(kept, (row[up], fc[up], val[up]))), tp)
+            kept.append(_decisive(row[up], fc[up], val[up], tp))
     face_arg = np.where(face_arg == none, base, face_arg)
 
-    row, face, val = kept
+    # Each slice was reduced alone; several slices' survivors are reduced
+    # once more, together.
+    row, face, val = kept[-1]
+    if len(kept) > 2:
+        row, face, val = _decisive(*map(np.concatenate, zip(*kept)), tp)
     first = _starts(row)
     rows = row[first]
     labels = np.full(rows.size, IGNORE)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ams import AmsReport, FaceMatchStat
 from .cropsim import FaceSimStat, SimOutcome
-from .matching import MatchConfig, MatchResult
+from .matching import MatchConfig
 
 SCHEMA_VERSION = 1
 LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
@@ -31,10 +31,10 @@ _ROW_BLOCK = 8192
 @dataclass(frozen=True)
 class MatchRow:
     """The per-face table of a match report: one column per field, in
-    output order, with one element per kept face in the order the images
-    were added. Each face's image path, its position in that record's
-    faces, its aspect ratio, its best IoU over the grid, its positive
-    anchor count and its positive threshold."""
+    output order, with one element per kept face in file order. Each
+    face's image path, its position in that record's faces, its aspect
+    ratio, its best IoU over the grid, its positive anchor count and its
+    positive threshold."""
 
     image: np.ndarray
     face: np.ndarray
@@ -92,41 +92,24 @@ SIM_CSV_HEADER = ",".join(_names(FaceSimStat))
 MATCH_CSV_HEADER = ",".join(_names(MatchRow))
 
 
-def _no_rows() -> list[tuple]:
+def _no_faces() -> MatchRow:
     f, i = np.empty(0), np.empty(0, dtype=np.int64)
-    return [(np.empty(0, dtype=object), i, f, f, i, f)]
+    return MatchRow(np.empty(0, dtype=object), i, f, f, i, f)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchReport:
-    """Label-assignment audit of a corpus: label tallies summed over every
-    image's anchor grid, and the per-face table of the kept faces."""
+    """Label-assignment audit of a corpus. n_images counts the images that
+    keep a face, n_anchors the anchors of their grids, one grid per image,
+    and labels tallies those anchors' labels (LABEL_KINDS) summed over the
+    images. per_face is the table of every kept face in file order. The
+    defaults are the report of a corpus that keeps no face."""
 
     config: MatchConfig
     n_images: int = 0
     n_anchors: int = 0
     labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
-    # Each added image's columns in MatchRow field order, after an empty
-    # table that fixes their dtypes; per_face joins them into one.
-    _parts: list[tuple] = field(default_factory=_no_rows, init=False, repr=False)
-
-    def add(self, image: str, idx, xywh, result: MatchResult) -> None:
-        """Fold in one image: idx and xywh are its kept faces' positions and
-        (k, 4) rows, as corpus.kept_faces gives them and in the order they
-        were passed to the assignment that produced result."""
-        self.n_images += 1
-        self.n_anchors += result.n_anchors
-        for kind, count in result.label_counts().items():
-            self.labels[kind] += count
-        self._parts.append((np.full(len(idx), image, dtype=object), idx, xywh[:, 3] / xywh[:, 2],
-                            result.max_iou, result.positive_count, result.effective_tp))
-
-    @property
-    def per_face(self) -> MatchRow:
-        """The kept faces of every image added, as one table."""
-        if len(self._parts) > 1:
-            self._parts[:] = [tuple(map(np.concatenate, zip(*self._parts)))]
-        return MatchRow(*self._parts[0])
+    per_face: MatchRow = field(default_factory=_no_faces)
 
     @property
     def n_matched(self) -> int:

@@ -2,9 +2,9 @@
 library's vectorized paths. Kept deliberately independent: plain Python
 loops over xywh tuples, annotation lines and tensor elements (and one eager
 numpy grid builder), no shared code with the package internals beyond its
-public types. naive_simulate is the one exception: it checks the crop
-simulation's draws, crops and aggregation, so it runs the library's public
-kernel and ideal bound on each crop that naive_random_crop draws."""
+public types. naive_simulate and naive_match_report are the exceptions:
+they check how the crop simulation and the match command batch their work,
+so they run the library's public kernel one crop or one image at a time."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from anchorkit.anchors import generate_anchor_boxes
 from anchorkit.corpus import ImageRecord, WiderParseError, kept_faces
 from anchorkit.matching import assign_labels_xywh
 from anchorkit.prng import substream
+from anchorkit.reports import LABEL_KINDS, MatchReport, MatchRow
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
 
@@ -283,6 +284,40 @@ def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
                                          best_obs[k], best_ideal[k])):
                 out[name].append(value)
     return out
+
+
+def naive_match_report(records, design, cfg) -> MatchReport:
+    """The match command's report, labelled one image at a time: one
+    ungrouped assign_labels_xywh call per image that keeps a face, on a grid
+    built for that image's canvas (its dims, or else the smallest canvas
+    aligned to the largest stride that covers its faces), with the tallies
+    summed and the columns joined image by image. match must render the
+    same bytes from it in every format."""
+    max_stride = max(level.stride for level in design.levels)
+    n_images = n_anchors = 0
+    labels = dict.fromkeys(LABEL_KINDS, 0)
+    f, i = np.empty(0), np.empty(0, dtype=np.int64)
+    parts = [(np.empty(0, dtype=object), i, f, f, i, f)]
+    for rec in records:
+        idx, xywh = kept_faces(rec)
+        if not len(idx):
+            continue
+        if rec.width is not None and rec.height is not None:
+            canvas = (rec.width, rec.height)
+        else:
+            right = max(x + w for x, _, w, _ in xywh.tolist())
+            bottom = max(y + h for _, y, _, h in xywh.tolist())
+            canvas = tuple(float(max(max_stride, math.ceil(v / max_stride) * max_stride))
+                           for v in (right, bottom))
+        result = assign_labels_xywh(generate_anchor_boxes(design, *canvas), xywh, cfg)
+        n_images += 1
+        n_anchors += result.n_anchors
+        for kind, count in result.label_counts().items():
+            labels[kind] += count
+        parts.append((np.full(len(idx), rec.path, dtype=object), idx, xywh[:, 3] / xywh[:, 2],
+                      result.max_iou, result.positive_count, result.effective_tp))
+    table = MatchRow(*map(np.concatenate, zip(*parts)))
+    return MatchReport(cfg, n_images, n_anchors, labels, table)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anchorkit.anchors
 import anchorkit.cli
-from anchorkit.anchors import generate_anchor_boxes
+from anchorkit import matching
+from anchorkit.anchors import detector_design, generate_anchor_boxes, load_design
 from anchorkit.cli import build_parser, main
-from anchorkit.matching import MatchConfig, assign_labels_xywh
+from anchorkit.corpus import attach_dims, parse_wider, read_dims_csv
+from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh
+from anchorkit.reports import emit_reports
+
+from oracles import naive_match_report
 
 FIXTURE = str(Path(__file__).parent / "data" / "wider_50.txt")
 
@@ -175,7 +182,7 @@ class TestMatchCommand:
 
     def test_one_grid_per_distinct_canvas(self, tmp_path, capsys, monkeypatch):
         # Five images with faces on two canvases, plus one with none: two
-        # grids, each reused, and still one kernel call per image.
+        # grids, and one kernel call per canvas, each image its own group.
         names = ["a", "b", "c", "d", "e", "f"]
         ann = tmp_path / "ann.txt"
         ann.write_text("".join(f"{n}.jpg\n1\n{10 + i} 20 30 40 0 0 0 0 0 0\n" for i, n in
@@ -189,15 +196,105 @@ class TestMatchCommand:
         assert main(argv) == 0
         want = capsys.readouterr().out
         built, kernel = [], []
+
+        def counted(grid, faces, cfg, group):
+            kernel.append(((grid.image_w, grid.image_h), group.tolist()))
+            return assign_labels_xywh(grid, faces, cfg, group=group)
+
         monkeypatch.setattr(anchorkit.cli, "generate_anchor_boxes",
                             lambda d, w, h: built.append((w, h)) or generate_anchor_boxes(d, w, h))
-        monkeypatch.setattr(anchorkit.cli, "assign_labels_xywh",
-                            lambda g, f, c: kernel.append(g) or assign_labels_xywh(g, f, c))
+        monkeypatch.setattr(anchorkit.cli, "assign_labels_xywh", counted)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
         assert built == [(640.0, 480.0), (320.0, 320.0)]
-        assert [(g.image_w, g.image_h) for g in kernel] == [built[i] for i in (0, 1, 0, 0, 1)]
-        assert kernel[0] is kernel[2] is kernel[3] and kernel[1] is kernel[4]
+        # a, c and d share the first canvas; b and e the second.
+        assert kernel == [(built[0], [0, 1, 2]), (built[1], [0, 1])]
+
+
+# Anchors of 4 and 8 px every 16 px: a small face between them overlaps none.
+SPARSE_DESIGN = '{"levels": [{"name": "P", "stride": 16, "sizes": [4.0, 8.0]}], "aspect_ratio": 1.0}'
+CANVASES = ((64, 64), (96, 64), (128, 96))
+
+
+def face_line(x, y, w, h, invalid=0):
+    return f"{x} {y} {w} {h} 0 0 0 {invalid} 0 0\n"
+
+
+@st.composite
+def shared_canvas_corpora(draw):
+    """Annotation text and dims CSV text of up to 12 images on at most three
+    canvases, so that many images share one. Faces may be small enough to
+    fall between sparse anchors, degenerate or invalid; an image may keep
+    no face or hold none."""
+    ann, dims = [], []
+    for k in range(draw(st.integers(1, 12))):
+        w, h = draw(st.sampled_from(CANVASES))
+        side = st.integers(0, 3) | st.integers(1, 48)
+        faces = draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1), side,
+                                        side, st.sampled_from([0, 0, 0, 1])), max_size=6))
+        ann.append(f"img{k}.jpg\n{len(faces)}\n")
+        ann.extend(face_line(*face) for face in faces)
+        if not faces:
+            ann.append(face_line(0, 0, 0, 0))
+        dims.append(f"img{k}.jpg,{w},{h}\n")
+    return "".join(ann), "".join(dims)
+
+
+class TestMatchRunsPerCanvas:
+    """match labels the images of each canvas in runs of whole images, one
+    kernel call per run; its bytes must equal those of one call per image
+    (oracles.naive_match_report) in every format."""
+
+    def check(self, tmp, ann_text, dims_text, design, strategy, tn):
+        root = Path(tmp)
+        (root / "ann.txt").write_text(ann_text, encoding="utf-8")
+        (root / "sparse.json").write_text(SPARSE_DESIGN, encoding="utf-8")
+        design_arg = str(root / "sparse.json") if design == "sparse" else "detector"
+        argv = ["match", "--annotations", str(root / "ann.txt"), "--strategy", strategy,
+                "--tn", tn, "--design", design_arg]
+        with open(root / "ann.txt", encoding="utf-8") as fh:
+            records = parse_wider(fh)
+        if dims_text is not None:
+            (root / "dims.csv").write_text(dims_text, encoding="utf-8")
+            argv += ["--dims", str(root / "dims.csv")]
+            records = attach_dims(records, read_dims_csv(str(root / "dims.csv")))
+        cfg = MatchConfig(strategy=Strategy(strategy), tn=float(tn))
+        anchors = detector_design() if design == "detector" else load_design(design_arg)
+        want = naive_match_report(records, anchors, cfg)
+        for fmt in ("json", "csv", "table"):
+            out = root / f"out.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == emit_reports(want, fmt).encode("utf-8"), fmt
+        return want
+
+    @given(corpus=shared_canvas_corpora(), with_dims=st.booleans(),
+           design=st.sampled_from(["detector", "sparse"]),
+           strategy=st.sampled_from(["sam", "sam_compensate", "warm"]),
+           tn=st.sampled_from(["0", "0.35"]), run=st.sampled_from([1, 5, 64]))
+    @settings(max_examples=80)
+    def test_equals_one_call_per_image(self, corpus, with_dims, design, strategy, tn, run):
+        # Without dims each image gets the fallback canvas of its faces.
+        ann_text, dims_text = corpus
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "RUN_FACES", run)
+            self.check(tmp, ann_text, dims_text if with_dims else None, design, strategy, tn)
+
+    @pytest.mark.parametrize("tn", ["0", "0.35"])
+    @pytest.mark.parametrize("strategy", ["sam", "sam_compensate", "warm"])
+    def test_faces_that_overlap_no_anchor(self, strategy, tn, tmp_path):
+        # Four images on one 64x64 canvas, each with a 2x2 face between the
+        # sparse anchors; two also hold a face that fits an anchor. Under
+        # compensation each off-grid face claims the first row of its own
+        # image's grid, so four rows are compensated, one per image.
+        off, on = face_line(12, 12, 2, 2), face_line(4, 4, 8, 8)
+        images = [[off], [off, on], [on, off], [off]]
+        ann = "".join(f"i{k}.jpg\n{len(faces)}\n" + "".join(faces)
+                      for k, faces in enumerate(images))
+        dims = "".join(f"i{k}.jpg,64,64\n" for k in range(len(images)))
+        want = self.check(tmp_path, ann, dims, "sparse", strategy, tn)
+        assert want.n_images == 4 and len(want.per_face.face) == 6
+        assert want.per_face.max_iou.tolist().count(0.0) == 4
+        assert want.labels["compensated"] == (4 if strategy == "sam_compensate" else 0)
 
 
 def _refuse_constant(name):

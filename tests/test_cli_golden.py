@@ -3,7 +3,7 @@
 
 The inputs are fixture files rather than `--synthetic`, so no digest
 depends on libm's log/exp. Most `match` cases run on a few image blocks cut
-from wider_50.txt. Two run the stride-1 `ams` design over the whole file,
+from wider_50.txt; one runs the whole file on its four canvases. Two run the stride-1 `ams` design over the whole file,
 once with the dims CSV and once on fallback canvases; each takes about 1.5 s.
 A change that alters any output byte fails here; update a digest only when
 the output is meant to change.
@@ -91,6 +91,12 @@ CASES = {
     "match-design-ams-whole": ["match", "--annotations", "{wider}", "--dims", "{dims}",
                                "--design", "ams"],
     "match-design-ams-whole-no-dims": ["match", "--annotations", "{wider}", "--design", "ams"],
+    # All 50 images on their 4 canvases: images that share a canvas are
+    # labelled in runs, and an unmatched face claims an anchor of its own
+    # image's grid.
+    "match-shared-canvas-sam_compensate-tn0": ["match", "--annotations", "{wider}",
+                                               "--dims", "{dims}", "--strategy",
+                                               "sam_compensate", "--tn", "0"],
     "match-design-file": _MATCH + ["--design", "{design}"],
     "match-design-file-table": _MATCH + ["--design", "{design}", "--format", "table",
                                          "--anchor-ar", "1.25"],
@@ -139,6 +145,7 @@ GOLDEN = {
     "match-design-file-table": (0, "1d5ce4b1528ba44618e7bbd8b7efe1f1923362d94940375863965777d86c8abc"),
     "match-no-dims": (0, "6c134c342ce2476f865bad13664b4ef2827b784f93771b3f96b9ec5eda9cd1ea"),
     "match-no-dims-table": (0, "f13b3747fb4f3fdcc8c7c592a456cc48c348762375bebed40495d809d89edd17"),
+    "match-shared-canvas-sam_compensate-tn0": (0, "b03f2724dc74bf6289928935d5dc2133db41a95cadc1189baa814d6b97f20530"),
     "match-sam-csv": (0, "7939befdf06f865fb4a80521d28699b755e4a93e91ffe974b806ab796b3f06b5"),
     "match-sam-json": (0, "8a72e3bfc9c44f226e55b2181ea06c06fcb5007cb4591114a39cfd08b4d836cd"),
     "match-sam-table": (0, "8c1fdd6c3ddadadbcd6e93a34029be2aeb3d489008444202a3870ca4496a0cc7"),

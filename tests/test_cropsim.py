@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anchorkit.ams import analytic_max_iou
 from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design
-from anchorkit import ams, cropsim
+from anchorkit import ams, cropsim, matching
 from anchorkit.cropsim import CropParams, _crops, simulate
 from anchorkit.matching import MatchConfig, Strategy
 from anchorkit.prng import SplitMix64, substream
@@ -337,11 +337,11 @@ class TestFaceBlock:
         # 200 faces x 1000 crops: drawn in one piece, the crops alone peak
         # near 13 MB. The kernel is stubbed, since its memory has its own
         # bounds in test_matching.py and its calls would dominate the time.
-        def kernel(grid, boxes, group, cfg):
+        def kernel(grid, boxes, cfg, group):
             return SimpleNamespace(max_iou=np.ones(len(boxes)),
                                    positive_count=np.ones(len(boxes), dtype=np.int64))
 
-        monkeypatch.setattr(cropsim, "_assign", kernel)
+        monkeypatch.setattr(cropsim, "assign_labels_xywh", kernel)
         faces = [(20 * i + 2, 30 * j + 3, 14, 20) for i in range(20) for j in range(10)]
         rec = record("img/crowd.jpg", 400, 300, faces)
         tracemalloc.start()
@@ -355,12 +355,11 @@ class TestFaceBlock:
 
     def test_kernel_memory_does_not_grow_with_crops(self):
         # Six faces near AR 1 and four tall ones (AR 5.2), whose crops often
-        # fall below tn and are scored again over every plane. One kernel
-        # call per block peaks near 9 MB at 1,000 crops; runs of
-        # cropsim._RUN_FACES faces stay near their 50-crop peak of about
-        # 5.5 MB. Keeping the pairs below tn, or expanding 2**20 candidate
-        # pairs at once, takes runs of 64 faces to 25-38 MB (and one call
-        # per crop peaked near 10 MB).
+        # fall below tn. One kernel call per block peaks near 5.3 MB at
+        # 1,000 crops; runs of matching.RUN_FACES faces stay near 2.7 MB,
+        # within 1 MB of their 50-crop peak. Keeping the pairs below tn, or
+        # expanding 2**20 candidate pairs at once, took runs of 64 faces to
+        # 25-38 MB.
         faces = [(40 + 55 * i, 60 + 37 * (i % 3), 20 + 4 * i, 24 + 3 * i) for i in range(6)]
         faces += [(380 + 60 * i, 40 + 20 * i, 24 + 6 * i, 5.2 * (24 + 6 * i)) for i in range(4)]
         rec = record("img/ten.jpg", 640, 480, faces)
@@ -385,14 +384,14 @@ class TestFaceBlock:
                                               (180, 30, 30, 30)])
         want = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         calls = []
-        kernel = cropsim._assign
+        kernel = cropsim.assign_labels_xywh
 
-        def counted(grid, boxes, group, cfg):
+        def counted(grid, boxes, cfg, group):
             calls.append(group.tolist())
-            return kernel(grid, boxes, group, cfg)
+            return kernel(grid, boxes, cfg, group=group)
 
-        monkeypatch.setattr(cropsim, "_RUN_FACES", run)
-        monkeypatch.setattr(cropsim, "_assign", counted)
+        monkeypatch.setattr(matching, "RUN_FACES", run)
+        monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
         got = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         for f in fields(got):
             assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name

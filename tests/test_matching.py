@@ -21,7 +21,6 @@ from anchorkit.matching import (
     NEGATIVE,
     MatchConfig,
     Strategy,
-    _assign,
     arsd_contains,
     assign_labels_xywh,
     iou_pairs,
@@ -744,7 +743,7 @@ class TestResources:
         anchors, faces = small_scene(4, n_faces=30)
         cfg = MatchConfig(strategy=strategy)
         whole = assign_labels_xywh(anchors, faces, cfg)
-        # _decisive runs once per slice of pairs.
+        # _decisive runs once per slice of pairs, and once over their survivors.
         calls = []
         decisive = anchorkit.matching._decisive
         monkeypatch.setattr(anchorkit.matching, "PAIR_BUDGET", 64)
@@ -758,16 +757,35 @@ class TestResources:
             assert np.array_equal(getattr(parts, name), getattr(whole, name))
         assert parts.label_counts() == whole.label_counts()
 
+    def test_each_pair_is_reduced_at_most_twice(self, monkeypatch):
+        # The 300x400 face expands its pairs in several slices. Each slice is
+        # reduced to its decisive pairs alone, and the survivors once more,
+        # so no pair reaches _decisive a third time, however many slices.
+        seen = []
+        decisive = anchorkit.matching._decisive
+
+        def spy(row, face, val, tp):
+            seen.append(row)  # one face, so its row names each pair
+            return decisive(row, face, val, tp)
+
+        monkeypatch.setattr(anchorkit.matching, "_decisive", spy)
+        grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
+        res = assign_labels_xywh(grid, [[500.0, 300.0, 300.0, 400.0]], DEFAULT)
+        assert len(seen) > 3
+        _, times = np.unique(np.concatenate(seen), return_counts=True)
+        assert times.max() <= 2
+        assert res.positive_count.tolist() == [42_364]
+
 
 def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
-    """_assign over all faces at once against one assign_labels_xywh call per
-    group, on every field, with budget (if given) as PAIR_BUDGET for the
-    grouped call only."""
+    """assign_labels_xywh over all faces and groups at once against one
+    ungrouped call per group, on every field, with budget (if given) as
+    PAIR_BUDGET for the grouped call only."""
     group = np.asarray(group, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(anchorkit.matching, "PAIR_BUDGET", budget)
-        got = _assign(grid, faces, group, cfg)
+        got = assign_labels_xywh(grid, faces, cfg, group=group)
     n, n_groups = len(grid), int(group.max(initial=0)) + 1
     assert got.n_anchors == n_groups * n
     assert np.array_equal(got.rows, np.sort(got.rows))
@@ -789,8 +807,8 @@ def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
 
 
 class TestGroupedKernel:
-    """_assign, the core behind assign_labels_xywh and simulate's runs of
-    crops, against one public call per group."""
+    """assign_labels_xywh with groups, as simulate labels runs of crops and
+    match runs of images, against one ungrouped call per group."""
 
     @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
            tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([None, 1]),
@@ -819,7 +837,7 @@ class TestGroupedKernel:
         group = [1, 0, 0, 1, 2, 0]
         cfg = MatchConfig(strategy=strategy)
         assert_grouped_equals_per_group(grid, faces, group, cfg, budget)
-        res = _assign(grid, faces, group, cfg)
+        res = assign_labels_xywh(grid, faces, cfg, group=group)
         if strategy is Strategy.SAM_COMPENSATE:
             assert res.rows.tolist() == [0, 3, 4 + 3, 8]
             assert res.row_labels.tolist() == [5, 1, 0, 4]
@@ -840,17 +858,17 @@ class TestGroupedKernel:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="overflow the int64 row keys"):
-                _assign(grid, [[math.nan] * 4], [2**39 - 1], DEFAULT)
+                assign_labels_xywh(grid, [[math.nan] * 4], DEFAULT, group=[2**39 - 1])
             with pytest.raises(ValueError, match="overflow the int64 row keys"):
-                _assign(one_level(8, (8.0,), 16, 16), face, [2**61], DEFAULT)
+                assign_labels_xywh(one_level(8, (8.0,), 16, 16), face, DEFAULT, group=[2**61])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         # One group fewer fits: its keys stop below 2**63.
-        res = _assign(grid, face, [2**39 - 2], DEFAULT)
+        res = assign_labels_xywh(grid, face, DEFAULT, group=[2**39 - 2])
         assert res.n_anchors == 2**63 - 2**24
         assert res.positive_count.tolist() == [1]
         assert res.rows.min() >= (2**39 - 2) * MAX_GRID_ROWS
         with pytest.raises(ValueError, match="non-negative"):
-            _assign(grid, face, [-1], DEFAULT)
+            assign_labels_xywh(grid, face, DEFAULT, group=[-1])

@@ -6,15 +6,16 @@ import pytest
 
 import anchorkit.reports
 from anchorkit.ams import AmsReport, FaceMatchStat, run_ams
-from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes
-from anchorkit.corpus import kept_faces
+from anchorkit.anchors import ams_design, detector_design
+from anchorkit.cli import _match_report
 from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
-from anchorkit.matching import MatchConfig, MatchResult, assign_labels_xywh
+from anchorkit.matching import MatchConfig, MatchResult
 from anchorkit.reports import (
     FACE_STATS_CSV_HEADER,
     MATCH_CSV_HEADER,
     SIM_CSV_HEADER,
     MatchReport,
+    MatchRow,
     emit_reports,
     json_text,
 )
@@ -138,7 +139,7 @@ class TestFaceStatsFormats:
 
 
 class TestMatchResultFormats:
-    """The corpus match report, folded from per-image assignment results."""
+    """The corpus match report of one image, from its assignment result."""
 
     def report(self):
         # Rows 0, 2 and 3 touched; row 1 keeps the background label.
@@ -154,9 +155,11 @@ class TestMatchResultFormats:
         )
         assert result.labels.tolist() == [0, -1, -2, 1]
         assert result.compensated.tolist() == [False, False, False, True]
-        report = MatchReport(MatchConfig())
-        report.add("a.jpg", np.array([0, 2]), np.array([[0.0, 0, 10, 20], [5, 5, 4, 12]]), result)
-        return report
+        # Faces 0 and 2 of a.jpg, 10x20 and 4x12.
+        table = MatchRow(np.array(["a.jpg"] * 2, dtype=object), np.array([0, 2]),
+                         np.array([2.0, 3.0]), result.max_iou, result.positive_count,
+                         result.effective_tp)
+        return MatchReport(MatchConfig(), 1, result.n_anchors, result.label_counts(), table)
 
     def test_json(self):
         data = json.loads(emit_reports(self.report(), "json"))
@@ -255,13 +258,9 @@ SCENE = [
 ]
 
 
-def add_images(report: MatchReport, records) -> MatchReport:
-    """Fold records into report as the match command does, each on its own canvas."""
-    for rec in records:
-        idx, xywh = kept_faces(rec)
-        grid = generate_anchor_boxes(detector_design(), rec.width, rec.height)
-        report.add(rec.path, idx, xywh, assign_labels_xywh(grid, xywh, MATCH))
-    return report
+def match_report(records) -> MatchReport:
+    """The report the match command builds from records on the detector design."""
+    return _match_report(records, detector_design(), MATCH)
 
 
 class TestEmptyTables:
@@ -278,10 +277,12 @@ class TestEmptyTables:
             self.check(report, FACE_STATS_CSV_HEADER, faces)
 
     def test_match_report_with_no_images(self):
-        report = MatchReport(MATCH)
-        self.check(report, MATCH_CSV_HEADER)
-        assert json.loads(emit_reports(report, "json"))["n_faces_matched"] == 0
-        assert "faces     0 (matched 0)" in emit_reports(report, "table")
+        dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
+        for report in (MatchReport(MATCH), match_report([]), match_report([dropped])):
+            self.check(report, MATCH_CSV_HEADER)
+            assert json.loads(emit_reports(report, "json"))["n_faces_matched"] == 0
+            assert "faces     0 (matched 0)" in emit_reports(report, "table")
+            assert emit_reports(report, "json") == emit_reports(MatchReport(MATCH), "json")
 
     def test_simulate_with_no_kept_faces(self):
         dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
@@ -293,7 +294,7 @@ class TestColumnTypes:
     """Positions and counts are integer columns, so they print as integers."""
 
     def test_match_report_counts_are_integers(self):
-        report = add_images(MatchReport(MATCH), SCENE)
+        report = match_report(SCENE)
         lines = emit_reports(report, "csv").splitlines()[1:]
         assert len(lines) == 3
         for line in lines:
@@ -313,16 +314,3 @@ class TestColumnTypes:
             _, face, seen, positive, _, _ = line.split(",")
             assert face.isdigit() and seen.isdigit() and positive.isdigit(), line
         assert all(type(v) is int for row in rows(out.per_face) for v in row[1:4])
-
-    def test_add_after_read(self):
-        # Each read joins the images added so far into one table, and a
-        # later add joins onto that table.
-        images = SCENE * 2
-        whole = add_images(MatchReport(MATCH), images)
-        report, n = MatchReport(MATCH), 0
-        for rec in images:
-            add_images(report, [rec])
-            n += len(kept_faces(rec)[0])
-            assert rows(report.per_face) == rows(whole.per_face)[:n]
-        assert report.n_matched == whole.n_matched
-        assert emit_reports(report, "csv") == emit_reports(whole, "csv")
