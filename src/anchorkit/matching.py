@@ -137,13 +137,14 @@ class MatchResult:
     """Per-anchor labels, held sparsely, plus per-face statistics.
 
     rows are the anchor rows that a face overlaps with an IoU of at least
-    cfg.tn, and those anchor compensation claimed (ascending), with their
-    row_labels and row_compensated flags; every other anchor carries the
-    background label and is not compensated. labels and compensated build
-    the dense per-anchor arrays on each read: labels[i] is a face index
-    (>= 0) for positive anchors, NEGATIVE, or IGNORE; compensated[i] marks
-    positives added by anchor compensation, whose IoU may be at or below the
-    face's effective threshold.
+    cfg.tn (under cfg.tn == 0, where the background is IGNORE, an IoU above
+    that face's effective threshold), and those anchor compensation claimed
+    (ascending), with their row_labels and row_compensated flags; every
+    other anchor carries the background label and is not compensated.
+    labels and compensated build the dense per-anchor arrays on each read:
+    labels[i] is a face index (>= 0) for positive anchors, NEGATIVE, or
+    IGNORE; compensated[i] marks positives added by anchor compensation,
+    whose IoU may be at or below the face's effective threshold.
 
     max_iou, positive_count and effective_tp hold one element per face, in
     the order the faces were given: its best IoU over the grid, its positive
@@ -221,9 +222,24 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     min(cfg.tn, that max) against the other axis's maximum are scored: they
     hold every pair that can decide a label, and the argmax. Pairs below
     cfg.tn are not kept: they decide no label, since their anchor is either
-    negative, the background when cfg.tn > 0, or has a better pair. Each
-    slice of pairs is reduced to its decisive pairs alone, and the slices'
-    survivors once more at the end.
+    negative, the background when cfg.tn > 0, or has a better pair. Under
+    cfg.tn == 0 the background is IGNORE, so pairs at or below their face's
+    threshold are not kept either. Each slice of pairs is reduced to its
+    decisive pairs alone, and the slices' survivors once more at the end.
+
+    Before any cell is scored, two bounds skip the (face, plane) items that
+    cannot reach min(cfg.tn, the face's max). The upper bound of an item is
+    the IoU of the plane's anchor shape and the face's placed
+    concentrically, built from the same area sum as every pair; the overlap
+    clamp and monotone rounding keep every pair of the plane at or below
+    it. The lower bound of a face is the best IoU, over the planes, of the
+    anchor in the cell nearest the face's centre on each axis (clipped to
+    the grid), scored as the pairs are; it is a real anchor's IoU, so at
+    most the face's max. An item whose upper bound is below min(cfg.tn, the
+    lower bound) holds no pair at or above min(cfg.tn, the face's max): it
+    decides no label, passes no per-axis filter and holds no argmax, so its
+    cells are not expanded. Under cfg.tn == 0, or for a face that overlaps
+    none of its nearest anchors, nothing is skipped.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
@@ -248,6 +264,20 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     corner = faces[:, None, :2]
     lo, count = _cell_range(corner, corner + faces[:, None, 2:], grid.size,
                             grid.stride[:, None], grid.cells)
+    # Per face and plane: the area sum, and the IoU of the concentric shapes,
+    # above every pair's. Per face: the IoU of a real anchor, the one in the
+    # cell nearest its centre on each plane, at most its max.
+    (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
+    area = (aw * ah) + (fw * fh)
+    upper = _iou(np.minimum(aw, fw) * np.minimum(ah, fh), area)
+    near = np.clip(np.floor((corner + faces[:, None, 2:] / 2.0) / grid.stride[:, None]),
+                   0, grid.cells - 1)
+    a1 = (near + 0.5) * grid.stride[:, None] - grid.size / 2.0
+    o = _overlap(a1, grid.size, corner, faces[:, None, 2:])
+    reach = _iou(o[..., 0] * o[..., 1], area).max(axis=1)
+    # A plane whose bound is below min(cfg.tn, that IoU) holds no pair that
+    # can decide a label or be the argmax: its cells are not expanded.
+    count[upper < np.minimum(cfg.tn, reach)[:, None]] = 0
     n_planes, none = grid.stride.size, np.iinfo(np.int64).max
     face_max, face_arg = np.zeros(m), np.full(m, none)
     base = group * len(grid)  # each face's key of its set's row 0
@@ -256,19 +286,19 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         # One item per (face, plane) of the slice, face-major.
         face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes), n_planes)
         (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
-        area = (aw * ah) + (f[:, 2] * f[:, 3])
+        area_p = area[part].ravel()
         lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
         gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
         gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
         top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
         np.maximum.at(top_w, gx, iw)
         np.maximum.at(top_h, gy, ih)
-        face_max[part] = _iou(top_w * top_h, area).reshape(-1, n_planes).max(axis=1)
+        face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
         # A pair reaches c only if each of its cells, paired with the other
         # axis's best cell, does.
         c = np.minimum(cfg.tn, face_max[face])
-        x = np.flatnonzero(_iou(iw * top_h[gx], area[gx]) >= c[gx])
-        y = np.flatnonzero(_iou(top_w[gy] * ih, area[gy]) >= c[gy])
+        x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
+        y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
         gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
         nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
         x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
@@ -278,10 +308,12 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
             xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
             p, fc = plane[at], face[at]
             row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
-            val = _iou(iw[xi] * ih[yi], area[at])
+            val = _iou(iw[xi] * ih[yi], area_p[at])
             top = val == face_max[fc]  # the argmax: the lowest row at the max
             np.minimum.at(face_arg, fc[top], row[top])
-            up = val >= cfg.tn  # pairs below tn decide no label
+            # Pairs below tn decide no label. Under tn 0 the background is
+            # IGNORE, so neither does a pair at or below its face's threshold.
+            up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
             kept.append(_decisive(row[up], fc[up], val[up], tp))
     face_arg = np.where(face_arg == none, base, face_arg)
 

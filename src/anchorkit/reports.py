@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .ams import AmsReport, FaceMatchStat
-from .cropsim import FaceSimStat, SimOutcome
+from .cropsim import SimOutcome
 from .matching import MatchConfig
 
 SCHEMA_VERSION = 1
@@ -85,11 +85,6 @@ def json_text(summary: dict, table=None) -> str:
         columns = (getattr(table, name).tolist() for name in names)
         payload["per_face"] = [dict(zip(names, row)) for row in zip(*columns)]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-FACE_STATS_CSV_HEADER = ",".join(_names(FaceMatchStat))
-SIM_CSV_HEADER = ",".join(_names(FaceSimStat))
-MATCH_CSV_HEADER = ",".join(_names(MatchRow))
 
 
 def _no_faces() -> MatchRow:

@@ -523,21 +523,46 @@ class TestWarmBehaviour:
         assert warm.effective_tp[0] == pytest.approx(0.46, abs=1e-12)
 
 
+def thousand_faces():
+    """The 102,300-anchor detector grid of a 640x640 canvas and 1,000 random
+    faces 6-200 px wide of aspect ratio 0.3-3.3 on it."""
+    anchors = generate_anchor_boxes(detector_design(), 640, 640)
+    rng = np.random.default_rng(7)
+    n = 1000
+    w = np.exp(rng.uniform(np.log(6), np.log(200), n))
+    ar = np.exp(rng.uniform(np.log(0.3), np.log(3.3), n))
+    faces = np.column_stack(
+        [rng.uniform(0, 639, n), rng.uniform(0, 639, n), w, w * ar]
+    )
+    return anchors, faces
+
+
 class TestPerformance:
     def test_assignment_contract_1e5_by_1e3(self):
-        anchors = generate_anchor_boxes(detector_design(), 640, 640)
-        rng = np.random.default_rng(7)
-        n = 1000
-        w = np.exp(rng.uniform(np.log(6), np.log(200), n))
-        ar = np.exp(rng.uniform(np.log(0.3), np.log(3.3), n))
-        faces = np.column_stack(
-            [rng.uniform(0, 639, n), rng.uniform(0, 639, n), w, w * ar]
-        )
+        anchors, faces = thousand_faces()
         assign_labels_xywh(anchors, faces[:10], DEFAULT)  # warm-up
         t0 = time.perf_counter()
         assign_labels_xywh(anchors, faces, DEFAULT)
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"assignment took {elapsed:.2f}s"
+
+    def test_planes_below_the_bar_are_not_expanded(self, monkeypatch):
+        # Expanding every candidate cell of every (face, plane) gave 296,868
+        # cells; skipping the planes whose bound is below min(tn, the IoU of
+        # a real anchor) leaves 42,584, mostly on each face's best planes.
+        anchors, faces = thousand_faces()
+        whole = assign_labels_xywh(anchors, faces, DEFAULT)
+        cells = []
+        axis_hits = anchorkit.matching._axis_hits
+
+        def spy(lo, count, *args):
+            cells.append(int(count.sum()))
+            return axis_hits(lo, count, *args)
+
+        monkeypatch.setattr(anchorkit.matching, "_axis_hits", spy)
+        res = assign_labels_xywh(anchors, faces, DEFAULT)
+        assert 0 < sum(cells) < 60_000, sum(cells)
+        assert res.label_counts() == whole.label_counts()
 
 
 SCENE_SIZES = (1.0, 2.0, 3.0, 4.0, 5.5, 8.0, 11.0, 16.0, 22.5, 32.0)
@@ -602,6 +627,24 @@ def grid_scenes(draw):
     return design, w, h, np.array(faces, dtype=np.float64).reshape(-1, 4)
 
 
+def assert_matches_oracle(grid, faces, cfg, res):
+    """res, assign_labels_xywh of faces on grid under cfg, equals the naive
+    oracle over the grid's rows; returns the oracle's labels and
+    compensated flags."""
+    tp = [naive_warm_threshold(f[3] / f[2], cfg) if cfg.strategy is Strategy.WARM else cfg.t0
+          for f in faces]
+    labels, compensated, per_max, pos_count = naive_assign(
+        [tuple(a) for a in np.asarray(grid)], [tuple(f) for f in faces], tp, cfg.tn,
+        compensate=cfg.strategy is Strategy.SAM_COMPENSATE,
+    )
+    assert res.labels.tolist() == labels
+    assert res.compensated.tolist() == compensated
+    assert res.max_iou.tolist() == per_max
+    assert res.positive_count.tolist() == pos_count
+    assert res.effective_tp.tolist() == tp
+    return labels, compensated
+
+
 class TestGridKernel:
     """The grid-indexed kernel against the dense oracle on the grid's rows."""
 
@@ -611,21 +654,10 @@ class TestGridKernel:
     def test_matches_naive_oracle(self, scene, strategy, tn):
         design, w, h, faces = scene
         grid = generate_anchor_boxes(design, w, h)
-        rows = np.asarray(grid)
-        assert rows.tobytes() == eager_anchor_rows(design, w, h).tobytes()
+        assert np.asarray(grid).tobytes() == eager_anchor_rows(design, w, h).tobytes()
         cfg = MatchConfig(strategy=strategy, tn=tn)
         res = assign_labels_xywh(grid, faces, cfg)
-        tp = [naive_warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM else cfg.t0
-              for f in faces]
-        labels, compensated, per_max, pos_count = naive_assign(
-            [tuple(a) for a in rows], [tuple(f) for f in faces], tp, tn,
-            compensate=strategy is Strategy.SAM_COMPENSATE,
-        )
-        assert res.labels.tolist() == labels
-        assert res.compensated.tolist() == compensated
-        assert res.max_iou.tolist() == per_max
-        assert res.positive_count.tolist() == pos_count
-        assert res.effective_tp.tolist() == tp
+        labels, compensated = assert_matches_oracle(grid, faces, cfg, res)
         # Pairs below tn are not kept, so no listed row is negative: with
         # tn > 0 negative is the background, and with tn 0 no row is.
         assert NEGATIVE not in res.row_labels.tolist()
@@ -667,6 +699,8 @@ class TestGridKernel:
         assert res.labels.tolist() == [0] + [IGNORE] * 15
 
     def test_face_off_the_grid_claims_anchor_zero(self):
+        # No anchor overlaps the face, so the IoU of its nearest anchor is 0,
+        # no plane is skipped, and it claims row 0.
         grid = one_level(8, (8.0,), 32, 32)
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE)
         res = assign_labels_xywh(grid, [[100.0, 100.0, 8.0, 8.0]], cfg)
@@ -686,14 +720,65 @@ class TestGridKernel:
         assert res.rows.tolist() == [row] and 0.0 < res.max_iou[0] < 1e-12
 
 
-def one_face_on_a_ten_million_row_grid(face, monkeypatch):
-    """assign_labels_xywh of one face on the 10.5M-row stride-1 ams grid of a
-    1000x700 canvas, its label counts, and the tracemalloc peak of building
-    the grid and labelling, with the anchor rows forbidden."""
+class TestPlanePrune:
+    """A (face, plane) is skipped when the IoU of the plane's anchor shape
+    and the face's, placed concentrically, is below min(tn, the IoU of the
+    anchor nearest the face's centre on some plane)."""
+
+    @pytest.mark.parametrize("face", [
+        [8.0, -28.0, 8.0, 80.0],  # centred on the 8x8 anchor of cell (1, 1)
+        # At the corner of cell (0, 0): 4.9 * 8 / ((64 + 490) - 39.2) rounds
+        # above 4.9 * 8 / ((64 - 39.2) + 490), so the bound must be summed
+        # in the order the pairs are.
+        [0.0, -46.0, 4.9, 100.0],
+    ])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_face_max_below_tn_at_its_plane_bound(self, face, strategy):
+        # The face's max IoU is below tn and equals the bound of the 8x8
+        # plane, which must therefore be kept.
+        grid = one_level(8, (4.0, 8.0), 32, 32)
+        cfg = MatchConfig(strategy=strategy)
+        res = assign_labels_xywh(grid, [face], cfg)
+        fw, fh = face[2:]
+        inter = min(8.0, fw) * min(8.0, fh)
+        assert res.max_iou[0] == inter / ((8.0 * 8.0) + (fw * fh) - inter) < cfg.tn
+        assert_matches_oracle(grid, [face], cfg, res)
+        if strategy is Strategy.SAM_COMPENSATE:
+            # The lowest 8x8 anchor inside the face's column of cells.
+            assert res.rows[res.row_compensated].tolist() == [1 + 2 * int(face[0] // 8)]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_face_beyond_one_plane_keeps_the_other(self, strategy):
+        # The 8x8 face is past every 8x8 anchor (x up to 32) but inside the
+        # 64x64 anchors, whose IoU of 1/64 is all it reaches. A lower bound
+        # taken from a cell off the grid, or from the 8x8 plane's concentric
+        # bound of 1, would skip the 64x64 plane.
+        design = AnchorDesign(levels=(PyramidLevel("A", 8, (8.0,)),
+                                      PyramidLevel("B", 8, (64.0,))))
+        grid = generate_anchor_boxes(design, 32, 32)
+        face = [44.0, 12.0, 8.0, 8.0]
+        cfg = MatchConfig(strategy=strategy)
+        res = assign_labels_xywh(grid, [face], cfg)
+        assert res.max_iou.tolist() == [1 / 64]
+        assert_matches_oracle(grid, [face], cfg, res)
+        if strategy is Strategy.SAM_COMPENSATE:
+            # The lowest 64x64 anchor that holds the face: cell (2, 0).
+            assert res.rows[res.row_compensated].tolist() == [16 + 2]
+
+
+def forbid_rows(monkeypatch):
+    """Make building an AnchorGrid's rows fail the test."""
     def no_rows(self, dtype=None, copy=None):
         raise AssertionError("the anchor rows were built")
 
     monkeypatch.setattr(anchorkit.anchors.AnchorGrid, "__array__", no_rows)
+
+
+def one_face_on_a_ten_million_row_grid(face, monkeypatch):
+    """assign_labels_xywh of one face on the 10.5M-row stride-1 ams grid of a
+    1000x700 canvas, its label counts, and the tracemalloc peak of building
+    the grid and labelling, with the anchor rows forbidden."""
+    forbid_rows(monkeypatch)
     tracemalloc.start()
     try:
         grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
@@ -746,7 +831,7 @@ class TestResources:
         # _decisive runs once per slice of pairs, and once over their survivors.
         calls = []
         decisive = anchorkit.matching._decisive
-        monkeypatch.setattr(anchorkit.matching, "PAIR_BUDGET", 64)
+        monkeypatch.setattr(anchorkit.matching, "PAIR_BUDGET", 16)
         monkeypatch.setattr(anchorkit.matching, "_decisive",
                             lambda *args: calls.append(1) or decisive(*args))
         parts = assign_labels_xywh(anchors, faces, cfg)
@@ -775,6 +860,29 @@ class TestResources:
         _, times = np.unique(np.concatenate(seen), return_counts=True)
         assert times.max() <= 2
         assert res.positive_count.tolist() == [42_364]
+
+    @pytest.mark.parametrize("strategy", [Strategy.SAM, Strategy.SAM_COMPENSATE])
+    def test_tn_zero_keeps_only_pairs_above_threshold(self, strategy, monkeypatch):
+        # Under tn 0 the background is IGNORE, so only pairs above their
+        # face's threshold are kept. Eight 200x200 faces, each its own set
+        # on the 10.5M-row ams grid, peak near 48 MB; keeping every pair at
+        # or above tn peaked at 326 MB for two of them.
+        forbid_rows(monkeypatch)
+        faces = [[100.0 + 90 * g, 60.0 + 50 * g, 200.0, 200.0] for g in range(8)]
+        tracemalloc.start()
+        try:
+            grid = generate_anchor_boxes(ams_design(1.0), 1000, 700)
+            res = assign_labels_xywh(grid, faces, MatchConfig(strategy=strategy, tn=0.0),
+                                     group=np.arange(8))
+            counts = res.label_counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert res.positive_count.tolist() == [18_548] * 8
+        assert counts == {"positive": 8 * 18_548, "negative": 0,
+                          "ignore": 8 * (len(grid) - 18_548), "compensated": 0}
+        assert res.rows.size == 8 * 18_548
 
 
 def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):

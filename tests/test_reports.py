@@ -10,16 +10,13 @@ from anchorkit.anchors import ams_design, detector_design
 from anchorkit.cli import _match_report
 from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
 from anchorkit.matching import MatchConfig, MatchResult
-from anchorkit.reports import (
-    FACE_STATS_CSV_HEADER,
-    MATCH_CSV_HEADER,
-    SIM_CSV_HEADER,
-    MatchReport,
-    MatchRow,
-    emit_reports,
-    json_text,
-)
+from anchorkit.reports import MatchReport, MatchRow, emit_reports, json_text
 from builders import record, rows
+
+# The CSV header of each per-face table.
+FACE_STATS_CSV_HEADER = "image,face,ar,width,max_iou,matched"
+MATCH_CSV_HEADER = "image,face,ar,max_iou,positive_count,effective_tp"
+SIM_CSV_HEADER = "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
 
 REPORT = AmsReport(
     t_p=0.5,
@@ -91,7 +88,7 @@ class TestFaceStatsFormats:
     def test_csv_header_and_precision(self):
         text = emit_reports(REPORT, "csv", STATS)
         lines = text.strip().split("\n")
-        assert lines[0] == FACE_STATS_CSV_HEADER == "image,face,ar,width,max_iou,matched"
+        assert lines[0] == FACE_STATS_CSV_HEADER
         assert lines[1] == "a.jpg,0,0.449275,31.500000,0.512300,1"
         assert lines[2] == "a.jpg,2,4.000000,12.000000,0.333333,0"
 
@@ -172,7 +169,7 @@ class TestMatchResultFormats:
 
     def test_csv(self):
         lines = emit_reports(self.report(), "csv").strip().split("\n")
-        assert lines[0] == MATCH_CSV_HEADER == "image,face,ar,max_iou,positive_count,effective_tp"
+        assert lines[0] == MATCH_CSV_HEADER
         assert rows(self.report().per_face)[1] == ("a.jpg", 2, 3.0, 0.42, 1, 0.46)
         assert lines[1] == "a.jpg,0,2.000000,0.810000,1,0.500000"
         assert lines[2] == "a.jpg,2,3.000000,0.420000,1,0.460000"
@@ -202,9 +199,7 @@ class TestSimOutcomeFormats:
 
     def test_csv(self):
         lines = emit_reports(self.outcome(), "csv").strip().split("\n")
-        assert lines[0] == SIM_CSV_HEADER == (
-            "image,face,crops_seen,crops_positive,best_observed_iou,best_ideal_iou"
-        )
+        assert lines[0] == SIM_CSV_HEADER
         assert lines[1] == "a.jpg,0,154,153,0.476557,0.476557"
 
     def test_table_unsupported(self):
