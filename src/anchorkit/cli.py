@@ -81,6 +81,10 @@ def _match_config(args: argparse.Namespace) -> MatchConfig:
 
 def _load_records(args: argparse.Namespace):
     if args.synthetic is not None:
+        for flag in ("annotations", "dims"):
+            if getattr(args, flag, None) is not None:
+                raise ValueError(f"--synthetic generates its own corpus; it cannot be "
+                                 f"combined with --{flag}")
         if args.ar_list:
             law = FixedListAR(tuple(float(v) for v in args.ar_list.split(",")))
         else:

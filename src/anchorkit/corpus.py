@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .prng import SplitMix64, substream
+from .prng import floats
 
 FACE_COLUMNS = (
     "x", "y", "w", "h", "blur", "expression", "illumination", "invalid", "occlusion", "pose",
@@ -259,9 +259,6 @@ class LogUniformAR:
             raise ValueError(f"aspect ratio bounds lo={self.lo!r}, hi={self.hi!r} must be "
                              f"finite, and so must hi/lo")
 
-    def ar_for(self, index: int, rng: SplitMix64) -> float:
-        return self.lo * (self.hi / self.lo) ** rng.next_float()
-
 
 @dataclass(frozen=True)
 class FixedListAR:
@@ -276,9 +273,6 @@ class FixedListAR:
         if not all(0 < v < math.inf for v in self.values):
             raise ValueError(f"aspect ratios must be positive and finite: {self.values!r}")
 
-    def ar_for(self, index: int, rng: SplitMix64) -> float:
-        return self.values[index % len(self.values)]
-
 
 def generate_synthetic(
     seed: int, n: int, law: LogUniformAR | FixedListAR
@@ -286,31 +280,30 @@ def generate_synthetic(
     """Deterministic synthetic corpus: one face per image record.
 
     Face widths are log-uniform in [4, 512]; aspect ratios follow the given
-    law. Each face uses its own substream (seed, index), with the draw order
-    fixed as width, then aspect ratio (log-uniform law only), then position.
-    Image dimensions are sized to contain the face with margin.
+    law. Face i draws from PRNG stream (seed, i), in the order width, then
+    aspect ratio (log-uniform law only), then x and y. Image dimensions are
+    sized to contain the face with margin. Each record's face is a slice of
+    one array.
     """
     if n <= 0:
         raise ValueError(f"synthetic corpus size must be positive, not {n}")
-    records: list[ImageRecord] = []
-    for i in range(n):
-        rng = substream(seed, i)
-        w = 4.0 * (512.0 / 4.0) ** rng.next_float()
-        ar = law.ar_for(i, rng)
-        h = w * ar
-        img_w = float(max(640, math.ceil(w) + 64))
-        img_h = float(max(640, math.ceil(h) + 64))
-        x = rng.uniform(32.0, img_w - w - 32.0)
-        y = rng.uniform(32.0, img_h - h - 32.0)
-        records.append(
-            ImageRecord(
-                path=f"synthetic/{i:05d}.jpg",
-                width=img_w,
-                height=img_h,
-                faces=np.array([[x, y, w, h] + [0.0] * 6]),
-            )
-        )
-    return records
+    drawn = isinstance(law, LogUniformAR)
+    u = floats(seed, np.arange(n), 0, 3 + drawn)
+    # Python's ** on floats, which np.power can differ from in the last bit.
+    w = np.array([4.0 * (512.0 / 4.0) ** v for v in u[:, 0].tolist()])
+    if drawn:
+        ar = np.array([law.lo * (law.hi / law.lo) ** v for v in u[:, 1].tolist()])
+    else:
+        ar = np.resize(law.values, n)  # the list, cycled by face index
+    with np.errstate(over="ignore"):  # an infinite height is refused below
+        wh = np.column_stack([w, w * ar])
+    if not np.isfinite(wh).all():
+        raise ValueError(f"aspect ratio law {law!r} gives a face height too large for a float")
+    dims = np.maximum(640.0, np.ceil(wh) + 64.0)
+    xy = 32.0 + ((dims - wh - 32.0) - 32.0) * u[:, -2:]  # uniform in [32, dims - wh - 32)
+    faces = np.hstack([xy, wh, np.zeros((n, len(FACE_COLUMNS) - 4))])
+    return [ImageRecord(f"synthetic/{i:05d}.jpg", width, height, faces[i:i + 1])
+            for i, (width, height) in enumerate(zip(*dims.T.tolist()))]
 
 
 def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) -> float:

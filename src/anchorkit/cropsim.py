@@ -6,10 +6,10 @@ faces whose centers fall inside the patch are kept and clipped, and everything
 is rescaled to the output canvas. Running many crops per image measures how
 close each face's observed grid max IoU gets to its ideal-placement bound.
 
-Determinism: every image uses its own PRNG substream derived from
-(seed, image index), so outcomes are byte-stable under a fixed seed and
-independent of how other images are processed. Per crop, the draw order is
-scale index, patch x, patch y.
+Determinism: every image draws from its own PRNG stream (seed, image
+index), so outcomes are byte-stable under a fixed seed and independent of
+how other images are processed. Crop j of an image takes that stream's
+floats 3j, 3j+1 and 3j+2: scale index, patch x, patch y.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import ams, matching
 from .anchors import AnchorDesign, generate_anchor_boxes
 from .corpus import ImageRecord, kept_faces
 from .matching import MatchConfig, _chunks, assign_labels_xywh
-from .prng import SplitMix64, substream
+from .prng import floats
 
 
 @dataclass(frozen=True)
@@ -47,21 +47,20 @@ class CropParams:
             raise ValueError(f"output_side must be positive and finite, not {self.output_side!r}")
 
 
-def _crops(width, height, xywh: np.ndarray, params: CropParams, rng: SplitMix64, n: int):
-    """Draw n square crops of a width x height image and transform its (m, 4)
-    xywh faces into output coordinates, all at once.
+def _crops(width, height, xywh: np.ndarray, params: CropParams, u: np.ndarray):
+    """Make len(u) square crops of a width x height image and transform its
+    (m, 4) xywh faces into output coordinates, all at once.
 
-    Each crop takes three draws from rng, in the order scale index, patch x,
-    patch y. A face is kept when its center lies in the half-open patch
-    [x0, x0+side) x [y0, y0+side); kept boxes are clipped to the patch and
-    scaled by output_side/side. Returns (crop, face, boxes): the crop and
-    face index of each kept pair, ordered by crop and then by face, and its
-    (pairs, 4) output box. Every value is that of drawing and transforming
-    the crops one at a time in float arithmetic.
+    Each crop takes one row of the (n, 3) uniform draws u, in the order
+    scale index, patch x, patch y. A face is kept when its center lies in
+    the half-open patch [x0, x0+side) x [y0, y0+side); kept boxes are
+    clipped to the patch and scaled by output_side/side. Returns (crop,
+    face, boxes): the crop and face index of each kept pair, ordered by crop
+    and then by face, and its (pairs, 4) output box. Every value is that of
+    transforming the crops one at a time in float arithmetic.
     """
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
-    u = rng.next_floats(3 * n).reshape(n, 3)
     k = len(params.scale_options)
     pick = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
     side = np.array(params.scale_options)[pick, None] * min(width, height)
@@ -155,11 +154,10 @@ def simulate(
         face[start:end] = idx
         if not len(idx):
             continue
-        rng = substream(seed, img_idx)
         block = max(1, ams.FACE_BLOCK // len(idx))
         for first in range(0, n_crops, block):
-            crop, k, boxes = _crops(rec.width, rec.height, xywh, params, rng,
-                                    min(block, n_crops - first))
+            u = floats(seed, img_idx, 3 * first, 3 * min(block, n_crops - first))
+            crop, k, boxes = _crops(rec.width, rec.height, xywh, params, u.reshape(-1, 3))
             k += start
             bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
             observed = np.empty(len(k))

@@ -218,8 +218,9 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     widened by one cell), and each axis's cells are scored alone by their
     overlap with the face. On a plane an anchor's IoU rises with each axis
     overlap and every rounded step is monotone, so the per-axis maxima give
-    the face's max IoU exactly. Only anchors whose x and y cells each reach
-    min(cfg.tn, that max) against the other axis's maximum are scored: they
+    the face's max IoU exactly. A face's bar is cfg.tn, or under cfg.tn == 0
+    its effective threshold. Only anchors whose x and y cells each reach
+    min(bar, that max) against the other axis's maximum are scored: they
     hold every pair that can decide a label, and the argmax. Pairs below
     cfg.tn are not kept: they decide no label, since their anchor is either
     negative, the background when cfg.tn > 0, or has a better pair. Under
@@ -228,18 +229,18 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     decisive pairs alone, and the slices' survivors once more at the end.
 
     Before any cell is scored, two bounds skip the (face, plane) items that
-    cannot reach min(cfg.tn, the face's max). The upper bound of an item is
+    cannot reach min(bar, the face's max). The upper bound of an item is
     the IoU of the plane's anchor shape and the face's placed
     concentrically, built from the same area sum as every pair; the overlap
     clamp and monotone rounding keep every pair of the plane at or below
     it. The lower bound of a face is the best IoU, over the planes, of the
     anchor in the cell nearest the face's centre on each axis (clipped to
     the grid), scored as the pairs are; it is a real anchor's IoU, so at
-    most the face's max. An item whose upper bound is below min(cfg.tn, the
-    lower bound) holds no pair at or above min(cfg.tn, the face's max): it
+    most the face's max. An item whose upper bound is below min(bar, the
+    lower bound) holds no pair at or above min(bar, the face's max): it
     decides no label, passes no per-axis filter and holds no argmax, so its
-    cells are not expanded. Under cfg.tn == 0, or for a face that overlaps
-    none of its nearest anchors, nothing is skipped.
+    cells are not expanded. For a face that overlaps none of its nearest
+    anchors, nothing is skipped.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
@@ -275,9 +276,11 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     a1 = (near + 0.5) * grid.stride[:, None] - grid.size / 2.0
     o = _overlap(a1, grid.size, corner, faces[:, None, 2:])
     reach = _iou(o[..., 0] * o[..., 1], area).max(axis=1)
-    # A plane whose bound is below min(cfg.tn, that IoU) holds no pair that
-    # can decide a label or be the argmax: its cells are not expanded.
-    count[upper < np.minimum(cfg.tn, reach)[:, None]] = 0
+    # Each face's bar: cfg.tn, or under cfg.tn == 0 its threshold tp. A plane
+    # whose bound is below min(bar, that IoU) holds no pair that can decide
+    # a label or be the argmax: its cells are not expanded.
+    bar = tp if cfg.tn == 0 else np.full(m, cfg.tn)
+    count[upper < np.minimum(bar, reach)[:, None]] = 0
     n_planes, none = grid.stride.size, np.iinfo(np.int64).max
     face_max, face_arg = np.zeros(m), np.full(m, none)
     base = group * len(grid)  # each face's key of its set's row 0
@@ -296,7 +299,7 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
         # A pair reaches c only if each of its cells, paired with the other
         # axis's best cell, does.
-        c = np.minimum(cfg.tn, face_max[face])
+        c = np.minimum(bar[face], face_max[face])
         x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
         y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
         gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]

@@ -11,9 +11,10 @@ zero-width box, and one invalid-flagged face. Run from the repo root:
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from anchorkit.prng import substream
+from oracles import substream
 
 EVENTS = ["0--Parade", "1--Handshaking", "2--Demonstration", "3--Riot", "4--Dancing"]
 

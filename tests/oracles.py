@@ -1,7 +1,7 @@
 """Slow, obviously-correct reference implementations used to cross-check the
 library's vectorized paths. Kept deliberately independent: plain Python
-loops over xywh tuples, annotation lines and tensor elements (and one eager
-numpy grid builder), no shared code with the package internals beyond its
+loops over xywh tuples, annotation lines, PRNG words and tensor elements
+(and one eager numpy grid builder), no shared code with the package internals beyond its
 public types. naive_simulate and naive_match_report are the exceptions:
 they check how the crop simulation and the match command batch their work,
 so they run the library's public kernel one crop or one image at a time."""
@@ -16,9 +16,8 @@ import numpy as np
 
 from anchorkit.ams import ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
-from anchorkit.corpus import ImageRecord, WiderParseError, kept_faces
+from anchorkit.corpus import ImageRecord, LogUniformAR, WiderParseError, kept_faces
 from anchorkit.matching import assign_labels_xywh
-from anchorkit.prng import substream
 from anchorkit.reports import LABEL_KINDS, MatchReport, MatchRow
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
@@ -213,6 +212,72 @@ def naive_parse_wider(source) -> list:
         records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, 10)))
     return records
 
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer on one 64-bit word, in Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Sequential SplitMix64 generator over a 64-bit state: the scalar
+    reference for anchorkit.prng.floats."""
+
+    def __init__(self, state: int):
+        self._state = state & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
+
+    def next_float(self) -> float:
+        """Uniform draw in [0, 1) with 53-bit resolution."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.next_float()
+
+
+def substream(seed: int, index: int) -> SplitMix64:
+    """Child stream index of seed, started from state mix64(mix64(seed) + index)."""
+    if index < 0:
+        raise ValueError("substream index must be non-negative")
+    return SplitMix64(_mix64(_mix64(seed & _MASK64) + index))
+
+
+def naive_generate_synthetic(seed, n, law) -> list:
+    """The synthetic corpus drawn one face and one float at a time from its
+    own substream: width, then aspect ratio (log-uniform law only), then x
+    and y. generate_synthetic must give equal records."""
+    if n <= 0:
+        raise ValueError(f"synthetic corpus size must be positive, not {n}")
+    records = []
+    for i in range(n):
+        rng = substream(seed, i)
+        w = 4.0 * (512.0 / 4.0) ** rng.next_float()
+        if isinstance(law, LogUniformAR):
+            ar = law.lo * (law.hi / law.lo) ** rng.next_float()
+        else:
+            ar = law.values[i % len(law.values)]
+        h = w * ar
+        img_w = float(max(640, math.ceil(w) + 64))
+        img_h = float(max(640, math.ceil(h) + 64))
+        x = rng.uniform(32.0, img_w - w - 32.0)
+        y = rng.uniform(32.0, img_h - h - 32.0)
+        records.append(
+            ImageRecord(
+                path=f"synthetic/{i:05d}.jpg",
+                width=img_w,
+                height=img_h,
+                faces=np.array([[x, y, w, h] + [0.0] * 6]),
+            )
+        )
+    return records
 
 
 def naive_random_crop(image_w, image_h, faces, params, rng):

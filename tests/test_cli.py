@@ -343,6 +343,19 @@ class TestBadInput:
         assert main(argv) == 1
         _one_error_line(capsys, field)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["ams", "--annotations", FIXTURE, "--synthetic", "3"], "--annotations"),
+        (["match", "--synthetic", "2", "--dims", "/nonexistent.csv"], "--dims"),
+        (["simulate", "--synthetic", "2", "--crops", "1", "--annotations", "a.txt",
+          "--dims", "d.csv"], "--annotations"),
+        (["coverage", "--annotations", "/nonexistent.txt", "--synthetic", "4"], "--annotations"),
+    ], ids=["ams-annotations", "match-dims", "simulate-both", "coverage-annotations"])
+    def test_synthetic_refuses_an_input_file(self, argv, flag, capsys):
+        # --synthetic makes its own corpus, so a file given with it would be
+        # ignored: refused before any file is opened.
+        assert main(argv) == 1
+        _one_error_line(capsys, "--synthetic", flag)
+
     @pytest.mark.parametrize("argv, bounds", [
         (["ams", "--synthetic", "3", "--ar-hi", "inf"], "hi=inf"),
         (["ams", "--synthetic", "3", "--ar-lo", "1e-320", "--ar-hi", "1"], "lo=1e-320"),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anchorkit.corpus
 from anchorkit.corpus import (
@@ -20,7 +20,7 @@ from anchorkit.corpus import (
     serialize_wider,
 )
 from builders import record
-from oracles import naive_parse_wider
+from oracles import naive_generate_synthetic, naive_parse_wider
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 
@@ -349,6 +349,27 @@ class TestGenerateSynthetic:
             LogUniformAR(0.0, 2.0)
         with pytest.raises(ValueError):
             FixedListAR(())
+        # A width up to 512 times an aspect ratio near the float maximum.
+        with pytest.raises(ValueError, match="too large for a float"):
+            generate_synthetic(1, 2000, LogUniformAR(1.0, 1e308))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(-2**70, -1), st.integers(0, 1000),
+                          st.integers(2**63, 2**64 + 5)),
+           n=st.integers(1, 300),
+           law=st.one_of(
+               st.tuples(st.floats(1e-3, 1.0), st.floats(1.0, 1e3)).map(
+                   lambda bounds: LogUniformAR(*bounds)),
+               st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=7).map(
+                   lambda values: FixedListAR(tuple(values)))))
+    @example(seed=2**64 - 1, n=7, law=LogUniformAR(0.001, 1000.0))
+    @example(seed=-5, n=13, law=FixedListAR((0.3, 0.5, 1.0, 2.0, 2.3, 4.0)))
+    def test_equals_scalar_draws(self, seed, n, law):
+        got, want = generate_synthetic(seed, n, law), naive_generate_synthetic(seed, n, law)
+        assert [(r.path, r.width, r.height) for r in got] == [
+            (r.path, r.width, r.height) for r in want]
+        assert all(type(r.width) is type(r.height) is float for r in got)
+        assert [r.faces.tobytes() for r in got] == [r.faces.tobytes() for r in want]
 
 
 class TestArCoverage:

@@ -12,15 +12,14 @@ from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design
 from anchorkit import ams, cropsim, matching
 from anchorkit.cropsim import CropParams, _crops, simulate
 from anchorkit.matching import MatchConfig, Strategy
-from anchorkit.prng import SplitMix64, substream
+from anchorkit.prng import floats
 from anchorkit.reports import emit_reports
 from builders import record as make_record, rows
-from oracles import naive_random_crop, naive_simulate
+from oracles import SplitMix64, naive_random_crop, naive_simulate, substream
 
 SAM = MatchConfig(strategy=Strategy.SAM)
 WARM = MatchConfig()
 FULL_PATCH = CropParams(scale_options=(1.0,))
-GAMMA = 0x9E3779B97F4A7C15
 
 
 def record(path, width, height, boxes, invalid=()):
@@ -48,8 +47,9 @@ class TestCropParams:
 
 
 def crops(width, height, faces, params, rng, n=1):
-    return _crops(width, height, np.array(faces, dtype=np.float64).reshape(-1, 4),
-                  params, rng, n)
+    """_crops of n crops, drawing each crop's three floats from the scalar rng."""
+    u = np.array([rng.next_float() for _ in range(3 * n)]).reshape(n, 3)
+    return _crops(width, height, np.array(faces, dtype=np.float64).reshape(-1, 4), params, u)
 
 
 def bits(a):
@@ -404,34 +404,37 @@ class TestFaceBlock:
 
 class TestPrng:
     def test_substreams_are_stable(self):
-        a = substream(42, 0)
-        b = substream(42, 0)
-        assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
+        assert bits(floats(42, 0, 0, 4)) == bits(floats(42, 0, 0, 4))
 
     def test_substreams_differ_by_index(self):
-        a = substream(42, 0)
-        b = substream(42, 1)
-        assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+        assert bits(floats(42, 0, 0, 4)) != bits(floats(42, 1, 0, 4))
 
     def test_floats_in_unit_interval(self):
-        rng = SplitMix64(123)
-        xs = [rng.next_float() for _ in range(2000)]
-        assert all(0.0 <= x < 1.0 for x in xs)
-        assert 0.4 < sum(xs) / len(xs) < 0.6
+        xs = floats(123, 0, 0, 2000)
+        assert ((0.0 <= xs) & (xs < 1.0)).all()
+        assert 0.4 < xs.mean() < 0.6
 
     def test_substream_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            substream(0, -1)
+        for stream, start, count in ((-1, 0, 1), (np.array([0, -1]), 0, 1), (0, -1, 1),
+                                     (0, 0, -1)):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                floats(0, stream, start, count)
 
-    @given(state=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 64, 2**64 - 1)),
-           n=st.integers(0, 40))
-    @example(state=2**64 - 1, n=0)
-    @example(state=2**64 - GAMMA, n=3)  # the first word's state is 0
-    @example(state=GAMMA - 1, n=2)
-    def test_next_floats_equal_sequential_draws(self, state, n):
-        batch, one = SplitMix64(state), SplitMix64(state)
-        got = batch.next_floats(n)
-        assert got.dtype == np.float64 and got.shape == (n,)
-        assert bits(got) == bits([one.next_float() for _ in range(n)])
-        # Both generators end in the same state.
-        assert batch.next_u64() == one.next_u64()
+    @given(seed=st.one_of(st.integers(-2**70, 2**70), st.integers(2**63, 2**64 - 1)),
+           streams=st.lists(st.one_of(st.integers(0, 40), st.integers(2**40 - 3, 2**40)),
+                            max_size=4),
+           start=st.integers(0, 30), count=st.integers(0, 30), as_array=st.booleans())
+    @example(seed=2**64 - 1, streams=[0], start=0, count=0, as_array=False)
+    @example(seed=-5, streams=[2**40, 0, 7], start=3, count=5, as_array=True)
+    @example(seed=12345678901234567890, streams=[], start=2, count=4, as_array=True)
+    def test_floats_equal_scalar_substream(self, seed, streams, start, count, as_array):
+        stream = np.array(streams, dtype=np.int64) if as_array else (streams or [0])[0]
+        got = floats(seed, stream, start, count)
+        want = []
+        for index in np.atleast_1d(stream).tolist():
+            rng = substream(seed, index)
+            drawn = [rng.next_float() for _ in range(start + count)]
+            want.append(drawn[start:])
+        assert got.dtype == np.float64
+        assert got.shape == np.shape(stream) + (count,)
+        assert bits(got.reshape(len(want), count)) == [bits(row) for row in want]

@@ -546,12 +546,15 @@ class TestPerformance:
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"assignment took {elapsed:.2f}s"
 
-    def test_planes_below_the_bar_are_not_expanded(self, monkeypatch):
+    @pytest.mark.parametrize("cfg", [DEFAULT, MatchConfig(tn=0.0)], ids=["default", "tn0"])
+    def test_planes_below_the_bar_are_not_expanded(self, cfg, monkeypatch):
         # Expanding every candidate cell of every (face, plane) gave 296,868
-        # cells; skipping the planes whose bound is below min(tn, the IoU of
-        # a real anchor) leaves 42,584, mostly on each face's best planes.
+        # cells; skipping the planes whose bound is below min(bar, the IoU of
+        # a real anchor) leaves 42,584 at the default tn, mostly on each
+        # face's best planes. Under tn 0 the bar is each face's positive
+        # threshold, not 0, which leaves 26,139.
         anchors, faces = thousand_faces()
-        whole = assign_labels_xywh(anchors, faces, DEFAULT)
+        whole = assign_labels_xywh(anchors, faces, cfg)
         cells = []
         axis_hits = anchorkit.matching._axis_hits
 
@@ -560,7 +563,7 @@ class TestPerformance:
             return axis_hits(lo, count, *args)
 
         monkeypatch.setattr(anchorkit.matching, "_axis_hits", spy)
-        res = assign_labels_xywh(anchors, faces, DEFAULT)
+        res = assign_labels_xywh(anchors, faces, cfg)
         assert 0 < sum(cells) < 60_000, sum(cells)
         assert res.label_counts() == whole.label_counts()
 
