@@ -55,15 +55,21 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
                    help="anchor aspect ratio, height/width (default: 1.0)")
 
 
+# The synthetic flags default to None, so a flag that was given can be told
+# apart; these values apply once the flags are checked (see _load_records).
+_SYNTHETIC_DEFAULTS = {"seed": 0, "ar_lo": 0.2, "ar_hi": 5.0}
+
+
 def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
+    d = _SYNTHETIC_DEFAULTS
     p.add_argument("--synthetic", type=int, metavar="N",
                    help="generate N synthetic faces instead of reading annotations")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
-    p.add_argument("--ar-lo", type=float, default=0.2,
-                   help="synthetic AR law lower bound (default: 0.2)")
-    p.add_argument("--ar-hi", type=float, default=5.0,
-                   help="synthetic AR law upper bound (default: 5.0)")
-    p.add_argument("--ar-list", type=str, default=None,
+    p.add_argument("--seed", type=int, help=f"PRNG seed (default: {d['seed']})")
+    p.add_argument("--ar-lo", type=float,
+                   help=f"synthetic AR law lower bound (default: {d['ar_lo']})")
+    p.add_argument("--ar-hi", type=float,
+                   help=f"synthetic AR law upper bound (default: {d['ar_hi']})")
+    p.add_argument("--ar-list", type=str,
                    help="comma-separated fixed AR list for the synthetic corpus")
 
 
@@ -80,12 +86,30 @@ def _match_config(args: argparse.Namespace) -> MatchConfig:
 
 
 def _load_records(args: argparse.Namespace):
+    # A synthetic flag that would change nothing is refused: the AR flags
+    # without --synthetic, or --ar-lo/--ar-hi beside --ar-list, and --seed
+    # without --synthetic, except in simulate, where it also seeds the crops.
+    given = [name for name in ("seed", "ar_lo", "ar_hi", "ar_list")
+             if getattr(args, name) is not None]
+    if args.synthetic is None:
+        unused = [name for name in given if name != "seed" or args.command != "simulate"]
+        if unused:
+            raise ValueError(f"--{unused[0].replace('_', '-')} applies to a --synthetic "
+                             f"corpus only")
+    elif args.ar_list is not None:
+        for name in ("ar_lo", "ar_hi"):
+            if name in given:
+                raise ValueError(f"--{name.replace('_', '-')} bounds the log-uniform AR law; "
+                                 f"it cannot be combined with --ar-list")
+    for name, value in _SYNTHETIC_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.synthetic is not None:
         for flag in ("annotations", "dims"):
             if getattr(args, flag, None) is not None:
                 raise ValueError(f"--synthetic generates its own corpus; it cannot be "
                                  f"combined with --{flag}")
-        if args.ar_list:
+        if args.ar_list is not None:
             law = FixedListAR(tuple(float(v) for v in args.ar_list.split(",")))
         else:
             law = LogUniformAR(args.ar_lo, args.ar_hi)
@@ -139,8 +163,9 @@ def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
 
 def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
     """Label every image that keeps a face on the grid of its canvas. The
-    images of one canvas are labelled in runs of whole images holding at
-    most matching.RUN_FACES faces (or one image), one kernel call per run."""
+    images of one canvas are labelled in runs of whole images that can keep
+    at most matching.RUN_PAIRS pairs by matching.pair_bound (or one image),
+    one kernel call per run."""
     max_stride = max(lv.stride for lv in design.levels)
 
     # The images that keep a face, numbered in file order, and their numbers
@@ -164,16 +189,22 @@ def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchRepor
         # One kernel call per run of whole images, each image its own group.
         # Each group is a copy of the grid and keeps a face, so a call's
         # anchors and tallies are the sums over its images.
-        for run in _chunks(sizes[numbers], matching.RUN_FACES):
-            picks = numbers[run]
-            group, offset = _expand(sizes[picks])
-            at = starts[picks][group] + offset
-            result = assign_labels_xywh(grid, faces[at], cfg, group=group)
+        group, offset = _expand(sizes[numbers])
+        faces_at = starts[numbers][group] + offset  # the canvas's faces, image by image
+        ends = np.append(0, np.cumsum(sizes[numbers]))
+        # Sizing runs takes a pass over the faces; one image is one run.
+        bound = np.zeros(1) if len(numbers) == 1 else np.add.reduceat(
+            matching.pair_bound(grid, faces[faces_at], cfg), ends[:-1])
+        for run in _chunks(bound, matching.RUN_PAIRS):
+            lo, hi = ends[run.start], ends[run.stop]
+            at = faces_at[lo:hi]
+            result = assign_labels_xywh(grid, faces[at], cfg, group=group[lo:hi] - run.start)
             max_iou[at], positive[at], tp[at] = (result.max_iou, result.positive_count,
                                                  result.effective_tp)
             n_anchors += result.n_anchors
             for kind, count in result.label_counts().items():
                 labels[kind] += count
+            del result  # drop its rows before the next call builds its own
     table = MatchRow(np.repeat(np.array(paths, dtype=object), sizes),
                      np.concatenate([np.empty(0, dtype=np.int64), *idx]),
                      faces[:, 3] / faces[:, 2], max_iou, positive, tp)

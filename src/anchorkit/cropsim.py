@@ -119,12 +119,12 @@ def simulate(
     recording whether each retained face drew at least one positive anchor
     and what its best grid IoU was. An image's crops are drawn and bounded
     in blocks of at most ams.FACE_BLOCK crop-face cells (or one crop), and a
-    block's crops are labelled in runs of whole crops holding at most
-    matching.RUN_FACES faces (or one crop), one kernel call per run; the
-    values depend on neither. Every record must carry pixel dimensions, and
-    on every image that keeps a face the smallest crop patch must have a
-    side above 0 and a finite rescale factor; both are checked before any
-    draw.
+    block's crops are labelled in runs of whole crops that can keep at most
+    matching.RUN_PAIRS pairs by matching.pair_bound (or one crop), one
+    kernel call per run; the values depend on neither. Every record must
+    carry pixel dimensions, and on every image that keeps a face the
+    smallest crop patch must have a side above 0 and a finite rescale
+    factor; both are checked before any draw.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
@@ -164,7 +164,8 @@ def simulate(
             hit = np.empty(len(k), dtype=bool)
             # The pairs of the i-th crop that keeps a face are ends[i] .. ends[i+1]-1.
             ends = np.append(np.flatnonzero(np.diff(crop, prepend=-1)), len(k))
-            for run in _chunks(np.diff(ends), matching.RUN_FACES):
+            bound = np.add.reduceat(matching.pair_bound(grid, boxes, cfg), ends[:-1])
+            for run in _chunks(bound, matching.RUN_PAIRS):
                 lo, hi = ends[run.start], ends[run.stop]
                 result = assign_labels_xywh(grid, boxes[lo:hi], cfg,
                                             group=crop[lo:hi] - crop[lo])

@@ -23,13 +23,14 @@ IGNORE = -2
 # Most candidate cells, and most (face, anchor) pairs, the kernel holds at
 # once: faces are taken in slices by their cells on both axes, then (face,
 # plane) groups in slices by their pairs; a slice holds at least one item.
-# Each pair expanded takes a few hundred bytes of temporaries.
+# Each pair expanded takes a few hundred bytes of temporaries. Sets given
+# in order of their ids are also labelled in runs of whole sets that can
+# keep at most PAIR_BUDGET pairs (or one set); see assign_labels_xywh.
 PAIR_BUDGET = 2**15
-# Most faces that simulate and match pass in one grouped assign_labels_xywh
-# call: a run of whole sets of faces (or one set). A call holds its sets'
-# decisive pairs until it ends. In process on simulate_crops, one call per
-# block of crops was within about 10% of this in time and peaked higher.
-RUN_FACES = 64
+# Most pairs, by pair_bound, that simulate and match pass in one grouped
+# assign_labels_xywh call: a run of whole sets of faces (or one set). A call
+# holds the labelled rows of all its sets until it ends.
+RUN_PAIRS = 2**17
 
 
 class Strategy(Enum):
@@ -208,9 +209,17 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     function on those faces alone, with labels naming indices into
     face_xywh; a face that overlaps no anchor claims its set's first row.
     The background label is shared, so under cfg.tn == 0 a set id with no
-    face reads IGNORE, not NEGATIVE. The decisive pairs of all sets are held
-    until the end, so callers keep the sets small (see RUN_FACES). A group
-    count whose keys would reach 2**63 is refused before any array is built.
+    face reads IGNORE, not NEGATIVE. A group count whose keys would reach
+    2**63 is refused before any array is built.
+
+    When the group ids never decrease, the sets are labelled in runs of
+    whole sets that can keep at most PAIR_BUDGET pairs (or one set), by the
+    bound of pair_bound taken on the exact cell ranges below: each run's
+    decisive pairs, labels and compensation are finished before the next
+    run starts, and the runs' rows are joined in key order. Otherwise, or
+    with one set, all faces form one run. The labelled rows of every set
+    are held until the end, so callers cut their sets into calls (see
+    RUN_PAIRS).
 
     The cost grows with the pairs that can matter, never with the anchor
     count. Per face and anchor plane, the cells whose anchors can overlap
@@ -221,7 +230,8 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     the face's max IoU exactly. A face's bar is cfg.tn, or under cfg.tn == 0
     its effective threshold. Only anchors whose x and y cells each reach
     min(bar, that max) against the other axis's maximum are scored: they
-    hold every pair that can decide a label, and the argmax. Pairs below
+    hold every pair that can decide a label, and the argmax, which only
+    compensation reads. Pairs below
     cfg.tn are not kept: they decide no label, since their anchor is either
     negative, the background when cfg.tn > 0, or has a better pair. Under
     cfg.tn == 0 the background is IGNORE, so pairs at or below their face's
@@ -252,14 +262,8 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     n_groups = int(group.max()) + 1 if m else 1
     if n_groups * len(grid) >= 2**63:
         raise ValueError(f"{n_groups} groups of {len(grid)} anchors overflow the int64 row keys")
-    if not (np.abs(faces) < MAX_EXTENT).all():
-        raise ValueError("faces must be finite, each value below 2**511 in magnitude")
-    if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
-        raise ValueError("faces must have positive dimensions")
-    if cfg.strategy is Strategy.WARM:
-        tp = warm_threshold(faces[:, 3] / faces[:, 2], cfg)
-    else:
-        tp = np.full(m, cfg.t0, dtype=np.float64)
+    _check_faces(faces)
+    tp = _thresholds(faces, cfg)
 
     # Per face and plane, and per axis (x, y): first candidate cell and count.
     corner = faces[:, None, :2]
@@ -281,45 +285,116 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     # a label or be the argmax: its cells are not expanded.
     bar = tp if cfg.tn == 0 else np.full(m, cfg.tn)
     count[upper < np.minimum(bar, reach)[:, None]] = 0
+    cells = count.sum(axis=(1, 2))
     n_planes, none = grid.stride.size, np.iinfo(np.int64).max
+    # Each face's argmax, the lowest row at its max, is read by compensation only.
+    compensate = cfg.strategy is Strategy.SAM_COMPENSATE
     face_max, face_arg = np.zeros(m), np.full(m, none)
+    positive_count = np.zeros(m, dtype=np.int64)
+    background = NEGATIVE if cfg.tn > 0 or m == 0 else IGNORE
     base = group * len(grid)  # each face's key of its set's row 0
-    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-    for part in _chunks(count.sum(axis=(1, 2)), PAIR_BUDGET):
-        # One item per (face, plane) of the slice, face-major.
-        face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes), n_planes)
-        (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
-        area_p = area[part].ravel()
-        lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
-        gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
-        gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
-        top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
-        np.maximum.at(top_w, gx, iw)
-        np.maximum.at(top_h, gy, ih)
-        face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
-        # A pair reaches c only if each of its cells, paired with the other
-        # axis's best cell, does.
-        c = np.minimum(bar[face], face_max[face])
-        x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
-        y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
-        gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
-        nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
-        x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
-        for sl in _chunks(nx * ny, PAIR_BUDGET):
-            at, off = _expand(nx[sl] * ny[sl])
-            at += sl.start
-            xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
-            p, fc = plane[at], face[at]
-            row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
-            val = _iou(iw[xi] * ih[yi], area_p[at])
-            top = val == face_max[fc]  # the argmax: the lowest row at the max
-            np.minimum.at(face_arg, fc[top], row[top])
-            # Pairs below tn decide no label. Under tn 0 the background is
-            # IGNORE, so neither does a pair at or below its face's threshold.
-            up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
-            kept.append(_decisive(row[up], fc[up], val[up], tp))
-    face_arg = np.where(face_arg == none, base, face_arg)
+    runs = [slice(0, m)]
+    if m and group[0] != group[-1] and (group[1:] >= group[:-1]).all():
+        # Runs of whole sets, cut by the pairs each set can keep. A run's
+        # keys all lie below the next run's, so joined rows stay sorted.
+        sets = np.flatnonzero(_starts(group))
+        ends = np.append(sets, m)
+        bound = np.add.reduceat(_kept_pairs(count, upper, bar), sets)
+        runs = [slice(ends[r.start], ends[r.stop]) for r in _chunks(bound, PAIR_BUDGET)]
+    out = []
+    for run in runs:
+        kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+        for part in _chunks(cells[run], PAIR_BUDGET):
+            part = slice(run.start + part.start, run.start + part.stop)
+            # One item per (face, plane) of the slice, face-major.
+            face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes),
+                                    n_planes)
+            (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
+            area_p = area[part].ravel()
+            lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
+            gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
+            gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
+            top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
+            np.maximum.at(top_w, gx, iw)
+            np.maximum.at(top_h, gy, ih)
+            face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
+            # A pair reaches c only if each of its cells, paired with the
+            # other axis's best cell, does.
+            c = np.minimum(bar[face], face_max[face])
+            x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
+            y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
+            gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
+            nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
+            x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
+            for sl in _chunks(nx * ny, PAIR_BUDGET):
+                at, off = _expand(nx[sl] * ny[sl])
+                at += sl.start
+                xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
+                p, fc = plane[at], face[at]
+                row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
+                val = _iou(iw[xi] * ih[yi], area_p[at])
+                if compensate:
+                    top = val == face_max[fc]  # the argmax: the lowest row at the max
+                    np.minimum.at(face_arg, fc[top], row[top])
+                # Pairs below tn decide no label. Under tn 0 the background is
+                # IGNORE, so neither does a pair at or below its face's threshold.
+                up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
+                kept.append(_decisive(row[up], fc[up], val[up], tp))
+        if compensate:
+            # A face that overlaps no anchor takes its set's row 0 as its argmax.
+            face_arg[run] = np.where(face_arg[run] == none, base[run], face_arg[run])
+        out.append(_finish_run(kept, run, tp, face_arg, positive_count, background, compensate))
+    rows, labels, compensated = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    return MatchResult(n_groups * len(grid), rows, labels, compensated, background,
+                       face_max, positive_count, tp)
 
+
+def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
+    """Per face of (m, 4) xywh faces, an upper bound on the (face, anchor)
+    pairs assign_labels_xywh can keep for it: over the planes whose
+    concentric IoU (see assign_labels_xywh) reaches the face's bar, the
+    cells across that its anchors can overlap times the cells down. Each
+    axis's count is estimated as min(cells, (face + anchor) / stride + 3),
+    within a cell of the kernel's, without expanding any cell. It sizes
+    runs of sets and decides no label. Faces are checked as
+    assign_labels_xywh checks them.
+    """
+    faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
+    _check_faces(faces)
+    size = faces[:, None, 2:]
+    area = (grid.size[:, 0] * grid.size[:, 1]) + (size[..., 0] * size[..., 1])
+    upper = _iou(np.minimum(grid.size, size).prod(axis=2), area)
+    bar = _thresholds(faces, cfg) if cfg.tn == 0 else np.full(len(faces), cfg.tn)
+    cells = np.minimum(grid.cells, (size + grid.size) / grid.stride[:, None] + 3)
+    return _kept_pairs(cells, upper, bar)
+
+
+def _check_faces(faces):
+    """Refuse (m, 4) faces with a value not finite or of 2**511 or more in
+    magnitude, or a side that is not positive."""
+    if not (np.abs(faces) < MAX_EXTENT).all():
+        raise ValueError("faces must be finite, each value below 2**511 in magnitude")
+    if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
+        raise ValueError("faces must have positive dimensions")
+
+
+def _thresholds(faces, cfg):
+    """Each face's positive threshold under cfg."""
+    if cfg.strategy is Strategy.WARM:
+        return warm_threshold(faces[:, 3] / faces[:, 2], cfg)
+    return np.full(len(faces), cfg.t0, dtype=np.float64)
+
+
+def _kept_pairs(cells, upper, bar):
+    """Per face: the sum, over the planes whose concentric IoU upper reaches
+    the face's bar, of its x cells times its y cells."""
+    return np.where(upper >= bar[:, None], cells[..., 0] * cells[..., 1], 0).sum(axis=1)
+
+
+def _finish_run(kept, run, tp, face_arg, positive_count, background, compensate):
+    """The (rows, labels, compensated) of the faces in slice run of
+    assign_labels_xywh, from the decisive pairs of its slices; sets
+    positive_count[run]."""
     # Each slice was reduced alone; several slices' survivors are reduced
     # once more, together.
     row, face, val = kept[-1]
@@ -330,29 +405,27 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     labels = np.full(rows.size, IGNORE)
     up = val > tp[face]  # at most one pair per row: its best positive
     labels[np.cumsum(first)[up] - 1] = face[up]
-    positive_count = np.bincount(face[up], minlength=m)
-    background = NEGATIVE if cfg.tn > 0 or m == 0 else IGNORE
+    positive_count[run] = np.bincount(face[up] - run.start, minlength=run.stop - run.start)
     compensated = np.zeros(rows.size, dtype=bool)
 
-    if cfg.strategy is Strategy.SAM_COMPENSATE:
+    if compensate:
+        j = np.flatnonzero(positive_count[run] == 0)
+        arg = face_arg[run][j]
         # Give every row a face may claim a slot: a set's row 0 may be untouched.
-        claim = np.sort(np.concatenate([rows, face_arg[positive_count == 0]]))
+        claim = np.sort(np.concatenate([rows, arg]))
         claim = claim[_starts(claim)]
         if claim.size > rows.size:
             wide = np.full(claim.size, background, dtype=np.int64)
             wide[np.searchsorted(claim, rows)] = labels
             rows, labels, compensated = claim, wide, np.zeros(claim.size, dtype=bool)
         # The lowest unmatched face claims a shared slot, if it is not positive.
-        j = np.flatnonzero(positive_count == 0)
-        slot, first = np.unique(np.searchsorted(rows, face_arg[j]), return_index=True)
+        slot, first = np.unique(np.searchsorted(rows, arg), return_index=True)
         free = labels[slot] < 0
-        slot, j = slot[free], j[first[free]]
+        slot, j = slot[free], j[first[free]] + run.start
         labels[slot] = j
         compensated[slot] = True
         positive_count[j] = 1
-
-    return MatchResult(n_groups * len(grid), rows, labels, compensated, background,
-                       face_max, positive_count, tp)
+    return rows, labels, compensated
 
 
 def _cell_range(f1, f2, size, stride, cells):

@@ -2,6 +2,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,9 +242,10 @@ def shared_canvas_corpora(draw):
 
 
 class TestMatchRunsPerCanvas:
-    """match labels the images of each canvas in runs of whole images, one
-    kernel call per run; its bytes must equal those of one call per image
-    (oracles.naive_match_report) in every format."""
+    """match labels the images of each canvas in runs of whole images, cut
+    by matching.pair_bound, one kernel call per run; its bytes must equal
+    those of one call per image (oracles.naive_match_report) in every
+    format."""
 
     def check(self, tmp, ann_text, dims_text, design, strategy, tn):
         root = Path(tmp)
@@ -270,14 +272,27 @@ class TestMatchRunsPerCanvas:
     @given(corpus=shared_canvas_corpora(), with_dims=st.booleans(),
            design=st.sampled_from(["detector", "sparse"]),
            strategy=st.sampled_from(["sam", "sam_compensate", "warm"]),
-           tn=st.sampled_from(["0", "0.35"]), run=st.sampled_from([1, 5, 64]))
+           tn=st.sampled_from(["0", "0.35"]), budget=st.sampled_from([1, 300, 2**40]))
     @settings(max_examples=80)
-    def test_equals_one_call_per_image(self, corpus, with_dims, design, strategy, tn, run):
+    def test_equals_one_call_per_image(self, corpus, with_dims, design, strategy, tn, budget):
         # Without dims each image gets the fallback canvas of its faces.
         ann_text, dims_text = corpus
+        calls, kernel = [], anchorkit.cli.assign_labels_xywh
+
+        def counted(grid, faces, cfg, group):
+            calls.append(group)
+            return kernel(grid, faces, cfg, group=group)
+
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matching, "RUN_FACES", run)
-            self.check(tmp, ann_text, dims_text if with_dims else None, design, strategy, tn)
+            mp.setattr(matching, "RUN_PAIRS", budget)
+            mp.setattr(anchorkit.cli, "assign_labels_xywh", counted)
+            want = self.check(tmp, ann_text, dims_text if with_dims else None, design,
+                              strategy, tn)
+        # Each of the three formats labels every image that keeps a face as
+        # one whole set of one call, the sets of a call numbered from 0.
+        assert sum(g[-1] + 1 for g in calls) == 3 * want.n_images
+        assert all(np.array_equal(np.unique(g), np.arange(g[-1] + 1)) and
+                   (np.diff(g) >= 0).all() for g in calls)
 
     @pytest.mark.parametrize("tn", ["0", "0.35"])
     @pytest.mark.parametrize("strategy", ["sam", "sam_compensate", "warm"])
@@ -355,6 +370,29 @@ class TestBadInput:
         # ignored: refused before any file is opened.
         assert main(argv) == 1
         _one_error_line(capsys, "--synthetic", flag)
+
+    @pytest.mark.parametrize("argv, flag, needle", [
+        (["ams", "--annotations", FIXTURE, "--ar-list", "1,2"], "--ar-list", "--synthetic"),
+        (["ams", "--annotations", FIXTURE, "--ar-lo", "0.5"], "--ar-lo", "--synthetic"),
+        (["coverage", "--annotations", FIXTURE, "--ar-hi", "9"], "--ar-hi", "--synthetic"),
+        (["simulate", "--annotations", FIXTURE, "--ar-list", "1"], "--ar-list", "--synthetic"),
+        (["ams", "--synthetic", "3", "--ar-list", "1,2", "--ar-lo", "0.5"], "--ar-lo",
+         "--ar-list"),
+        (["match", "--synthetic", "3", "--ar-list", "1,2", "--ar-hi", "9"], "--ar-hi",
+         "--ar-list"),
+        (["ams", "--annotations", FIXTURE, "--seed", "3"], "--seed", "--synthetic"),
+        (["match", "--annotations", FIXTURE, "--seed", "0"], "--seed", "--synthetic"),
+        (["coverage", "--annotations", FIXTURE, "--seed", "1"], "--seed", "--synthetic"),
+    ], ids=["ams-ar-list", "ams-ar-lo", "coverage-ar-hi", "simulate-ar-list",
+            "ar-lo-with-ar-list", "ar-hi-with-ar-list", "ams-seed", "match-seed",
+            "coverage-seed"])
+    def test_synthetic_flag_that_changes_nothing(self, argv, flag, needle, capsys):
+        # A flag accepted and ignored would hide a mistake: each is refused
+        # before any file is read, even one given its default value.
+        # simulate's --seed also seeds its crops, so it stands without
+        # --synthetic (see TestSimulateCommand).
+        assert main(argv) == 1
+        _one_error_line(capsys, flag, needle)
 
     @pytest.mark.parametrize("argv, bounds", [
         (["ams", "--synthetic", "3", "--ar-hi", "inf"], "hi=inf"),

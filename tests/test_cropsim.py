@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anchorkit.ams import analytic_max_iou
-from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design
+from anchorkit.anchors import AnchorDesign, PyramidLevel, detector_design, generate_anchor_boxes
 from anchorkit import ams, cropsim, matching
 from anchorkit.cropsim import CropParams, _crops, simulate
 from anchorkit.matching import MatchConfig, Strategy
@@ -378,11 +378,15 @@ class TestFaceBlock:
 
     @pytest.mark.parametrize("run", [1, 3, 7, 64])
     def test_one_kernel_call_per_run_of_crops(self, run, monkeypatch):
-        # Every full patch of a square image keeps all three faces, so a run
-        # holds max(1, run // 3) crops and the 40 crops take that many calls.
-        rec = record("img/sq.jpg", 256, 256, [(0, 0, 128, 128), (100, 100, 40, 20),
-                                              (180, 30, 30, 30)])
+        # Every full patch of a square image keeps all three faces in the
+        # same place, so every crop has the same pair bound. With RUN_PAIRS
+        # at `run` faces' worth of it, a run holds max(1, run // 3) crops
+        # and the 40 crops take that many calls.
+        faces = [(0, 0, 128, 128), (100, 100, 40, 20), (180, 30, 30, 30)]
+        rec = record("img/sq.jpg", 256, 256, faces)
         want = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
+        grid = generate_anchor_boxes(SMALL_DESIGN, 640, 640)
+        per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, WARM).sum()
         calls = []
         kernel = cropsim.assign_labels_xywh
 
@@ -390,7 +394,7 @@ class TestFaceBlock:
             calls.append(group.tolist())
             return kernel(grid, boxes, cfg, group=group)
 
-        monkeypatch.setattr(matching, "RUN_FACES", run)
+        monkeypatch.setattr(matching, "RUN_PAIRS", run * per_crop // 3)
         monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
         got = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         for f in fields(got):
@@ -398,8 +402,38 @@ class TestFaceBlock:
         per_call = max(1, run // 3)
         assert len(calls) == -(-40 // per_call)
         # Each call holds whole crops, numbered from 0 in draw order.
+        for group in calls:
+            assert group == [g for g in range(len(group) // 3) for _ in range(3)]
         assert calls[0] == [g for g in range(per_call) for _ in range(3)]
         assert sum(map(len, calls)) == 40 * 3
+
+    def test_runs_hold_whole_crops_of_any_size(self, monkeypatch):
+        # Crops keep one to five faces. Whatever RUN_PAIRS, every call holds
+        # whole crops, so the columns are those of one call per crop.
+        rec = self.RECORDS[0]
+        params = CropParams(scale_options=(0.3, 0.6, 1.0), output_side=128.0)
+        kernel, calls = cropsim.assign_labels_xywh, []
+
+        def counted(grid, boxes, cfg, group):
+            calls.append(group)
+            return kernel(grid, boxes, cfg, group=group)
+
+        monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
+        monkeypatch.setattr(matching, "RUN_PAIRS", 1)
+        want = simulate([rec], SMALL_DESIGN, WARM, 60, 2, params).per_face
+        kept = len(calls)  # one call per crop that keeps a face
+        assert 30 < kept < 60
+        for budget in (300, 1000, 2**40):
+            calls.clear()
+            monkeypatch.setattr(matching, "RUN_PAIRS", budget)
+            got = simulate([rec], SMALL_DESIGN, WARM, 60, 2, params).per_face
+            for f in fields(got):
+                assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
+            assert 1 < len(calls) < kept if budget < 2**40 else len(calls) == 1
+            # Each crop is one set of one call, its ids numbered by draw from
+            # the call's first crop.
+            assert sum(len(np.unique(g)) for g in calls) == kept
+            assert all(g[0] == 0 and (np.diff(g) >= 0).all() for g in calls)
 
 
 class TestPrng:

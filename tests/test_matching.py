@@ -16,6 +16,7 @@ from anchorkit.anchors import (
     generate_anchor_boxes,
 )
 from anchorkit.anchors import MAX_GRID_ROWS
+from anchorkit.cli import _match_report
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
@@ -27,6 +28,7 @@ from anchorkit.matching import (
     warm_threshold,
 )
 
+from builders import record
 from oracles import eager_anchor_rows, naive_assign, naive_iou, naive_warm_threshold
 
 DEFAULT = MatchConfig()
@@ -888,6 +890,29 @@ class TestResources:
         assert res.rows.size == 8 * 18_548
 
 
+    def test_low_tn_peak_does_not_grow_with_sets(self):
+        # At tn 0.01 nearly every anchor that overlaps a face keeps its pair.
+        # One 48x48 face per image on the 576,000-row ams grid of a 240x160
+        # canvas: match peaks near 15 MB for one image and 22 MB for eight,
+        # whose calls and runs are cut by pair_bound. Eight images in one
+        # call, their pairs all held until it ended, peaked at 140 MB.
+        cfg = MatchConfig(strategy=Strategy.SAM, tn=0.01)
+        peaks = []
+        for n in (1, 8):
+            records = [record(f"i{k}.jpg", [[20.0 + 7 * k, 15.0 + 5 * k, 48.0, 48.0]],
+                              240.0, 160.0) for k in range(n)]
+            tracemalloc.start()
+            try:
+                report = _match_report(records, ams_design(1.0), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert report.per_face.positive_count.tolist() == [1076] * 8
+        assert report.labels["ignore"] > 8 * 150_000
+        assert peaks[1] < 2 * peaks[0], [f"{p / 2**20:.1f} MB" for p in peaks]
+        assert peaks[1] < 40 * 2**20, [f"{p / 2**20:.1f} MB" for p in peaks]
+
+
 def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
     """assign_labels_xywh over all faces and groups at once against one
     ungrouped call per group, on every field, with budget (if given) as
@@ -915,6 +940,26 @@ def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
         for name in ("max_iou", "positive_count", "effective_tp"):
             a, b = getattr(got, name)[mine], getattr(want, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+def count_runs(grid, faces, group, cfg, budget):
+    """assign_labels_xywh with budget as PAIR_BUDGET: (runs it labelled, result)."""
+    runs = []
+    finish = anchorkit.matching._finish_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(anchorkit.matching, "PAIR_BUDGET", budget)
+        mp.setattr(anchorkit.matching, "_finish_run", lambda *a: runs.append(1) or finish(*a))
+        got = assign_labels_xywh(grid, faces, cfg, group=np.asarray(group, dtype=np.int64))
+    return len(runs), got
+
+
+def assert_same_result(a, b):
+    """Every field of two MatchResults equal, dtypes and float bits included."""
+    assert (a.n_anchors, a.background) == (b.n_anchors, b.background)
+    for name in ("rows", "row_labels", "row_compensated", "max_iou", "positive_count",
+                 "effective_tp"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 class TestGroupedKernel:
@@ -953,6 +998,58 @@ class TestGroupedKernel:
             assert res.rows.tolist() == [0, 3, 4 + 3, 8]
             assert res.row_labels.tolist() == [5, 1, 0, 4]
             assert res.positive_count.tolist() == [1, 1, 0, 0, 1, 1]
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.35]), data=st.data())
+    @settings(max_examples=150)
+    def test_runs_of_sorted_sets_equal_one_run(self, scene, strategy, tn, data):
+        # Set ids that never decrease, with ids that hold no face between
+        # and before the sets. PAIR_BUDGET 1 puts each set in its own run.
+        design, w, h, faces = scene
+        faces = np.vstack([faces, faces[::-1]])
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=len(faces),
+                                   max_size=len(faces)))
+        group = np.cumsum(steps)
+        grid = generate_anchor_boxes(design, w, h)
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        runs = count_runs(grid, faces, group, cfg, 1)
+        assert runs[0] <= max(1, len(np.unique(group)))  # no run cut inside a set
+        assert_same_result(runs[1], count_runs(grid, faces, group, cfg, 2**62)[1])
+        assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
+
+    @pytest.mark.parametrize("tn", [0.0, 0.35])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_runs_hold_whole_sets_and_off_grid_faces(self, strategy, tn):
+        # Sets 0, 2, 3 and 5 in order; 1 and 4 hold no face. In sets 0 and
+        # 3, face `on` is anchor 0 and can keep pairs, and the unmatched
+        # faces a and b share their argmax anchor 3 (see TestCompensation).
+        # The off-grid faces of sets 2 and 5 can keep none (pair_bound,
+        # blind to position, counts their cells); under compensation each
+        # claims row 0 of its own set. Each set is its own run.
+        grid = one_level(100, (10.0,), 200, 200)
+        a, b, on = [130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0], [45.0, 45, 10, 10]
+        off = [900.0, 5, 8, 8]
+        faces = np.array([a, b, on, off, a, b, on, off])
+        group = np.array([0, 0, 0, 2, 3, 3, 3, 5])
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        assert anchorkit.matching.pair_bound(grid, faces, cfg).tolist() == [0, 0, 4, 4] * 2
+        n_runs, got = count_runs(grid, faces, group, cfg, 1)
+        assert n_runs == 4
+        n_runs, whole = count_runs(grid, faces, group, cfg, 2**62)
+        assert n_runs == 1
+        assert_same_result(got, whole)
+        assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
+        if strategy is Strategy.SAM_COMPENSATE:
+            assert got.rows.tolist() == [0, 3, 2 * 4, 3 * 4, 3 * 4 + 3, 5 * 4]
+            assert got.row_labels.tolist() == [2, 0, 3, 6, 4, 7]
+            assert got.row_compensated.tolist() == [False, True, True, False, True, True]
+            assert got.positive_count.tolist() == [1, 0, 1, 1, 1, 0, 1, 1]
+
+    def test_unsorted_sets_are_one_run(self):
+        anchors, faces = small_scene(6, n_faces=8)
+        n_runs, got = count_runs(anchors, faces, [1, 0, 1, 0, 2, 2, 3, 3], DEFAULT, 1)
+        assert n_runs == 1
+        assert_grouped_equals_per_group(anchors, faces, [1, 0, 1, 0, 2, 2, 3, 3], DEFAULT)
 
     def test_every_face_in_group_zero_is_the_public_call(self):
         anchors, faces = small_scene(3, n_faces=12)
