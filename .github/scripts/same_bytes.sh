@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Check that this checkout prints the same stdout bytes as a base commit on
+# every benchmark workload.
+#
+# Usage, from the root of a git checkout:  .github/scripts/same_bytes.sh BASE
+#
+# BASE is a commit that git can resolve. The four benchmark workloads run at
+# seeds 1, 11 and 73 (bench/run.py --seconds 1 --trace 0) in a git worktree
+# of BASE, which records each stdout's sha256 in its .bench_out/digests.json.
+# That file then replaces this checkout's, and the workloads run here again:
+# each run must end with "correct": true and "failed": 0, which needs every
+# stdout's sha256 to equal the one recorded at BASE. When bench/ differs
+# between BASE and HEAD the workloads themselves may differ, so the check is
+# skipped.
+set -euo pipefail
+
+base=$1
+if ! git diff --quiet "$base" HEAD -- bench; then
+  echo "bench/ differs from $base: output bytes not compared"
+  exit 0
+fi
+
+tmp=$(mktemp -d)
+trap 'git worktree remove --force "$tmp/base" 2>/dev/null; rm -rf "$tmp"' EXIT
+git worktree add --quiet --detach "$tmp/base" "$base"
+
+check='
+import json, sys
+r = json.load(sys.stdin)
+print(sys.argv[1], r["correct"], r["failed"], "of", r["attempted"])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+'
+runs() {
+  for workload in ams_corpus match_crowd match_sparse simulate_crops; do
+    for seed in 1 11 73; do
+      python3 bench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 0 \
+        | tail -n 1 | python3 -c "$check" "$1 $workload:$seed"
+    done
+  done
+}
+
+(cd "$tmp/base" && runs base)
+mkdir -p .bench_out
+cp "$tmp/base/.bench_out/digests.json" .bench_out/digests.json
+runs head

@@ -31,7 +31,7 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, simulate
-from .matching import MatchConfig, Strategy, _chunks, _expand, assign_labels_xywh
+from .matching import MatchConfig, Strategy, _expand, assign_labels_xywh
 from .reports import LABEL_KINDS, MatchReport, MatchRow, emit_reports, json_text
 from .rfd import rfd_param_count, rfd_receptive_fields, rfd_spec
 
@@ -127,10 +127,11 @@ def _design_for(args: argparse.Namespace) -> AnchorDesign:
     if args.design == "detector":
         return detector_design()
     if args.design == "ams":
-        # simulate has no --scale-step. A step within 1e-12 of sqrt(2) (the
-        # help text prints it rounded) gets the exact half-power ladder.
+        # simulate has no --scale-step. A step at least as close to sqrt(2)
+        # as the rounded default the help text prints gets the exact
+        # half-power ladder, so that printed default reproduces the default.
         step = getattr(args, "scale_step", math.sqrt(2.0))
-        if abs(step - math.sqrt(2.0)) > 1e-12:
+        if abs(step - math.sqrt(2.0)) > abs(float(_SQRT2_TEXT) - math.sqrt(2.0)):
             return ladder_design(args.anchor_ar, scale_step=step)
         return ams_design(args.anchor_ar)
     return load_design(args.design)
@@ -163,9 +164,8 @@ def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
 
 def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
     """Label every image that keeps a face on the grid of its canvas. The
-    images of one canvas are labelled in runs of whole images that can keep
-    at most matching.RUN_PAIRS pairs by matching.pair_bound (or one image),
-    one kernel call per run."""
+    images of one canvas are labelled one kernel call per range of
+    matching.set_runs."""
     max_stride = max(lv.stride for lv in design.levels)
 
     # The images that keep a face, numbered in file order, and their numbers
@@ -186,21 +186,16 @@ def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchRepor
     n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
     for canvas, numbers in by_canvas.items():
         grid = generate_anchor_boxes(design, *canvas)
-        # One kernel call per run of whole images, each image its own group.
+        # One kernel call per range of set_runs, each image its own group.
         # Each group is a copy of the grid and keeps a face, so a call's
         # anchors and tallies are the sums over its images.
         group, offset = _expand(sizes[numbers])
-        faces_at = starts[numbers][group] + offset  # the canvas's faces, image by image
-        ends = np.append(0, np.cumsum(sizes[numbers]))
-        # Sizing runs takes a pass over the faces; one image is one run.
-        bound = np.zeros(1) if len(numbers) == 1 else np.add.reduceat(
-            matching.pair_bound(grid, faces[faces_at], cfg), ends[:-1])
-        for run in _chunks(bound, matching.RUN_PAIRS):
-            lo, hi = ends[run.start], ends[run.stop]
-            at = faces_at[lo:hi]
-            result = assign_labels_xywh(grid, faces[at], cfg, group=group[lo:hi] - run.start)
-            max_iou[at], positive[at], tp[at] = (result.max_iou, result.positive_count,
-                                                 result.effective_tp)
+        at = starts[numbers][group] + offset  # the canvas's faces, image by image
+        for lo, hi in matching.set_runs(grid, faces[at], cfg, group):
+            run = at[lo:hi]
+            result = assign_labels_xywh(grid, faces[run], cfg, group=group[lo:hi] - group[lo])
+            max_iou[run], positive[run], tp[run] = (result.max_iou, result.positive_count,
+                                                    result.effective_tp)
             n_anchors += result.n_anchors
             for kind, count in result.label_counts().items():
                 labels[kind] += count

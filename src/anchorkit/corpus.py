@@ -36,6 +36,9 @@ _INVALID = FACE_COLUMNS.index("invalid")
 # The largest magnitude of an accepted face value: every integer up to it is
 # exact in float64, so canonical re-emission gives back the annotated value.
 MAX_FACE_VALUE = 2**53
+# The most faces generate_synthetic draws. A face's record takes about
+# 650 B, so a corpus at the cap takes about 680 MB.
+MAX_SYNTHETIC_FACES = 2**20
 
 
 class WiderParseError(ValueError):
@@ -283,10 +286,12 @@ def generate_synthetic(
     law. Face i draws from PRNG stream (seed, i), in the order width, then
     aspect ratio (log-uniform law only), then x and y. Image dimensions are
     sized to contain the face with margin. Each record's face is a slice of
-    one array.
+    one array. n above MAX_SYNTHETIC_FACES is refused before any draw.
     """
     if n <= 0:
         raise ValueError(f"synthetic corpus size must be positive, not {n}")
+    if n > MAX_SYNTHETIC_FACES:
+        raise ValueError(f"synthetic corpus size {n} is over the cap of {MAX_SYNTHETIC_FACES}")
     drawn = isinstance(law, LogUniformAR)
     u = floats(seed, np.arange(n), 0, 3 + drawn)
     # Python's ** on floats, which np.power can differ from in the last bit.

@@ -23,7 +23,7 @@ import numpy as np
 from . import ams, matching
 from .anchors import AnchorDesign, generate_anchor_boxes
 from .corpus import ImageRecord, kept_faces
-from .matching import MatchConfig, _chunks, assign_labels_xywh
+from .matching import MatchConfig, assign_labels_xywh
 from .prng import floats
 
 
@@ -119,9 +119,8 @@ def simulate(
     recording whether each retained face drew at least one positive anchor
     and what its best grid IoU was. An image's crops are drawn and bounded
     in blocks of at most ams.FACE_BLOCK crop-face cells (or one crop), and a
-    block's crops are labelled in runs of whole crops that can keep at most
-    matching.RUN_PAIRS pairs by matching.pair_bound (or one crop), one
-    kernel call per run; the values depend on neither. Every record must
+    block's crops are labelled one kernel call per range of
+    matching.set_runs; the values depend on neither. Every record must
     carry pixel dimensions, and on every image that keeps a face the
     smallest crop patch must have a side above 0 and a finite rescale
     factor; both are checked before any draw.
@@ -162,11 +161,7 @@ def simulate(
             bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
             observed = np.empty(len(k))
             hit = np.empty(len(k), dtype=bool)
-            # The pairs of the i-th crop that keeps a face are ends[i] .. ends[i+1]-1.
-            ends = np.append(np.flatnonzero(np.diff(crop, prepend=-1)), len(k))
-            bound = np.add.reduceat(matching.pair_bound(grid, boxes, cfg), ends[:-1])
-            for run in _chunks(bound, matching.RUN_PAIRS):
-                lo, hi = ends[run.start], ends[run.stop]
+            for lo, hi in matching.set_runs(grid, boxes, cfg, crop):
                 result = assign_labels_xywh(grid, boxes[lo:hi], cfg,
                                             group=crop[lo:hi] - crop[lo])
                 observed[lo:hi] = result.max_iou

@@ -23,14 +23,12 @@ IGNORE = -2
 # Most candidate cells, and most (face, anchor) pairs, the kernel holds at
 # once: faces are taken in slices by their cells on both axes, then (face,
 # plane) groups in slices by their pairs; a slice holds at least one item.
-# Each pair expanded takes a few hundred bytes of temporaries. Sets given
-# in order of their ids are also labelled in runs of whole sets that can
-# keep at most PAIR_BUDGET pairs (or one set); see assign_labels_xywh.
+# Each pair expanded takes a few hundred bytes of temporaries.
 PAIR_BUDGET = 2**15
-# Most pairs, by pair_bound, that simulate and match pass in one grouped
-# assign_labels_xywh call: a run of whole sets of faces (or one set). A call
-# holds the labelled rows of all its sets until it ends.
-RUN_PAIRS = 2**17
+# Most pairs, by pair_bound, that one range of set_runs holds: simulate and
+# match pass each range to assign_labels_xywh as one call, which holds the
+# decisive pairs and the labelled rows of all its sets until it ends.
+RUN_PAIRS = 2**16
 
 
 class Strategy(Enum):
@@ -210,16 +208,9 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     face_xywh; a face that overlaps no anchor claims its set's first row.
     The background label is shared, so under cfg.tn == 0 a set id with no
     face reads IGNORE, not NEGATIVE. A group count whose keys would reach
-    2**63 is refused before any array is built.
-
-    When the group ids never decrease, the sets are labelled in runs of
-    whole sets that can keep at most PAIR_BUDGET pairs (or one set), by the
-    bound of pair_bound taken on the exact cell ranges below: each run's
-    decisive pairs, labels and compensation are finished before the next
-    run starts, and the runs' rows are joined in key order. Otherwise, or
-    with one set, all faces form one run. The labelled rows of every set
-    are held until the end, so callers cut their sets into calls (see
-    RUN_PAIRS).
+    2**63 is refused before any array is built. A call holds the decisive
+    pairs and labelled rows of all its sets until it ends; set_runs cuts
+    sets into calls of bounded size.
 
     The cost grows with the pairs that can matter, never with the anchor
     count. Per face and anchor plane, the cells whose anchors can overlap
@@ -290,61 +281,75 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     # Each face's argmax, the lowest row at its max, is read by compensation only.
     compensate = cfg.strategy is Strategy.SAM_COMPENSATE
     face_max, face_arg = np.zeros(m), np.full(m, none)
-    positive_count = np.zeros(m, dtype=np.int64)
     background = NEGATIVE if cfg.tn > 0 or m == 0 else IGNORE
     base = group * len(grid)  # each face's key of its set's row 0
-    runs = [slice(0, m)]
-    if m and group[0] != group[-1] and (group[1:] >= group[:-1]).all():
-        # Runs of whole sets, cut by the pairs each set can keep. A run's
-        # keys all lie below the next run's, so joined rows stay sorted.
-        sets = np.flatnonzero(_starts(group))
-        ends = np.append(sets, m)
-        bound = np.add.reduceat(_kept_pairs(count, upper, bar), sets)
-        runs = [slice(ends[r.start], ends[r.stop]) for r in _chunks(bound, PAIR_BUDGET)]
-    out = []
-    for run in runs:
-        kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-        for part in _chunks(cells[run], PAIR_BUDGET):
-            part = slice(run.start + part.start, run.start + part.stop)
-            # One item per (face, plane) of the slice, face-major.
-            face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes),
-                                    n_planes)
-            (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
-            area_p = area[part].ravel()
-            lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
-            gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
-            gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
-            top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
-            np.maximum.at(top_w, gx, iw)
-            np.maximum.at(top_h, gy, ih)
-            face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
-            # A pair reaches c only if each of its cells, paired with the
-            # other axis's best cell, does.
-            c = np.minimum(bar[face], face_max[face])
-            x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
-            y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
-            gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
-            nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
-            x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
-            for sl in _chunks(nx * ny, PAIR_BUDGET):
-                at, off = _expand(nx[sl] * ny[sl])
-                at += sl.start
-                xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
-                p, fc = plane[at], face[at]
-                row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
-                val = _iou(iw[xi] * ih[yi], area_p[at])
-                if compensate:
-                    top = val == face_max[fc]  # the argmax: the lowest row at the max
-                    np.minimum.at(face_arg, fc[top], row[top])
-                # Pairs below tn decide no label. Under tn 0 the background is
-                # IGNORE, so neither does a pair at or below its face's threshold.
-                up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
-                kept.append(_decisive(row[up], fc[up], val[up], tp))
-        if compensate:
-            # A face that overlaps no anchor takes its set's row 0 as its argmax.
-            face_arg[run] = np.where(face_arg[run] == none, base[run], face_arg[run])
-        out.append(_finish_run(kept, run, tp, face_arg, positive_count, background, compensate))
-    rows, labels, compensated = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    for part in _chunks(cells, PAIR_BUDGET):
+        # One item per (face, plane) of the slice, face-major.
+        face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes),
+                                n_planes)
+        (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
+        area_p = area[part].ravel()
+        lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
+        gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
+        gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
+        top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
+        np.maximum.at(top_w, gx, iw)
+        np.maximum.at(top_h, gy, ih)
+        face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
+        # A pair reaches c only if each of its cells, paired with the
+        # other axis's best cell, does.
+        c = np.minimum(bar[face], face_max[face])
+        x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
+        y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
+        gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
+        nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
+        x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
+        for sl in _chunks(nx * ny, PAIR_BUDGET):
+            at, off = _expand(nx[sl] * ny[sl])
+            at += sl.start
+            xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
+            p, fc = plane[at], face[at]
+            row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
+            val = _iou(iw[xi] * ih[yi], area_p[at])
+            if compensate:
+                top = val == face_max[fc]  # the argmax: the lowest row at the max
+                np.minimum.at(face_arg, fc[top], row[top])
+            # Pairs below tn decide no label. Under tn 0 the background is
+            # IGNORE, so neither does a pair at or below its face's threshold.
+            up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
+            kept.append(_decisive(row[up], fc[up], val[up], tp))
+    # Each slice was reduced alone; several slices' survivors are reduced
+    # once more, together.
+    row, face, val = kept[-1]
+    if len(kept) > 2:
+        row, face, val = _decisive(*map(np.concatenate, zip(*kept)), tp)
+    first = _starts(row)
+    rows = row[first]
+    labels = np.full(rows.size, IGNORE)
+    up = val > tp[face]  # at most one pair per row: its best positive
+    labels[np.cumsum(first)[up] - 1] = face[up]
+    positive_count = np.bincount(face[up], minlength=m)
+    compensated = np.zeros(rows.size, dtype=bool)
+
+    if compensate:
+        j = np.flatnonzero(positive_count == 0)
+        # A face that overlaps no anchor takes its set's row 0 as its argmax.
+        arg = np.where(face_arg[j] == none, base[j], face_arg[j])
+        # Give every row a face may claim a slot: a set's row 0 may be untouched.
+        claim = np.sort(np.concatenate([rows, arg]))
+        claim = claim[_starts(claim)]
+        if claim.size > rows.size:
+            wide = np.full(claim.size, background, dtype=np.int64)
+            wide[np.searchsorted(claim, rows)] = labels
+            rows, labels, compensated = claim, wide, np.zeros(claim.size, dtype=bool)
+        # The lowest unmatched face claims a shared slot, if it is not positive.
+        slot, first = np.unique(np.searchsorted(rows, arg), return_index=True)
+        free = labels[slot] < 0
+        slot, j = slot[free], j[first[free]]
+        labels[slot] = j
+        compensated[slot] = True
+        positive_count[j] = 1
     return MatchResult(n_groups * len(grid), rows, labels, compensated, background,
                        face_max, positive_count, tp)
 
@@ -356,7 +361,7 @@ def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
     cells across that its anchors can overlap times the cells down. Each
     axis's count is estimated as min(cells, (face + anchor) / stride + 3),
     within a cell of the kernel's, without expanding any cell. It sizes
-    runs of sets and decides no label. Faces are checked as
+    set_runs and decides no label. Faces are checked as
     assign_labels_xywh checks them.
     """
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
@@ -366,7 +371,21 @@ def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
     upper = _iou(np.minimum(grid.size, size).prod(axis=2), area)
     bar = _thresholds(faces, cfg) if cfg.tn == 0 else np.full(len(faces), cfg.tn)
     cells = np.minimum(grid.cells, (size + grid.size) / grid.stride[:, None] + 3)
-    return _kept_pairs(cells, upper, bar)
+    return np.where(upper >= bar[:, None], cells[..., 0] * cells[..., 1], 0).sum(axis=1)
+
+
+def set_runs(grid: AnchorGrid, face_xywh, cfg: MatchConfig, group) -> list[tuple[int, int]]:
+    """Cut m faces, in sets of equal consecutive group ids, into (lo, hi)
+    face ranges in order: each holds whole sets whose pair_bound sum is
+    within RUN_PAIRS, or one set. One set gives one range without a bound
+    taken, and no faces give no range."""
+    group = np.asarray(group)
+    sets = np.flatnonzero(_starts(group))
+    if sets.size < 2:
+        return [(0, group.size)] if group.size else []
+    ends = np.append(sets, group.size).tolist()
+    bound = np.add.reduceat(pair_bound(grid, face_xywh, cfg), sets)
+    return [(ends[r.start], ends[r.stop]) for r in _chunks(bound, RUN_PAIRS)]
 
 
 def _check_faces(faces):
@@ -383,49 +402,6 @@ def _thresholds(faces, cfg):
     if cfg.strategy is Strategy.WARM:
         return warm_threshold(faces[:, 3] / faces[:, 2], cfg)
     return np.full(len(faces), cfg.t0, dtype=np.float64)
-
-
-def _kept_pairs(cells, upper, bar):
-    """Per face: the sum, over the planes whose concentric IoU upper reaches
-    the face's bar, of its x cells times its y cells."""
-    return np.where(upper >= bar[:, None], cells[..., 0] * cells[..., 1], 0).sum(axis=1)
-
-
-def _finish_run(kept, run, tp, face_arg, positive_count, background, compensate):
-    """The (rows, labels, compensated) of the faces in slice run of
-    assign_labels_xywh, from the decisive pairs of its slices; sets
-    positive_count[run]."""
-    # Each slice was reduced alone; several slices' survivors are reduced
-    # once more, together.
-    row, face, val = kept[-1]
-    if len(kept) > 2:
-        row, face, val = _decisive(*map(np.concatenate, zip(*kept)), tp)
-    first = _starts(row)
-    rows = row[first]
-    labels = np.full(rows.size, IGNORE)
-    up = val > tp[face]  # at most one pair per row: its best positive
-    labels[np.cumsum(first)[up] - 1] = face[up]
-    positive_count[run] = np.bincount(face[up] - run.start, minlength=run.stop - run.start)
-    compensated = np.zeros(rows.size, dtype=bool)
-
-    if compensate:
-        j = np.flatnonzero(positive_count[run] == 0)
-        arg = face_arg[run][j]
-        # Give every row a face may claim a slot: a set's row 0 may be untouched.
-        claim = np.sort(np.concatenate([rows, arg]))
-        claim = claim[_starts(claim)]
-        if claim.size > rows.size:
-            wide = np.full(claim.size, background, dtype=np.int64)
-            wide[np.searchsorted(claim, rows)] = labels
-            rows, labels, compensated = claim, wide, np.zeros(claim.size, dtype=bool)
-        # The lowest unmatched face claims a shared slot, if it is not positive.
-        slot, first = np.unique(np.searchsorted(rows, arg), return_index=True)
-        free = labels[slot] < 0
-        slot, j = slot[free], j[first[free]] + run.start
-        labels[slot] = j
-        compensated[slot] = True
-        positive_count[j] = 1
-    return rows, labels, compensated
 
 
 def _cell_range(f1, f2, size, stride, cells):

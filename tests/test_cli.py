@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,15 @@ from hypothesis import given, settings, strategies as st
 import anchorkit.anchors
 import anchorkit.cli
 from anchorkit import matching
-from anchorkit.anchors import detector_design, generate_anchor_boxes, load_design
-from anchorkit.cli import build_parser, main
-from anchorkit.corpus import attach_dims, parse_wider, read_dims_csv
+from anchorkit.anchors import (
+    ams_design,
+    detector_design,
+    generate_anchor_boxes,
+    ladder_design,
+    load_design,
+)
+from anchorkit.cli import _design_for, build_parser, main
+from anchorkit.corpus import MAX_SYNTHETIC_FACES, attach_dims, parse_wider, read_dims_csv
 from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh
 from anchorkit.reports import emit_reports
 
@@ -55,6 +62,25 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["ams", "--help"])
         assert "1.4142135624" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", [["ams"], ["match", "--design", "ams"]])
+    def test_printed_scale_step_default_reproduces_the_default(self, cmd, tmp_path, capsys):
+        # The printed default is 2.7e-11 from sqrt(2); it must still give the
+        # exact half-power ladder, not the power form's sizes.
+        ann = tmp_path / "one.txt"
+        ann.write_text("a.jpg\n1\n10 12 40 60 0 0 0 0 0 0\n", encoding="utf-8")
+        outs = []
+        for step in ([], ["--scale-step", "1.4142135624"]):
+            assert main(cmd + ["--annotations", str(ann), "--format", "json", *step]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_a_step_farther_from_sqrt2_gets_its_own_ladder(self):
+        args = build_parser().parse_args(["ams", "--scale-step", "1.41421356"])
+        assert _design_for(args) == ladder_design(1.0, scale_step=1.41421356)
+        assert _design_for(args) != ams_design(1.0)
+        args = build_parser().parse_args(["ams", "--scale-step", "1.4142135624"])
+        assert _design_for(args) == ams_design(1.0)
 
 
 class TestRfdCommand:
@@ -446,6 +472,20 @@ class TestBadInput:
     def test_non_positive_synthetic_named(self, cmd, n, capsys):
         assert main([cmd, "--synthetic", n]) == 1
         _one_error_line(capsys, "synthetic corpus size", n)
+
+    @pytest.mark.parametrize("cmd", ["ams", "match", "simulate", "coverage"])
+    @pytest.mark.parametrize("n", ["1048577", "1000000000000"])
+    def test_synthetic_size_over_the_cap(self, cmd, n, capsys):
+        # Refused before any face is drawn: 2**20 + 1 faces would hold
+        # about 680 MB of records.
+        tracemalloc.start()
+        try:
+            assert main([cmd, "--synthetic", n]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        _one_error_line(capsys, "synthetic corpus size", n, str(MAX_SYNTHETIC_FACES))
 
     @pytest.mark.parametrize("cmd", ["parse", "ams", "coverage", "match"])
     def test_face_value_too_large_for_float_cites_line(self, cmd, tmp_path, capsys):

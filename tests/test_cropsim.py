@@ -356,9 +356,10 @@ class TestFaceBlock:
     def test_kernel_memory_does_not_grow_with_crops(self):
         # Six faces near AR 1 and four tall ones (AR 5.2), whose crops often
         # fall below tn. Both runs span more than one block of 819 crops, so
-        # their peak is one block's arrays, near 1.4-1.5 MB, and ten times
-        # the crops add less than 1 MB. One kernel call per block peaked near
-        # 5.3 MB at 1,000 crops. Keeping the pairs below tn, or expanding
+        # their peak is one block's arrays and one call's decisive pairs,
+        # near 2.7 MB, and ten times the crops add less than 1 MB. Calls of
+        # 2**17 pairs by pair_bound peaked near 4.6 MB, and one kernel call
+        # per block near 10-11 MB. Keeping the pairs below tn, or expanding
         # 2**20 candidate pairs at once, took runs of 64 faces to 25-38 MB.
         faces = [(40 + 55 * i, 60 + 37 * (i % 3), 20 + 4 * i, 24 + 3 * i) for i in range(6)]
         faces += [(380 + 60 * i, 40 + 20 * i, 24 + 6 * i, 5.2 * (24 + 6 * i)) for i in range(4)]

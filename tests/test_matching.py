@@ -893,9 +893,9 @@ class TestResources:
     def test_low_tn_peak_does_not_grow_with_sets(self):
         # At tn 0.01 nearly every anchor that overlaps a face keeps its pair.
         # One 48x48 face per image on the 576,000-row ams grid of a 240x160
-        # canvas: match peaks near 15 MB for one image and 22 MB for eight,
-        # whose calls and runs are cut by pair_bound. Eight images in one
-        # call, their pairs all held until it ended, peaked at 140 MB.
+        # canvas: match peaks near 15 MB for one image and 19 MB for eight,
+        # whose calls are cut by set_runs. Eight images in one call, their
+        # pairs all held until it ended, peaked at 140 MB.
         cfg = MatchConfig(strategy=Strategy.SAM, tn=0.01)
         peaks = []
         for n in (1, 8):
@@ -942,15 +942,11 @@ def assert_grouped_equals_per_group(grid, faces, group, cfg, budget=None):
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
-def count_runs(grid, faces, group, cfg, budget):
-    """assign_labels_xywh with budget as PAIR_BUDGET: (runs it labelled, result)."""
-    runs = []
-    finish = anchorkit.matching._finish_run
+def labelled(grid, faces, group, cfg, budget):
+    """assign_labels_xywh with budget as PAIR_BUDGET."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(anchorkit.matching, "PAIR_BUDGET", budget)
-        mp.setattr(anchorkit.matching, "_finish_run", lambda *a: runs.append(1) or finish(*a))
-        got = assign_labels_xywh(grid, faces, cfg, group=np.asarray(group, dtype=np.int64))
-    return len(runs), got
+        return assign_labels_xywh(grid, faces, cfg, group=np.asarray(group, dtype=np.int64))
 
 
 def assert_same_result(a, b):
@@ -1004,7 +1000,8 @@ class TestGroupedKernel:
     @settings(max_examples=150)
     def test_runs_of_sorted_sets_equal_one_run(self, scene, strategy, tn, data):
         # Set ids that never decrease, with ids that hold no face between
-        # and before the sets. PAIR_BUDGET 1 puts each set in its own run.
+        # and before the sets. PAIR_BUDGET 1 slices the call face by face,
+        # which must give the one-slice result bit for bit.
         design, w, h, faces = scene
         faces = np.vstack([faces, faces[::-1]])
         steps = data.draw(st.lists(st.integers(0, 2), min_size=len(faces),
@@ -1012,9 +1009,8 @@ class TestGroupedKernel:
         group = np.cumsum(steps)
         grid = generate_anchor_boxes(design, w, h)
         cfg = MatchConfig(strategy=strategy, tn=tn)
-        runs = count_runs(grid, faces, group, cfg, 1)
-        assert runs[0] <= max(1, len(np.unique(group)))  # no run cut inside a set
-        assert_same_result(runs[1], count_runs(grid, faces, group, cfg, 2**62)[1])
+        assert_same_result(labelled(grid, faces, group, cfg, 1),
+                           labelled(grid, faces, group, cfg, 2**62))
         assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
 
     @pytest.mark.parametrize("tn", [0.0, 0.35])
@@ -1025,7 +1021,8 @@ class TestGroupedKernel:
         # faces a and b share their argmax anchor 3 (see TestCompensation).
         # The off-grid faces of sets 2 and 5 can keep none (pair_bound,
         # blind to position, counts their cells); under compensation each
-        # claims row 0 of its own set. Each set is its own run.
+        # claims row 0 of its own set, whether the call is sliced face by
+        # face or not.
         grid = one_level(100, (10.0,), 200, 200)
         a, b, on = [130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0], [45.0, 45, 10, 10]
         off = [900.0, 5, 8, 8]
@@ -1033,11 +1030,8 @@ class TestGroupedKernel:
         group = np.array([0, 0, 0, 2, 3, 3, 3, 5])
         cfg = MatchConfig(strategy=strategy, tn=tn)
         assert anchorkit.matching.pair_bound(grid, faces, cfg).tolist() == [0, 0, 4, 4] * 2
-        n_runs, got = count_runs(grid, faces, group, cfg, 1)
-        assert n_runs == 4
-        n_runs, whole = count_runs(grid, faces, group, cfg, 2**62)
-        assert n_runs == 1
-        assert_same_result(got, whole)
+        got = labelled(grid, faces, group, cfg, 1)
+        assert_same_result(got, labelled(grid, faces, group, cfg, 2**62))
         assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
         if strategy is Strategy.SAM_COMPENSATE:
             assert got.rows.tolist() == [0, 3, 2 * 4, 3 * 4, 3 * 4 + 3, 5 * 4]
@@ -1046,9 +1040,8 @@ class TestGroupedKernel:
             assert got.positive_count.tolist() == [1, 0, 1, 1, 1, 0, 1, 1]
 
     def test_unsorted_sets_are_one_run(self):
+        # A call is labelled whole, whatever the order of its set ids.
         anchors, faces = small_scene(6, n_faces=8)
-        n_runs, got = count_runs(anchors, faces, [1, 0, 1, 0, 2, 2, 3, 3], DEFAULT, 1)
-        assert n_runs == 1
         assert_grouped_equals_per_group(anchors, faces, [1, 0, 1, 0, 2, 2, 3, 3], DEFAULT)
 
     def test_every_face_in_group_zero_is_the_public_call(self):
@@ -1080,3 +1073,50 @@ class TestGroupedKernel:
         assert res.rows.min() >= (2**39 - 2) * MAX_GRID_ROWS
         with pytest.raises(ValueError, match="non-negative"):
             assign_labels_xywh(grid, face, DEFAULT, group=[-1])
+
+
+class TestSetRuns:
+    """set_runs cuts sets of faces into the calls simulate and match make."""
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([0, 1, 40, 400, 2**62]),
+           data=st.data())
+    @settings(max_examples=150)
+    def test_ranges_hold_whole_sets_within_the_bound(self, scene, strategy, tn, budget, data):
+        # Ids drawn from a few values, so a set (a run of equal consecutive
+        # ids) may recur later as another set.
+        design, w, h, faces = scene
+        faces = np.vstack([faces, faces[::-1]])
+        m = len(faces)
+        group = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+                         dtype=np.int64)
+        grid = generate_anchor_boxes(design, w, h)
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anchorkit.matching, "RUN_PAIRS", budget)
+            runs = anchorkit.matching.set_runs(grid, faces, cfg, group)
+        # The ranges cover faces 0 .. m-1 in order, and none starts inside a set.
+        ends = [0] + [hi for _, hi in runs]
+        assert [lo for lo, _ in runs] == ends[:-1] and ends[-1] == m
+        assert all(lo < hi and (lo == 0 or group[lo] != group[lo - 1]) for lo, hi in runs)
+        sets = np.cumsum(np.diff(group, prepend=-1) != 0)  # each face's set, from 1
+        bound = anchorkit.matching.pair_bound(grid, faces, cfg)
+        for n, (lo, hi) in enumerate(runs):
+            if sets[hi - 1] > sets[lo]:  # more than one set
+                assert bound[lo:hi].sum() <= budget
+            if n + 1 < len(runs):  # the next set would not have fit
+                nxt = hi + np.count_nonzero(sets == sets[hi])
+                assert bound[lo:nxt].sum() > budget
+
+    def test_one_set_or_no_faces_takes_no_bound(self, monkeypatch):
+        calls, bound = [], anchorkit.matching.pair_bound
+        monkeypatch.setattr(anchorkit.matching, "pair_bound",
+                            lambda *a: calls.append(1) or bound(*a))
+        anchors, faces = small_scene(7, n_faces=6)
+        set_runs = anchorkit.matching.set_runs
+        assert set_runs(anchors, faces, DEFAULT, np.full(6, 3)) == [(0, 6)]
+        assert set_runs(anchors, faces[:0], DEFAULT, np.empty(0, dtype=np.int64)) == []
+        assert calls == []
+        # Two sets take one bound; here they fit one range.
+        assert set_runs(anchors, faces, DEFAULT, [0, 0, 0, 1, 1, 1]) == [(0, 6)]
+        assert calls == [1]
