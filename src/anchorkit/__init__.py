@@ -31,7 +31,6 @@ from .corpus import (
     WiderParseError,
     ar_coverage,
     generate_synthetic,
-    kept_faces,
     parse_wider,
     serialize_wider,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "generate_synthetic",
     "ideal_max_iou",
     "iou_pairs",
-    "kept_faces",
     "ladder_design",
     "parse_wider",
     "rfd_output_shape",

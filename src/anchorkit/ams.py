@@ -35,7 +35,7 @@ FACE_BLOCK = 8192
 class FaceMatchStat:
     """The per-face table of an ams report: one column per field, in output
     order, with one element per kept face in corpus order. Each face's
-    image path, its position in that record's faces (as corpus.kept_faces
+    image path, its position in that record's faces (as corpus.face_table
     gives it), its aspect ratio and width, its ideal max IoU, and whether
     that is strictly above the threshold."""
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-# Longest size ladder ladder_design builds: steps near 1 would otherwise ask
-# for millions of rungs (1.0000001 gives about 48.5M).
+# Most anchor sizes a design holds over all its levels, so the longest ladder
+# ladder_design builds: steps near 1 would otherwise ask for millions of
+# rungs (1.0000001 gives about 48.5M), and the kernel's memory grows with
+# faces x sizes.
 MAX_LADDER_RUNGS = 1024
 # Most anchors generate_anchor_boxes builds for one canvas (512 MiB as
 # float64 xywh): a long ladder at stride 1 would otherwise ask for tens of GB.
@@ -50,7 +52,8 @@ class PyramidLevel:
 
 @dataclass(frozen=True)
 class AnchorDesign:
-    """A pyramid of levels sharing a single anchor aspect ratio (height/width)."""
+    """A pyramid of levels sharing a single anchor aspect ratio (height/width),
+    with at most MAX_LADDER_RUNGS sizes over all levels."""
 
     levels: tuple[PyramidLevel, ...]
     aspect_ratio: float = 1.0
@@ -62,6 +65,9 @@ class AnchorDesign:
         if not math.isfinite(self.aspect_ratio) or self.aspect_ratio <= 0:
             raise ValueError("aspect_ratio must be positive and finite")
         pooled = sorted(s for lv in self.levels for s in lv.sizes)
+        if len(pooled) > MAX_LADDER_RUNGS:
+            raise ValueError(f"design has {len(pooled)} anchor sizes, "
+                             f"over the cap of {MAX_LADDER_RUNGS}")
         if any(b <= a for a, b in zip(pooled, pooled[1:])):
             raise ValueError("anchor sizes must be distinct across levels")
 

@@ -17,15 +17,17 @@ import numpy as np
 
 from . import matching
 from .ams import run_ams
-from .anchors import AnchorDesign, ams_design, detector_design, generate_anchor_boxes, ladder_design, load_design
+from .anchors import (SQRT2, AnchorDesign, ams_design, detector_design, generate_anchor_boxes,
+                      ladder_design, load_design)
 from .corpus import (
     FixedListAR,
     LogUniformAR,
     ar_coverage,
     attach_dims,
     corpus_counts,
+    face_table,
     generate_synthetic,
-    kept_faces,
+    kept_mask,
     parse_wider,
     read_dims_csv,
     serialize_wider,
@@ -124,14 +126,18 @@ def _load_records(args: argparse.Namespace):
 
 
 def _design_for(args: argparse.Namespace) -> AnchorDesign:
+    # No --scale-step (simulate has none) means the default, sqrt(2).
+    step = getattr(args, "scale_step", None)
+    if step is not None and args.design != "ams":
+        raise ValueError(f"--scale-step applies to --design ams only, not to --design "
+                         f"{args.design}")
     if args.design == "detector":
         return detector_design()
     if args.design == "ams":
-        # simulate has no --scale-step. A step at least as close to sqrt(2)
-        # as the rounded default the help text prints gets the exact
-        # half-power ladder, so that printed default reproduces the default.
-        step = getattr(args, "scale_step", math.sqrt(2.0))
-        if abs(step - math.sqrt(2.0)) > abs(float(_SQRT2_TEXT) - math.sqrt(2.0)):
+        # A step at least as close to sqrt(2) as the rounded default the
+        # help text prints gets the exact half-power ladder, so that printed
+        # default reproduces the default.
+        if step is not None and abs(step - SQRT2) > abs(float(_SQRT2_TEXT) - SQRT2):
             return ladder_design(args.anchor_ar, scale_step=step)
         return ams_design(args.anchor_ar)
     return load_design(args.design)
@@ -167,20 +173,18 @@ def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchRepor
     images of one canvas are labelled one kernel call per range of
     matching.set_runs."""
     max_stride = max(lv.stride for lv in design.levels)
+    record, position, rows = face_table(records)
+    keep = kept_mask(rows)
+    record, position, faces = record[keep], position[keep], rows[keep, :4]
 
-    # The images that keep a face, numbered in file order, and their numbers
-    # by distinct canvas, in order of first use.
-    paths, idx, xywh, by_canvas = [], [], [], {}
-    for rec in records:
-        i, f = kept_faces(rec)
-        if len(i):
-            by_canvas.setdefault(_canvas_for(rec, f, max_stride), []).append(len(paths))
-            paths.append(rec.path)
-            idx.append(i)
-            xywh.append(f)
-    sizes = np.array(list(map(len, idx)), dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes  # each image's first face
-    faces = np.concatenate([np.empty((0, 4)), *xywh])
+    # The images that keep a face, numbered in file order: each one's record,
+    # first face and face count, and their numbers by distinct canvas, in
+    # order of first use.
+    images, starts, sizes = np.unique(record, return_index=True, return_counts=True)
+    by_canvas = {}
+    for n, (i, start, size) in enumerate(zip(images.tolist(), starts.tolist(), sizes.tolist())):
+        canvas = _canvas_for(records[i], faces[start:start + size], max_stride)
+        by_canvas.setdefault(canvas, []).append(n)
     max_iou, tp = np.zeros((2, len(faces)))
     positive = np.zeros(len(faces), dtype=np.int64)
     n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
@@ -200,10 +204,9 @@ def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchRepor
             for kind, count in result.label_counts().items():
                 labels[kind] += count
             del result  # drop its rows before the next call builds its own
-    table = MatchRow(np.repeat(np.array(paths, dtype=object), sizes),
-                     np.concatenate([np.empty(0, dtype=np.int64), *idx]),
-                     faces[:, 3] / faces[:, 2], max_iou, positive, tp)
-    return MatchReport(cfg, len(paths), n_anchors, labels, table)
+    paths = np.array([rec.path for rec in records], dtype=object)
+    table = MatchRow(paths[record], position, faces[:, 3] / faces[:, 2], max_iou, positive, tp)
+    return MatchReport(cfg, len(images), n_anchors, labels, table)
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="positive IoU threshold (default: 0.5)")
     p_ams.add_argument("--anchor-ar", type=float, default=1.0,
                        help="anchor aspect ratio (default: 1.0)")
-    p_ams.add_argument("--scale-step", type=float, default=math.sqrt(2.0),
+    p_ams.add_argument("--scale-step", type=float,
                        help=f"size ladder step (default: {_SQRT2_TEXT})")
     p_ams.add_argument("--format", choices=["table", "json", "csv"], default="table",
                        help="report format (default: table)")
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_match_flags(p_match)
     p_match.add_argument("--design", default="detector",
                          help="anchor design: detector, ams, or a JSON file (default: detector)")
-    p_match.add_argument("--scale-step", type=float, default=math.sqrt(2.0),
+    p_match.add_argument("--scale-step", type=float,
                          help=f"size ladder step for --design ams (default: {_SQRT2_TEXT})")
     p_match.add_argument("--format", choices=["json", "table", "csv"], default="json",
                          help="report format (default: json)")

@@ -8,8 +8,8 @@ occlusion pose"). A count of zero is followed by a single placeholder box line
 as one (n, 10) float64 array in that column order (FACE_COLUMNS). Face values
 are bounded by 2**53 in magnitude, so float64 holds every one exactly. Nothing
 is silently dropped: zero-area boxes and invalid-flagged faces are retained,
-and kept_mask is the one default filter that drops them (kept_faces applies
-it to one record, face_table stacks a corpus to apply it once).
+and kept_mask is the one default filter that drops them: every analysis
+stacks its corpus once with face_table and applies it to that table.
 """
 
 from __future__ import annotations
@@ -215,14 +215,6 @@ def kept_mask(faces: np.ndarray) -> np.ndarray:
     """The default corpus filter over (n, 10) face rows: True for the faces
     not flagged invalid and with positive width and height."""
     return (faces[:, _INVALID] == 0) & (faces[:, 2] > 0) & (faces[:, 3] > 0)
-
-
-def kept_faces(rec: ImageRecord) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in rec.faces of the faces kept_mask keeps, and their
-    (k, 4) xywh rows. Positions keep emitted rows traceable to the
-    annotation file."""
-    idx = kept_mask(rec.faces).nonzero()[0]
-    return idx, rec.faces[idx, :4]
 
 
 def face_table(records: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

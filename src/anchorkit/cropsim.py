@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ams, matching
 from .anchors import AnchorDesign, generate_anchor_boxes
-from .corpus import ImageRecord, kept_faces
+from .corpus import ImageRecord, face_table, kept_mask
 from .matching import MatchConfig, assign_labels_xywh
 from .prng import floats
 
@@ -134,29 +134,29 @@ def simulate(
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
 
-    kept = [kept_faces(rec) for rec in record_list]
+    record, position, rows = face_table(record_list)
+    keep = kept_mask(rows)
+    record, position, faces = record[keep], position[keep], rows[keep, :4]
+    sizes = np.bincount(record, minlength=len(record_list)).tolist()  # kept faces per image
     scale = min(params.scale_options)  # if its patch rescales, larger ones do
-    for rec, (idx, _) in zip(record_list, kept):
+    for rec, size in zip(record_list, sizes):
         side = scale * min(rec.width, rec.height)
-        if len(idx) and not (side > 0 and math.isfinite(params.output_side / side)):
+        if size and not (side > 0 and math.isfinite(params.output_side / side)):
             raise ValueError(f"image {rec.path!r}: crop scale {scale!r} gives a patch side of "
                              f"{side!r} px, too small to rescale to {params.output_side!r} px")
-    sizes = [len(idx) for idx, _ in kept]
-    paths = np.array([rec.path for rec in record_list], dtype=object)
-    face = np.empty(sum(sizes), dtype=np.int64)
-    seen, positive = np.zeros((2, face.size), dtype=np.int64)
-    best_obs, best_ideal = np.zeros((2, face.size))
+    seen, positive = np.zeros((2, len(faces)), dtype=np.int64)
+    best_obs, best_ideal = np.zeros((2, len(faces)))
     end = 0
-    for img_idx, (rec, (idx, xywh)) in enumerate(zip(record_list, kept)):
+    for img_idx, (rec, size) in enumerate(zip(record_list, sizes)):
         # This image's faces are rows start .. end-1 of the columns.
-        start, end = end, end + len(idx)
-        face[start:end] = idx
-        if not len(idx):
+        start, end = end, end + size
+        if not size:
             continue
-        block = max(1, ams.FACE_BLOCK // len(idx))
+        block = max(1, ams.FACE_BLOCK // size)
         for first in range(0, n_crops, block):
             u = floats(seed, img_idx, 3 * first, 3 * min(block, n_crops - first))
-            crop, k, boxes = _crops(rec.width, rec.height, xywh, params, u.reshape(-1, 3))
+            crop, k, boxes = _crops(rec.width, rec.height, faces[start:end], params,
+                                    u.reshape(-1, 3))
             k += start
             bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
             observed = np.empty(len(k))
@@ -173,5 +173,6 @@ def simulate(
             np.maximum.at(best_ideal, k, bounds)
             np.maximum.at(best_obs, k, observed)
 
-    table = FaceSimStat(np.repeat(paths, sizes), face, seen, positive, best_obs, best_ideal)
+    paths = np.array([rec.path for rec in record_list], dtype=object)
+    table = FaceSimStat(paths[record], position, seen, positive, best_obs, best_ideal)
     return SimOutcome(seed=seed, n_crops=n_crops, per_face=table)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -87,24 +87,18 @@ def json_text(summary: dict, table=None) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _no_faces() -> MatchRow:
-    f, i = np.empty(0), np.empty(0, dtype=np.int64)
-    return MatchRow(np.empty(0, dtype=object), i, f, f, i, f)
-
-
 @dataclass(frozen=True)
 class MatchReport:
     """Label-assignment audit of a corpus. n_images counts the images that
     keep a face, n_anchors the anchors of their grids, one grid per image,
     and labels tallies those anchors' labels (LABEL_KINDS) summed over the
-    images. per_face is the table of every kept face in file order. The
-    defaults are the report of a corpus that keeps no face."""
+    images. per_face is the table of every kept face in file order."""
 
     config: MatchConfig
-    n_images: int = 0
-    n_anchors: int = 0
-    labels: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LABEL_KINDS, 0))
-    per_face: MatchRow = field(default_factory=_no_faces)
+    n_images: int
+    n_anchors: int
+    labels: dict[str, int]
+    per_face: MatchRow
 
     @property
     def n_matched(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from anchorkit.ams import ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
-from anchorkit.corpus import ImageRecord, LogUniformAR, WiderParseError, kept_faces
+from anchorkit.corpus import ImageRecord, LogUniformAR, WiderParseError, kept_mask
 from anchorkit.matching import assign_labels_xywh
 from anchorkit.reports import LABEL_KINDS, MatchReport, MatchRow
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
@@ -310,6 +310,15 @@ def naive_random_crop(image_w, image_h, faces, params, rng):
         )
         kept_idx.append(i)
     return kept, kept_idx
+
+
+def kept_faces(rec):
+    """One record's kept faces, filtered on their own: the positions in
+    rec.faces of the faces kept_mask keeps, and their (k, 4) xywh rows. The
+    library filters a whole corpus's stacked table once; the per-record
+    oracles below filter record by record, so they check that path."""
+    idx = kept_mask(rec.faces).nonzero()[0]
+    return idx, rec.faces[idx, :4]
 
 
 def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 import anchorkit.ams
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
 from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
-from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic, kept_faces
+from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic
 from anchorkit.matching import iou_pairs
 from builders import record, rows
-from oracles import naive_ideal_max_iou, naive_iou
+from oracles import kept_faces, naive_ideal_max_iou, naive_iou
 
 
 def geometry_ladder_max(face_w: float, face_ar: float, design) -> float:

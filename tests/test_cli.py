@@ -59,9 +59,10 @@ class TestHelp:
         assert args.anchor_ar == cfg.anchor_ar
 
     def test_scale_step_default_displayed(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["ams", "--help"])
-        assert "1.4142135624" in capsys.readouterr().out
+        for cmd in ("ams", "match"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            assert "1.4142135624" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cmd", [["ams"], ["match", "--design", "ams"]])
     def test_printed_scale_step_default_reproduces_the_default(self, cmd, tmp_path, capsys):
@@ -521,6 +522,49 @@ class TestBadInput:
         # 1.0000001 would ask for about 48.5M rungs; refused by arithmetic alone.
         assert main(["ams", "--annotations", mini_file, "--scale-step", "1.0000001"]) == 1
         _one_error_line(capsys, "48520306")
+
+    @pytest.mark.parametrize("design, step", [("detector", "0.5"), ("detector", "1.4142135624"),
+                                              ("file", "7")])
+    def test_scale_step_refused_unless_design_ams(self, design, step, mini_file, tmp_path,
+                                                  capsys):
+        # The step shapes the ams ladder only: under any other design it would
+        # change nothing, so it is refused, even at its printed default.
+        if design == "file":
+            design = tmp_path / "design.json"
+            design.write_text('{"levels": [%s], "aspect_ratio": 1}' % LEVEL, encoding="utf-8")
+        argv = ["match", "--annotations", mini_file, "--design", str(design)]
+        assert main(argv + ["--scale-step", step]) == 1
+        _one_error_line(capsys, "--scale-step", "--design ams")
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("levels, ok", [((1024,), True), ((1025,), False),
+                                            ((512, 513), False)])
+    def test_design_sizes_capped(self, levels, ok, mini_file, tmp_path, capsys):
+        # A design file's sizes over all its levels share the ladder's cap,
+        # refused when the design is built, before any grid or face pair.
+        design = tmp_path / "design.json"
+        first = 1
+        parts = []
+        for n in levels:
+            sizes = ", ".join(str(float(first + k)) for k in range(n))
+            parts.append('{"name": "L%d", "stride": 64, "sizes": [%s]}' % (len(parts), sizes))
+            first += n
+        design.write_text('{"levels": [%s], "aspect_ratio": 1}' % ", ".join(parts),
+                          encoding="utf-8")
+        argv = ["match", "--annotations", mini_file, "--design", str(design), "--format", "table"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if ok:
+            assert code == 0, capsys.readouterr().err
+            return
+        assert code == 1
+        assert peak < 2**20, peak
+        _one_error_line(capsys, f"{sum(levels)} anchor sizes",
+                        str(anchorkit.anchors.MAX_LADDER_RUNGS))
 
     def test_grid_rows_capped(self, mini_file, tmp_path, capsys, monkeypatch):
         # A 488-rung ladder at stride 1 on 1000x800 is 390.4M anchors;

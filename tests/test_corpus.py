@@ -13,14 +13,15 @@ from anchorkit.corpus import (
     ar_coverage,
     attach_dims,
     corpus_counts,
+    face_table,
     generate_synthetic,
-    kept_faces,
+    kept_mask,
     parse_wider,
     read_dims_csv,
     serialize_wider,
 )
 from builders import record
-from oracles import naive_generate_synthetic, naive_parse_wider
+from oracles import kept_faces, naive_generate_synthetic, naive_parse_wider
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
 
@@ -286,14 +287,22 @@ class TestFaceAnnotation:
 
 
 class TestIterFaces:
-    """The default filter, kept_faces, and the tallies built on it."""
+    """The default filter over the stacked face table, and the tallies built
+    on it."""
 
     def corpus(self):
         return [record("x.jpg", [(0, 0, 4, 4), (0, 0, 4, 4), (0, 0, 0, 4), (0, 0, 8, 8)],
                        invalid=[1])]
 
     def test_default_filter_keeps_original_indices(self):
-        idx, xywh = kept_faces(self.corpus()[0])
+        corpus = self.corpus() + [record("y.jpg", []), record("z.jpg", [(1, 2, 3, 4)])]
+        record_idx, position, faces = face_table(corpus)
+        keep = kept_mask(faces)
+        assert record_idx[keep].tolist() == [0, 0, 2]
+        assert position[keep].tolist() == [0, 3, 0]
+        assert faces[keep, :4].tolist() == [[0, 0, 4, 4], [0, 0, 8, 8], [1, 2, 3, 4]]
+        # The oracle, which filters one record on its own, keeps the same faces.
+        idx, xywh = kept_faces(corpus[0])
         assert idx.tolist() == [0, 3]
         assert xywh.tolist() == [[0, 0, 4, 4], [0, 0, 8, 8]]
 

@@ -1,5 +1,6 @@
-"""The README's library example runs and prints what its comments say,
-every public name resolves, and every module the README describes exists."""
+"""The README's library and CLI examples run and print what their comments
+say, every public name resolves, and every module the README describes
+exists."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import anchorkit
 from anchorkit import MatchConfig, Strategy, assign_labels_xywh
+from anchorkit.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 PACKAGE = Path(anchorkit.__file__).parent
@@ -18,6 +20,37 @@ PACKAGE = Path(anchorkit.__file__).parent
 def library_example() -> str:
     section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def cli_examples() -> dict[str, list[str]]:
+    """Each `anchorkit` command of the README's CLI block that shows its
+    output, without the program name, mapped to the output lines shown
+    below it as comments indented by two spaces. A "..." line stands for
+    the rest of the output."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, command = {}, None
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("anchorkit "):
+            command = " ".join(line.split("#", 1)[0].split()[1:])
+        elif line.startswith("#  ") and command is not None:
+            examples.setdefault(command, []).append(line[3:])
+        else:
+            command = None
+    return examples
+
+
+def test_cli_examples_print_what_their_comments_say(capsys):
+    examples = cli_examples()
+    assert {"ams --synthetic 8 --seed 1 --ar-list 0.3,0.5,1.0,2.0,2.3,4.0 --tp 0.5",
+            "rfd --channels 64"} <= set(examples)
+    for command, shown in examples.items():
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out.splitlines()
+        if shown[-1] == "...":
+            shown = shown[:-1]
+            out = out[:len(shown)]
+        assert out == shown, command
 
 
 def test_library_example_and_public_names():

@@ -220,7 +220,7 @@ class TestDispatch:
 
     def test_per_face_only_with_ams(self):
         with pytest.raises(TypeError):
-            emit_reports(MatchReport(MatchConfig()), "csv", STATS)
+            emit_reports(match_report([]), "csv", STATS)
 
     def test_deterministic_bytes(self):
         assert emit_reports(REPORT, "json") == emit_reports(REPORT, "json")
@@ -273,11 +273,11 @@ class TestEmptyTables:
 
     def test_match_report_with_no_images(self):
         dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
-        for report in (MatchReport(MATCH), match_report([]), match_report([dropped])):
+        for report in (match_report([]), match_report([dropped])):
             self.check(report, MATCH_CSV_HEADER)
             assert json.loads(emit_reports(report, "json"))["n_faces_matched"] == 0
             assert "faces     0 (matched 0)" in emit_reports(report, "table")
-            assert emit_reports(report, "json") == emit_reports(MatchReport(MATCH), "json")
+            assert emit_reports(report, "json") == emit_reports(match_report([]), "json")
 
     def test_simulate_with_no_kept_faces(self):
         dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
