@@ -45,8 +45,6 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
                    default="warm", help="matching strategy (default: warm)")
     p.add_argument("--tp", type=float, default=0.5,
                    help="base positive IoU threshold T0 (default: 0.5)")
-    p.add_argument("--tn", type=float, default=0.35,
-                   help="negative IoU threshold (default: 0.35)")
     p.add_argument("--delta", type=float, default=0.1,
                    help="WARM threshold amplitude (default: 0.1)")
     p.add_argument("--eta0", type=float, default=2.0,
@@ -316,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--dims", help="sidecar CSV path,width,height with image dims")
     _add_synthetic_flags(p_match)
     _add_match_flags(p_match)
+    p_match.add_argument("--tn", type=float, default=0.35,
+                         help="negative IoU threshold (default: 0.35)")
     p_match.add_argument("--design", default="detector",
                          help="anchor design: detector, ams, or a JSON file (default: detector)")
     p_match.add_argument("--scale-step", type=float,
@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=["json", "csv"], default="json",
                        help="report format (default: json)")
     p_sim.add_argument("--out", help="write output to this path instead of stdout")
-    p_sim.set_defaults(func=_cmd_simulate)
+    # simulate reads no negative label, and its table is the same under
+    # every tn (see cropsim.simulate), so it has no --tn.
+    p_sim.set_defaults(func=_cmd_simulate, tn=0.0)
 
     p_rfd = sub.add_parser("rfd", help="inspect the RFD block structure")
     p_rfd.add_argument("--channels", type=int, required=True,

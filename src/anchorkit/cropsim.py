@@ -15,7 +15,7 @@ floats 3j, 3j+1 and 3j+2: scale index, patch x, patch y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -117,10 +117,14 @@ def simulate(
     The anchor grid of the output canvas is built once. Every crop that
     retains a face is labelled on it under cfg, as its own set of faces,
     recording whether each retained face drew at least one positive anchor
-    and what its best grid IoU was. An image's crops are drawn and bounded
-    in blocks of at most ams.FACE_BLOCK crop-face cells (or one crop), and a
-    block's crops are labelled one kernel call per range of
-    matching.set_runs; the values depend on neither. Every record must
+    and what its best grid IoU was. Neither depends on cfg.tn: a face's best
+    IoU is its max over the grid, and its positives are the anchors it wins
+    above its threshold. So the crops are labelled under cfg.tn = 0, where
+    assign_labels_xywh keeps only the pairs above each face's threshold, and
+    the table is the same for every valid cfg.tn. An image's crops are
+    drawn and bounded in blocks of at most ams.FACE_BLOCK crop-face cells
+    (or one crop), and a block's crops are labelled one kernel call per
+    range of matching.set_runs; the values depend on neither. Every record must
     carry pixel dimensions, and on every image that keeps a face the
     smallest crop patch must have a side above 0 and a finite rescale
     factor; both are checked before any draw.
@@ -133,6 +137,7 @@ def simulate(
             raise ValueError(f"record {rec.path!r} has no image dimensions")
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
+    cfg = replace(cfg, tn=0.0)  # valid: t0 - delta > tn >= 0
 
     record, position, rows = face_table(record_list)
     keep = kept_mask(rows)

@@ -239,9 +239,11 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     the grid), scored as the pairs are; it is a real anchor's IoU, so at
     most the face's max. An item whose upper bound is below min(bar, the
     lower bound) holds no pair at or above min(bar, the face's max): it
-    decides no label, passes no per-axis filter and holds no argmax, so its
-    cells are not expanded. For a face that overlaps none of its nearest
-    anchors, nothing is skipped.
+    decides no label, passes no per-axis filter and holds no argmax, so it
+    is not listed. Cell ranges, cells and per-axis maxima are computed for
+    the listed items alone, and each face's max is folded over its own; the
+    plane that holds it always passes. For a face that overlaps none of its
+    nearest anchors, nothing is skipped.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
@@ -256,28 +258,31 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     _check_faces(faces)
     tp = _thresholds(faces, cfg)
 
-    # Per face and plane, and per axis (x, y): first candidate cell and count.
-    corner = faces[:, None, :2]
-    lo, count = _cell_range(corner, corner + faces[:, None, 2:], grid.size,
-                            grid.stride[:, None], grid.cells)
     # Per face and plane: the area sum, and the IoU of the concentric shapes,
     # above every pair's. Per face: the IoU of a real anchor, the one in the
     # cell nearest its centre on each plane, at most its max.
+    corner, size = faces[:, None, :2], faces[:, None, 2:]
     (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
     area = (aw * ah) + (fw * fh)
     upper = _iou(np.minimum(aw, fw) * np.minimum(ah, fh), area)
-    near = np.clip(np.floor((corner + faces[:, None, 2:] / 2.0) / grid.stride[:, None]),
-                   0, grid.cells - 1)
+    near = np.clip(np.floor((corner + size / 2.0) / grid.stride[:, None]), 0, grid.cells - 1)
     a1 = (near + 0.5) * grid.stride[:, None] - grid.size / 2.0
-    o = _overlap(a1, grid.size, corner, faces[:, None, 2:])
+    o = _overlap(a1, grid.size, corner, size)
     reach = _iou(o[..., 0] * o[..., 1], area).max(axis=1)
-    # Each face's bar: cfg.tn, or under cfg.tn == 0 its threshold tp. A plane
-    # whose bound is below min(bar, that IoU) holds no pair that can decide
-    # a label or be the argmax: its cells are not expanded.
+    # Each face's bar: cfg.tn, or under cfg.tn == 0 its threshold tp. Only
+    # the (face, plane) items whose bound reaches min(bar, that IoU) are
+    # listed, face-major: any other holds no pair that can decide a label or
+    # be the argmax.
     bar = tp if cfg.tn == 0 else np.full(m, cfg.tn)
-    count[upper < np.minimum(bar, reach)[:, None]] = 0
-    cells = count.sum(axis=(1, 2))
-    n_planes, none = grid.stride.size, np.iinfo(np.int64).max
+    face, plane = np.nonzero(upper >= np.minimum(bar, reach)[:, None])
+    area, f1 = area[face, plane], faces[face, :2]
+    # Per item and per axis (x, y): first candidate cell and count.
+    lo, count = _cell_range(f1, f1 + faces[face, 2:], grid.size[plane],
+                            grid.stride[plane, None], grid.cells[plane])
+    # Each face's first item, and its candidate cells on both axes.
+    start = np.searchsorted(face, np.arange(m + 1))
+    cells = np.diff(np.append(0, np.cumsum(count.sum(axis=1)))[start])
+    none = np.iinfo(np.int64).max
     # Each face's argmax, the lowest row at its max, is read by compensation only.
     compensate = cfg.strategy is Strategy.SAM_COMPENSATE
     face_max, face_arg = np.zeros(m), np.full(m, none)
@@ -285,31 +290,32 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     base = group * len(grid)  # each face's key of its set's row 0
     kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for part in _chunks(cells, PAIR_BUDGET):
-        # One item per (face, plane) of the slice, face-major.
-        face, plane = np.divmod(np.arange(part.start * n_planes, part.stop * n_planes),
-                                n_planes)
-        (aw, ah), f, s = grid.size[plane].T, faces[face], grid.stride[plane]
-        area_p = area[part].ravel()
-        lo_p, count_p = lo[part].reshape(-1, 2), count[part].reshape(-1, 2)
+        # The items of the slice's faces.
+        items = slice(start[part.start], start[part.stop])
+        fi, pi, area_p = face[items], plane[items], area[items]
+        (aw, ah), f, s = grid.size[pi].T, faces[fi], grid.stride[pi]
+        lo_p, count_p = lo[items], count[items]
         gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
         gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
-        top_w, top_h = np.zeros(face.size), np.zeros(face.size)  # per-axis maxima
+        top_w, top_h = np.zeros(fi.size), np.zeros(fi.size)  # per-axis maxima
         np.maximum.at(top_w, gx, iw)
         np.maximum.at(top_h, gy, ih)
-        face_max[part] = _iou(top_w * top_h, area_p).reshape(-1, n_planes).max(axis=1)
+        first = _starts(fi)  # each face's max over its items
+        face_max[fi[first]] = np.maximum.reduceat(_iou(top_w * top_h, area_p),
+                                                  np.flatnonzero(first))
         # A pair reaches c only if each of its cells, paired with the
         # other axis's best cell, does.
-        c = np.minimum(bar[face], face_max[face])
+        c = np.minimum(bar[fi], face_max[fi])
         x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
         y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
         gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
-        nx, ny = np.bincount(gx, minlength=face.size), np.bincount(gy, minlength=face.size)
+        nx, ny = np.bincount(gx, minlength=fi.size), np.bincount(gy, minlength=fi.size)
         x0, y0 = np.cumsum(nx) - nx, np.cumsum(ny) - ny
         for sl in _chunks(nx * ny, PAIR_BUDGET):
             at, off = _expand(nx[sl] * ny[sl])
             at += sl.start
             xi, yi = x0[at] + off % nx[at], y0[at] + off // nx[at]
-            p, fc = plane[at], face[at]
+            p, fc = pi[at], fi[at]
             row = base[fc] + grid.first[p] + (k[yi] * grid.cells[p, 0] + i[xi]) * grid.step[p]
             val = _iou(iw[xi] * ih[yi], area_p[at])
             if compensate:

@@ -105,6 +105,29 @@ def naive_assign(anchors, faces, tp_per_face, tn, compensate=False):
     return labels, compensated, per_face_max, pos_count
 
 
+def naive_planes_kept(design, image_w, image_h, face, bar) -> list[int]:
+    """The planes of design's grid, one per (level, size) in grid order,
+    whose cells assign_labels_xywh may expand for one xywh face of bar bar,
+    one plane at a time: those whose concentric IoU with the face is at
+    least min(bar, the best IoU of the anchors nearest the face's centre),
+    the anchor nearest on each plane being the one in the cell that holds
+    the centre, clipped to the grid."""
+    x, y, fw, fh = face
+    upper, reach = [], 0.0
+    for level in design.levels:
+        nx = math.floor(image_w / level.stride)
+        ny = math.floor(image_h / level.stride)
+        i = min(max(math.floor((x + fw / 2.0) / level.stride), 0), nx - 1)
+        j = min(max(math.floor((y + fh / 2.0) / level.stride), 0), ny - 1)
+        for w in level.sizes:
+            h = w * design.aspect_ratio
+            inter = min(w, fw) * min(h, fh)
+            upper.append(inter / ((w * h) + (fw * fh) - inter))
+            near = ((i + 0.5) * level.stride - w / 2.0, (j + 0.5) * level.stride - h / 2.0, w, h)
+            reach = max(reach, naive_iou(near, face))
+    return [p for p, u in enumerate(upper) if u >= min(bar, reach)]
+
+
 def naive_warm_threshold(r: float, cfg) -> float:
     """WARM's positive threshold for one aspect ratio r, piecewise from the
     definition: on the extreme band between D(Ra, eta0) and D(Ra, eta1),

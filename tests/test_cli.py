@@ -636,6 +636,24 @@ class TestSimulateCommand:
         ann.write_text("a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
         assert main(["simulate", "--annotations", str(ann), "--crops", "1"]) == 1
 
+    def test_tp_below_the_match_default_tn_runs(self, tmp_path, capsys):
+        # simulate has no --tn: its crops are labelled under tn 0, so a --tp
+        # of 0.4 leaves t0 - delta above it.
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
+        dims = tmp_path / "dims.csv"
+        dims.write_text("path,width,height\na.jpg,640,640\n", encoding="utf-8")
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(dims), "--crops", "3",
+                "--scales", "1.0"]
+        assert main(argv + ["--tp", "0.4"]) == 0
+        assert json.loads(capsys.readouterr().out)["per_face"][0]["crops_seen"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tn", "0.2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: --tn 0.2\n"), err
+        assert "Traceback" not in err
+
     def test_byte_identical(self, capsys):
         argv = ["simulate", "--synthetic", "3", "--seed", "9", "--crops", "5"]
         main(argv)

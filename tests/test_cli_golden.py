@@ -107,6 +107,7 @@ CASES = {
         for name, extra in (
             ("warm", ["--strategy", "warm"]),
             ("sam", ["--strategy", "sam"]),
+            ("sam_compensate", ["--strategy", "sam_compensate"]),
             ("scales", ["--scales", "0.3,1.0", "--output-side", "320"]),
             ("design-file", ["--design", "{design}"]),
         )
@@ -166,6 +167,8 @@ GOLDEN = {
     "simulate-json": (0, "4ab73a3dbd21846574c6c8df7ec998281285144c6bd365315523d2908f2f2045"),
     "simulate-sam-csv": (0, "45716b0079c8d1837f6ba6979fe1a3782bd43e24a69342fbe40136073d94c5bc"),
     "simulate-sam-json": (0, "aec0f4e83072bfd317e21c54b84338c6a833cd3f6132007c61aab4ccb2eb0c07"),
+    "simulate-sam_compensate-csv": (0, "3b1b358661af215b8d611e74cd5cab616f8d5302ce678ba58423b20f772977e6"),
+    "simulate-sam_compensate-json": (0, "473cacda8e801e01a9210a9f33e65050eef08b57f3107e8f18834ff022afbb98"),
     "simulate-scales-csv": (0, "d5dccd0af22b5a38a9a914a5a94d1eb7132bd3add96d45140382d35be4d31860"),
     "simulate-scales-json": (0, "47e33225453a12d4fa19d2a781a694c45bc44bf22ce4b4ba05eaa22d69de9488"),
     "simulate-warm-csv": (0, "cfa6ee6c65acc9d48b70a6c31d9f3952656797b23dabac73485d738381285bc8"),

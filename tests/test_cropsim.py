@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,21 +276,26 @@ ALL_EMPTY = record("img/empty.jpg", 200, 120, [(200, 0, 10, 10), (230, 100, 40, 
 
 
 class TestSimulateDifferential:
-    """simulate's table against the per-crop scalar loop in oracles.py."""
+    """simulate's table against the per-crop scalar loop in oracles.py. The
+    loop labels each crop under a drawn tn, simulate under its own config's
+    tn: simulate labels under tn = 0, and its table must not depend on tn."""
 
     @settings(max_examples=100)
     @given(records=sim_corpora(), strategy=st.sampled_from(list(Strategy)),
            n_crops=st.integers(0, 6), seed=st.integers(0, 2**32),
-           scales=st.sampled_from([(1.0,), (0.3, 0.6), (0.3, 0.45, 0.6, 0.8, 1.0)]))
-    @example(records=[SEEN, ALL_EMPTY], strategy=Strategy.WARM, n_crops=0, seed=1, scales=(1.0,))
-    @example(records=[ALL_EMPTY, SEEN], strategy=Strategy.SAM, n_crops=5, seed=2, scales=(0.3, 0.6))
+           scales=st.sampled_from([(1.0,), (0.3, 0.6), (0.3, 0.45, 0.6, 0.8, 1.0)]),
+           tn=st.floats(0.0, 0.39))
+    @example(records=[SEEN, ALL_EMPTY], strategy=Strategy.WARM, n_crops=0, seed=1, scales=(1.0,),
+             tn=0.35)
+    @example(records=[ALL_EMPTY, SEEN], strategy=Strategy.SAM, n_crops=5, seed=2, scales=(0.3, 0.6),
+             tn=0.0)
     @example(records=[NEVER_SEEN], strategy=Strategy.SAM_COMPENSATE, n_crops=4, seed=3,
-             scales=(1.0,))
-    def test_matches_scalar_loop(self, records, strategy, n_crops, seed, scales):
+             scales=(1.0,), tn=0.39)
+    def test_matches_scalar_loop(self, records, strategy, n_crops, seed, scales, tn):
         cfg = MatchConfig(strategy=strategy)
         params = CropParams(scale_options=scales, output_side=128.0)
         got = simulate(records, SMALL_DESIGN, cfg, n_crops, seed, params).per_face
-        want = naive_simulate(records, SMALL_DESIGN, cfg, n_crops, seed, params)
+        want = naive_simulate(records, SMALL_DESIGN, replace(cfg, tn=tn), n_crops, seed, params)
         assert [f.name for f in fields(got)] == list(want)
         for name, column in want.items():
             assert getattr(got, name).tolist() == column, name
@@ -380,18 +385,21 @@ class TestFaceBlock:
     @pytest.mark.parametrize("run", [1, 3, 7, 64])
     def test_one_kernel_call_per_run_of_crops(self, run, monkeypatch):
         # Every full patch of a square image keeps all three faces in the
-        # same place, so every crop has the same pair bound. With RUN_PAIRS
-        # at `run` faces' worth of it, a run holds max(1, run // 3) crops
-        # and the 40 crops take that many calls.
-        faces = [(0, 0, 128, 128), (100, 100, 40, 20), (180, 30, 30, 30)]
+        # same place, so every crop has the same pair bound, taken under
+        # tn 0 as simulate labels. With RUN_PAIRS at `run` faces' worth of
+        # it, a run holds max(1, run // 3) crops and the 40 crops take that
+        # many calls.
+        faces = [(0, 0, 128, 128), (100, 100, 16, 12), (180, 30, 12, 12)]
         rec = record("img/sq.jpg", 256, 256, faces)
         want = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         grid = generate_anchor_boxes(SMALL_DESIGN, 640, 640)
-        per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, WARM).sum()
+        per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, replace(WARM, tn=0.0)).sum()
+        assert per_crop > 0
         calls = []
         kernel = cropsim.assign_labels_xywh
 
         def counted(grid, boxes, cfg, group):
+            assert cfg == replace(WARM, tn=0.0)
             calls.append(group.tolist())
             return kernel(grid, boxes, cfg, group=group)
 
@@ -422,8 +430,10 @@ class TestFaceBlock:
         monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
         monkeypatch.setattr(matching, "RUN_PAIRS", 1)
         want = simulate([rec], SMALL_DESIGN, WARM, 60, 2, params).per_face
-        kept = len(calls)  # one call per crop that keeps a face
-        assert 30 < kept < 60
+        # One call per crop that keeps a face, but crops whose faces can
+        # keep no pair (a bound of 0) share a call.
+        kept = sum(len(np.unique(g)) for g in calls)
+        assert 30 < kept < 60 and 1 < len(calls) < kept
         for budget in (300, 1000, 2**40):
             calls.clear()
             monkeypatch.setattr(matching, "RUN_PAIRS", budget)

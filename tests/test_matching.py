@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 import anchorkit.anchors
 import anchorkit.matching
 from anchorkit.anchors import (
+    MAX_GRID_ROWS,
+    MAX_LADDER_RUNGS,
     AnchorDesign,
     PyramidLevel,
     ams_design,
     detector_design,
     generate_anchor_boxes,
+    ladder_design,
 )
-from anchorkit.anchors import MAX_GRID_ROWS
 from anchorkit.cli import _match_report
 from anchorkit.matching import (
     IGNORE,
@@ -29,7 +32,13 @@ from anchorkit.matching import (
 )
 
 from builders import record
-from oracles import eager_anchor_rows, naive_assign, naive_iou, naive_warm_threshold
+from oracles import (
+    eager_anchor_rows,
+    naive_assign,
+    naive_iou,
+    naive_planes_kept,
+    naive_warm_threshold,
+)
 
 DEFAULT = MatchConfig()
 SAM = MatchConfig(strategy=Strategy.SAM)
@@ -726,9 +735,36 @@ class TestGridKernel:
 
 
 class TestPlanePrune:
-    """A (face, plane) is skipped when the IoU of the plane's anchor shape
-    and the face's, placed concentrically, is below min(tn, the IoU of the
-    anchor nearest the face's centre on some plane)."""
+    """A (face, plane) item is skipped when the IoU of the plane's anchor
+    shape and the face's, placed concentrically, is below min(bar, the IoU
+    of the anchor nearest the face's centre on some plane), the bar being tn
+    or, under tn 0, the face's threshold. Only the items that pass are
+    listed, so a skipped item's cells are never expanded."""
+
+    @pytest.mark.parametrize("tn", [0.35, 0.0])
+    def test_skipped_items_are_never_expanded(self, tn, monkeypatch):
+        # One 6x7 face on a 1,024-plane ladder passes the skip on the planes
+        # whose sizes are near its own. _axis_hits, which expands each
+        # item's candidate cells on one axis, must receive those items and
+        # no other, not even with no cells.
+        design = ladder_design(1.5, scale_step=128.0 ** (1.0 / (MAX_LADDER_RUNGS - 1)))
+        grid = generate_anchor_boxes(design, 16, 16)
+        face = [5.0, 4.5, 6.0, 7.0]
+        cfg = MatchConfig(tn=tn)
+        bar = tn or naive_warm_threshold(face[3] / face[2], cfg)
+        planes = naive_planes_kept(design, 16, 16, face, bar)
+        assert 0 < len(planes) < MAX_LADDER_RUNGS // 4
+        calls = []
+        axis_hits = anchorkit.matching._axis_hits
+
+        def spy(lo, count, stride, size, f1, f_len):
+            calls.append(size.tolist())
+            return axis_hits(lo, count, stride, size, f1, f_len)
+
+        monkeypatch.setattr(anchorkit.matching, "_axis_hits", spy)
+        res = assign_labels_xywh(grid, [face], cfg)
+        assert calls == grid.size[planes].T.tolist()  # one x call, one y call
+        assert res.positive_count[0] > 0
 
     @pytest.mark.parametrize("face", [
         [8.0, -28.0, 8.0, 80.0],  # centred on the 8x8 anchor of cell (1, 1)
@@ -956,6 +992,43 @@ def assert_same_result(a, b):
                  "effective_tp"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def assert_tn_free(grid, faces, group, cfg):
+    """max_iou and positive_count of faces under cfg and under cfg with
+    tn = 0 are equal bit for bit."""
+    a = assign_labels_xywh(grid, faces, cfg, group=group)
+    b = assign_labels_xywh(grid, faces, replace(cfg, tn=0.0), group=group)
+    assert a.max_iou.tobytes() == b.max_iou.tobytes()
+    assert a.positive_count.tolist() == b.positive_count.tolist()
+
+
+class TestTnFreeStatistics:
+    """Neither a face's max IoU nor its positive count depends on cfg.tn:
+    simulate reads only these, and labels its crops under tn = 0."""
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.floats(0.0, 0.39), data=st.data())
+    @settings(max_examples=150)
+    def test_equal_under_tn_zero(self, scene, strategy, tn, data):
+        # Each face twice, the copies in reverse order, under interleaved set
+        # ids: a face and its copy tie on every anchor, in one set or two.
+        design, w, h, faces = scene
+        faces = np.vstack([faces, faces[::-1]])
+        group = data.draw(st.lists(st.integers(0, 3), min_size=len(faces),
+                                   max_size=len(faces)))
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        assert_tn_free(generate_anchor_boxes(design, w, h), faces, group, cfg)
+
+    @pytest.mark.parametrize("tn", [0.1, 0.35, 0.39])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_ties_and_faces_off_the_grid(self, strategy, tn):
+        # As in TestGroupedKernel: faces a and b share their argmax anchor
+        # in sets 0 and 1, and the two faces off the grid overlap nothing.
+        grid = one_level(100, (10.0,), 200, 200)
+        a, b, off = [130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0], [900.0, 5, 8, 8]
+        faces = np.array([a, b, a, b, off, off, a])
+        assert_tn_free(grid, faces, [1, 0, 0, 1, 2, 0, 1], MatchConfig(strategy=strategy, tn=tn))
 
 
 class TestGroupedKernel:
