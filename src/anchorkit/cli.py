@@ -85,6 +85,13 @@ def _match_config(args: argparse.Namespace) -> MatchConfig:
     )
 
 
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, not {text!r}") from None
+
+
 def _load_records(args: argparse.Namespace):
     # A synthetic flag that would change nothing is refused: the AR flags
     # without --synthetic, or --ar-lo/--ar-hi beside --ar-list, and --seed
@@ -110,7 +117,7 @@ def _load_records(args: argparse.Namespace):
                 raise ValueError(f"--synthetic generates its own corpus; it cannot be "
                                  f"combined with --{flag}")
         if args.ar_list is not None:
-            law = FixedListAR(tuple(float(v) for v in args.ar_list.split(",")))
+            law = FixedListAR(_float_list(args.ar_list, "--ar-list"))
         else:
             law = LogUniformAR(args.ar_lo, args.ar_hi)
         return generate_synthetic(args.seed, args.synthetic, law)
@@ -216,10 +223,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    scales = _float_list(args.scales, "--scales")
     records = _load_records(args)
     cfg = _match_config(args)
     design = _design_for(args)
-    scales = tuple(float(s) for s in args.scales.split(","))
     params = CropParams(scale_options=scales, output_side=args.output_side)
     outcome = simulate(records, design, cfg, args.crops, args.seed, params)
     _write_out(emit_reports(outcome, args.format), args.out)
@@ -252,8 +259,8 @@ def _cmd_rfd(args: argparse.Namespace) -> int:
         ]
         for i, (p, rf) in enumerate(zip(spec.paths, fields)):
             lines.append(
-                f"{i:<6}1x1 {p.reduce.c_in}->{p.reduce.c_out:<6}"
-                f"{p.body.kh}x{p.body.kw} {p.body.c_in}->{p.body.c_out:<6}"
+                f"{i:<6}1x1 {p.reduce.c_in}->{p.reduce.c_out:<5} "
+                f"{p.body.kh}x{p.body.kw} {p.body.c_in}->{p.body.c_out:<5} "
                 f"{rf[0]}x{rf[1]}"
             )
         lines.append(f"short identity                {fields[-1][0]}x{fields[-1][1]}")

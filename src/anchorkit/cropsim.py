@@ -137,7 +137,7 @@ def simulate(
             raise ValueError(f"record {rec.path!r} has no image dimensions")
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
-    cfg = replace(cfg, tn=0.0)  # valid: t0 - delta > tn >= 0
+    cfg = replace(cfg, tn=0.0)  # valid: t0, and under WARM t0 - delta, stay above it
 
     record, position, rows = face_table(record_list)
     keep = kept_mask(rows)

@@ -66,8 +66,9 @@ class MatchConfig:
             raise ValueError("tn must be below t0")
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if self.t0 - self.delta <= self.tn:
-            raise ValueError("t0 - delta must stay above tn")
+        # Only WARM lowers the positive threshold, by up to delta.
+        if self.strategy is Strategy.WARM and self.t0 - self.delta <= self.tn:
+            raise ValueError(f"t0 - delta must {'stay above tn' if self.tn else 'be positive'}")
         if self.eta0 <= 1.0:
             raise ValueError("eta0 must be greater than 1")
         if self.eta1 <= self.eta0:

@@ -1,9 +1,10 @@
 """Structural model of the receptive-field-diversity (RFD) feature block.
 
-The block has four parallel paths, each a 1x1 convolution reducing channels
-to a quarter followed by a body convolution with kernels 3x1, 1x3, 3x3, and
-5x5 (shape-preserving padding), whose outputs are concatenated back to the
-input width and summed with an identity shortcut. This module captures the
+The block is a function of its channel width C: four parallel paths, each a
+1x1 convolution reducing C to C/4 followed by a body convolution with
+kernels 3x1, 1x3, 3x3, and 5x5, whose outputs are concatenated back to C
+and summed with an identity shortcut. Each odd kernel k is padded by
+(k - 1) / 2, so every layer preserves space. This module captures the
 block exactly at the structural level: shape propagation, receptive-field
 arithmetic and parameter counting. Activations and normalization are
 intentionally absent; the structure is all the claims need.
@@ -11,30 +12,27 @@ intentionally absent; the structure is all the claims need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 BODY_KERNELS: tuple[tuple[int, int], ...] = ((3, 1), (1, 3), (3, 3), (5, 5))
-_MIN_SPATIAL = 5  # the largest kernel must fit
+_MIN_SPATIAL = max(max(k) for k in BODY_KERNELS)  # the largest kernel must fit
 
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """One convolution layer: odd kernel, shape-preserving padding."""
+    """One convolution layer: an odd kh x kw kernel from c_in to c_out
+    channels, padded by (k - 1) / 2 per axis."""
 
     kh: int
     kw: int
     c_in: int
     c_out: int
-    pad_h: int
-    pad_w: int
 
     def __post_init__(self):
         if self.kh < 1 or self.kh % 2 == 0 or self.kw < 1 or self.kw % 2 == 0:
             raise ValueError("kernel dims must be odd and >= 1")
         if self.c_in < 1 or self.c_out < 1:
             raise ValueError("channel counts must be positive")
-        if self.pad_h != (self.kh - 1) // 2 or self.pad_w != (self.kw - 1) // 2:
-            raise ValueError("padding must be (k - 1) / 2 per axis")
 
     def param_count(self, include_bias: bool = False) -> int:
         n = self.kh * self.kw * self.c_in * self.c_out
@@ -49,41 +47,26 @@ class RfdPath:
 
 @dataclass(frozen=True)
 class RfdSpec:
-    """Four-path block spec over C channels; the shortcut is the identity."""
+    """The block over C channels. Its paths are built from C, one per
+    BODY_KERNELS entry: a 1x1 reduction C -> C/4 into a body C/4 -> C/4, so
+    the concatenated paths restore C. The shortcut is the identity."""
 
     channels: int
-    paths: tuple[RfdPath, ...]
+    paths: tuple[RfdPath, ...] = field(init=False)
 
     def __post_init__(self):
         if self.channels <= 0 or self.channels % 4 != 0:
             raise ValueError("channels must be a positive multiple of 4")
-        if len(self.paths) != 4:
-            raise ValueError("spec must have exactly 4 paths")
         quarter = self.channels // 4
-        for p in self.paths:
-            if p.reduce.c_in != self.channels or p.reduce.c_out != quarter:
-                raise ValueError("each reduction must map C -> C/4")
-            if p.reduce.kh != 1 or p.reduce.kw != 1:
-                raise ValueError("reductions must be 1x1 convolutions")
-            if p.body.c_in != quarter or p.body.c_out != quarter:
-                raise ValueError("each body must map C/4 -> C/4")
-        if sum(p.body.c_out for p in self.paths) != self.channels:
-            raise ValueError("concatenated path outputs must restore C channels")
+        object.__setattr__(self, "paths", tuple(
+            RfdPath(ConvSpec(1, 1, self.channels, quarter), ConvSpec(kh, kw, quarter, quarter))
+            for kh, kw in BODY_KERNELS
+        ))
 
 
 def rfd_spec(channels: int) -> RfdSpec:
-    """The canonical four-path spec for a given channel width."""
-    if channels <= 0 or channels % 4 != 0:
-        raise ValueError("channels must be a positive multiple of 4")
-    quarter = channels // 4
-    paths = tuple(
-        RfdPath(
-            reduce=ConvSpec(1, 1, channels, quarter, 0, 0),
-            body=ConvSpec(kh, kw, quarter, quarter, (kh - 1) // 2, (kw - 1) // 2),
-        )
-        for kh, kw in BODY_KERNELS
-    )
-    return RfdSpec(channels=channels, paths=paths)
+    """The block spec for a given channel width."""
+    return RfdSpec(channels)
 
 
 def rfd_output_shape(spec: RfdSpec, h: int, w: int) -> tuple[int, int, int]:

@@ -442,15 +442,16 @@ def _check_weight(conv: ConvSpec, w: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} weight shape {w.shape} != {expected}")
 
 
-def _conv2d_naive(x: np.ndarray, w: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    """Direct zero-padded convolution (cross-correlation), shape-preserving.
+def _conv2d_naive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Direct convolution (cross-correlation), zero-padded by (k - 1) // 2
+    per axis of its odd kernel, so shape-preserving.
 
     Accumulation order is fixed (input channel, then kernel row, then kernel
     column) so results are bit-stable regardless of the caller.
     """
     c_out, c_in, kh, kw = w.shape
     _, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    xp = np.pad(x, ((0, 0), ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2))
     out = np.zeros((c_out, h, wd), dtype=np.float64)
     for co in range(c_out):
         acc = out[co]
@@ -482,7 +483,5 @@ def rfd_forward_naive(spec: RfdSpec, x: np.ndarray, weights: RfdWeights) -> np.n
     for p, (w_reduce, w_body) in zip(spec.paths, weights.paths):
         _check_weight(p.reduce, w_reduce, "reduce")
         _check_weight(p.body, w_body, "body")
-        t = _conv2d_naive(x, w_reduce, p.reduce.pad_h, p.reduce.pad_w)
-        t = _conv2d_naive(t, w_body, p.body.pad_h, p.body.pad_w)
-        outs.append(t)
+        outs.append(_conv2d_naive(_conv2d_naive(x, w_reduce), w_body))
     return np.concatenate(outs, axis=0) + x

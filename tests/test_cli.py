@@ -100,6 +100,13 @@ class TestRfdCommand:
         assert main(["rfd", "--channels", "6"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_wide_columns_stay_separated(self, capsys):
+        # Each padded column ends in a space, also at 6 digits.
+        assert main(["rfd", "--channels", "400000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "0     1x1 400000->100000 3x1 100000->100000 3x1"
+        assert lines[6] == "3     1x1 400000->100000 5x5 100000->100000 5x5"
+
 
 class TestParseCommand:
     def test_summary(self, capsys):
@@ -207,6 +214,16 @@ class TestMatchCommand:
 
     def test_bad_config_exit_1(self, mini_file, capsys):
         assert main(["match", "--annotations", mini_file, "--tp", "0.3", "--tn", "0.4"]) == 1
+
+    @pytest.mark.parametrize("strategy", ["sam", "sam_compensate"])
+    def test_delta_unread_outside_warm(self, strategy, mini_file, capsys):
+        # t0 - delta = 0.3 is below tn = 0.35, which bounds WARM's band only.
+        argv = ["match", "--annotations", mini_file, "--strategy", strategy, "--tp", "0.4",
+                "--format", "csv"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--delta", "0"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_one_grid_per_distinct_canvas(self, tmp_path, capsys, monkeypatch):
         # Five images with faces on two canvases, plus one with none: two
@@ -384,6 +401,14 @@ class TestBadInput:
         # Refused where the value enters, not deep in grid or corpus generation.
         assert main(argv) == 1
         _one_error_line(capsys, field)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--synthetic", "2", "--crops", "1", "--scales", ""], "--scales"),
+        (["ams", "--synthetic", "3", "--ar-list", "1,2,x"], "--ar-list"),
+    ], ids=["scales-empty", "ar-list-word"])
+    def test_malformed_float_list_names_flag(self, argv, flag, capsys):
+        assert main(argv) == 1
+        _one_error_line(capsys, flag, repr(argv[-1]))
 
     @pytest.mark.parametrize("argv, flag", [
         (["ams", "--annotations", FIXTURE, "--synthetic", "3"], "--annotations"),
@@ -653,6 +678,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.endswith("error: unrecognized arguments: --tn 0.2\n"), err
         assert "Traceback" not in err
+
+    def test_delta_unread_outside_warm(self, capsys):
+        argv = ["simulate", "--synthetic", "3", "--seed", "9", "--crops", "5", "--tp", "0.1"]
+        assert main(argv + ["--strategy", "sam"]) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--strategy", "sam", "--delta", "0"]) == 0
+        assert capsys.readouterr().out == out
+        # Under WARM, t0 - delta = 0 is refused; simulate has no tn to name.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: t0 - delta must be positive\n", err
 
     def test_byte_identical(self, capsys):
         argv = ["simulate", "--synthetic", "3", "--seed", "9", "--crops", "5"]

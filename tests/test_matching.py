@@ -98,6 +98,15 @@ class TestMatchConfig:
         with pytest.raises(ValueError):
             MatchConfig(**kwargs)
 
+    def test_delta_bounds_warm_only(self):
+        for strategy in (Strategy.SAM, Strategy.SAM_COMPENSATE):
+            MatchConfig(strategy=strategy, t0=0.4, tn=0.35, delta=0.1)
+            MatchConfig(strategy=strategy, t0=0.1, tn=0.0, delta=0.5)
+        with pytest.raises(ValueError, match="t0 - delta must stay above tn"):
+            MatchConfig(t0=0.4, tn=0.35, delta=0.1)
+        with pytest.raises(ValueError, match="t0 - delta must be positive"):
+            MatchConfig(t0=0.1, tn=0.0, delta=0.1)
+
     def test_json_round_trip(self):
         cfg = MatchConfig(strategy=Strategy.SAM_COMPENSATE, t0=0.6, tn=0.3, delta=0.2,
                           eta0=1.8, eta1=4.0, anchor_ar=1.25)

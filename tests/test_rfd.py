@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from anchorkit.rfd import (
     BODY_KERNELS,
     ConvSpec,
+    RfdPath,
+    RfdSpec,
     rfd_output_shape,
     rfd_param_count,
     rfd_receptive_fields,
@@ -46,16 +48,28 @@ class TestSpec:
 
     def test_conv_spec_validation(self):
         with pytest.raises(ValueError):
-            ConvSpec(2, 1, 4, 4, 0, 0)  # even kernel
+            ConvSpec(2, 1, 4, 4)  # even kernel
         with pytest.raises(ValueError):
-            ConvSpec(3, 3, 4, 4, 0, 1)  # wrong padding
-        with pytest.raises(ValueError):
-            ConvSpec(3, 3, 0, 4, 1, 1)
+            ConvSpec(3, 3, 0, 4)
 
     @given(st.integers(min_value=1, max_value=64))
     def test_channel_conservation(self, quarter):
         spec = rfd_spec(quarter * 4)
         assert sum(p.body.c_out for p in spec.paths) == spec.channels
+
+    @given(st.integers(min_value=1, max_value=1024), st.booleans())
+    def test_spec_is_derived_from_the_width(self, quarter, bias):
+        c = quarter * 4
+        spec = RfdSpec(c)
+        assert spec == rfd_spec(c)
+        assert spec.paths == tuple(
+            RfdPath(ConvSpec(1, 1, c, quarter), ConvSpec(kh, kw, quarter, quarter))
+            for kh, kw in BODY_KERNELS
+        )
+        # The docstring's closed form: 3.5 * C^2, plus 2C biases.
+        assert rfd_param_count(c, bias) == 7 * c * c // 2 + (2 * c if bias else 0)
+        with pytest.raises(TypeError):
+            RfdSpec(c, paths=spec.paths)
 
 
 class TestOutputShape:
