@@ -13,7 +13,10 @@
 # simulate under warm only, so `simulate --strategy sam` and
 # `--strategy sam_compensate` also run, at BASE and here, on the
 # simulate_crops inputs of the same seeds (written by bench/workloads.py),
-# and each stdout's sha256 must be equal. When bench/ differs between BASE
+# and each stdout's sha256 must be equal. No workload writes JSON at corpus
+# scale, so `ams --format json` and `match --design detector` (JSON by
+# default) also run, at BASE and here, on the seed-1 ams_corpus inputs, and
+# each stdout's sha256 must be equal too. When bench/ differs between BASE
 # and HEAD the workloads themselves may differ, so the check is skipped.
 set -euo pipefail
 
@@ -42,25 +45,38 @@ runs() {
   done
 }
 
-# One line per (seed, strategy): the sha256 of the stdout of the checkout at $1.
-simulate_digests() {
+# One line per command that runs outside the workloads: the sha256 of the
+# stdout of the checkout at $1.
+cli_digests() {
   python3 - "$1" "$tmp" <<'EOF'
 import hashlib, os, subprocess, sys
 sys.path.insert(0, "bench")
 from workloads import cli_args, generate
 src, tmp = os.path.join(sys.argv[1], "src"), sys.argv[2]
-for seed in (1, 11, 73):
-    ann, dims = f"{tmp}/simulate_crops_{seed}.txt", f"{tmp}/simulate_crops_{seed}.csv"
-    corpus = generate("simulate_crops", seed)
+
+def inputs(workload, seed):
+    ann, dims = f"{tmp}/{workload}_{seed}.txt", f"{tmp}/{workload}_{seed}.csv"
+    corpus = generate(workload, seed)
     with open(ann, "w", encoding="utf-8") as fh:
         fh.write(corpus.annotation_text())
     with open(dims, "w", encoding="utf-8") as fh:
         fh.write(corpus.dims_text())
+    return ann, dims
+
+def digest(name, argv):
+    out = subprocess.run([sys.executable, "-m", "anchorkit.cli", *argv], check=True,
+                         stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}).stdout
+    print(name, hashlib.sha256(out).hexdigest())
+
+for seed in (1, 11, 73):
+    ann, dims = inputs("simulate_crops", seed)
     for strategy in ("sam", "sam_compensate"):
-        argv = cli_args("simulate_crops", ann, dims) + ["--strategy", strategy]
-        out = subprocess.run([sys.executable, "-m", "anchorkit.cli", *argv], check=True,
-                             stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}).stdout
-        print(f"simulate_crops:{seed} --strategy {strategy}", hashlib.sha256(out).hexdigest())
+        digest(f"simulate_crops:{seed} --strategy {strategy}",
+               cli_args("simulate_crops", ann, dims) + ["--strategy", strategy])
+ann, dims = inputs("ams_corpus", 1)
+digest("ams_corpus:1 ams --format json", cli_args("ams_corpus", ann, dims) + ["--format", "json"])
+digest("ams_corpus:1 match --design detector",
+       ["match", "--annotations", ann, "--dims", dims, "--design", "detector"])
 EOF
 }
 
@@ -68,7 +84,8 @@ EOF
 mkdir -p .bench_out
 cp "$tmp/base/.bench_out/digests.json" .bench_out/digests.json
 runs head
-simulate_digests "$tmp/base" > "$tmp/simulate_base.txt"
-simulate_digests "$PWD" | tee "$tmp/simulate_head.txt"
-diff "$tmp/simulate_base.txt" "$tmp/simulate_head.txt"
-echo "simulate --strategy sam and sam_compensate: the same bytes as $base"
+cli_digests "$tmp/base" > "$tmp/cli_base.txt"
+cli_digests "$PWD" | tee "$tmp/cli_head.txt"
+diff "$tmp/cli_base.txt" "$tmp/cli_head.txt"
+echo "simulate --strategy sam and sam_compensate, and ams and match JSON at corpus scale:" \
+  "the same bytes as $base"

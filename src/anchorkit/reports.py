@@ -2,20 +2,27 @@
 
 A per-face table is a frozen dataclass whose fields are its columns, in
 output order, each an array with one element per face: ams.FaceMatchStat,
-MatchRow and cropsim.FaceSimStat. One writer per format renders every
-table. The CSV header is the field names, and each cell is formatted by its
-column's dtype: floats with six decimal places (the precision annotation
-aspect ratios are quoted at), bools as 1/0, integers and anything else as
-str. JSON carries full precision plus a schema_version field. Field order
-is fixed so identical inputs emit identical bytes.
+MatchRow and cropsim.FaceSimStat. One column renderer writes every table in
+both formats: it formats each distinct value of a column once, by the
+column's dtype, and fills one row template per row from those cells. The
+CSV header is the field names; floats have six decimal places (the
+precision annotation aspect ratios are quoted at), bools are 1/0, integers
+and anything else str, and a cell holding a comma, a double quote, CR or LF
+is quoted as csv.QUOTE_MINIMAL quotes it: wrapped in double quotes, each
+inner quote doubled. JSON carries full precision plus a schema_version
+field, in the bytes json.dumps(indent=2) writes: floats as their repr, a
+NaN or an infinity refused with ValueError. Field order is fixed so
+identical inputs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,43 +55,90 @@ def _names(table) -> list[str]:
     return [f.name for f in fields(table)]
 
 
-# CSV cell format by a column's dtype kind; other columns print as str.
-_CELL_FORMAT = {"f": "{:.6f}".format, "b": "{:d}".format, "i": str}
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """A column's CSV cells, by its dtype."""
+def _csv_other(value) -> str:
+    """str(value), quoted as csv.QUOTE_MINIMAL quotes a cell: one holding a
+    comma, a double quote, CR or LF is wrapped in double quotes, and each
+    quote inside it is doubled."""
+    text = str(value)
+    if _CSV_QUOTED.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _json_float(value: float) -> str:
+    """The JSON text json.dumps writes for a float, which refuses NaN and
+    the infinities with this ValueError when allow_nan is False."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# A format's cell text by a column's dtype kind: floats ("f"), bools ("b"),
+# integers ("i") and every other column ("O": the image paths, str), each a
+# function of one value.
+_CSV_CELL = {"f": "{:.6f}".format, "b": "{:d}".format, "i": str, "O": _csv_other}
+_JSON_CELL = {"f": _json_float, "b": ("false", "true").__getitem__, "i": int.__repr__,
+              "O": encode_basestring_ascii}
+
+
+def _cells(column: np.ndarray, cell: dict) -> list[str]:
+    """A column's cells in one format: each distinct value is formatted once,
+    by cell's function for the column's dtype kind, and the cells share its
+    text."""
     kind = column.dtype.kind
-    if kind not in _CELL_FORMAT:
-        return list(map(str, column.tolist()))
-    # Each distinct value is formatted once, and the cells share its text.
-    # Values are told apart by their bits, so 0.0 and -0.0 keep their own.
+    if kind not in "fbi":
+        # An image path repeats once per face of its image.
+        values = column.tolist()
+        text = {value: cell["O"](value) for value in set(values)}
+        return list(map(text.__getitem__, values))
+    # Numbers are told apart by their bits, so 0.0 and -0.0 keep their own.
     values = np.asarray(column, dtype=np.float64 if kind == "f" else np.int64)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(_CELL_FORMAT[kind], bits.view(values.dtype).tolist())), dtype=object)
+    text = np.array(list(map(cell[kind], bits.view(values.dtype).tolist())), dtype=object)
     return text[where].tolist()
+
+
+def _rows(table, cell: dict, row):
+    """The table's rows, each row applied to that row's cells in one format."""
+    return map(row, zip(*(_cells(getattr(table, name), cell) for name in _names(table))))
+
+
+def _blocks(rows, sep: str):
+    """The rows joined by sep _ROW_BLOCK at a time, so that only one block's
+    row strings are alive at once. No row may be empty: a CSV row has a
+    comma at least, a JSON row its braces."""
+    return iter(lambda: sep.join(islice(rows, _ROW_BLOCK)), "")
 
 
 def csv_text(table) -> str:
     """A header of the table's field names, then one line per row."""
     names = _names(table)
-    rows = map(",".join, zip(*(_cells(getattr(table, name)) for name in names)))
-    # Rows are joined _ROW_BLOCK at a time, so that only one block's row
-    # strings are alive at once. No row is empty: it has a comma at least.
-    blocks = iter(lambda: "\n".join(islice(rows, _ROW_BLOCK)), "")
-    return "\n".join([",".join(names), *blocks]) + "\n"
+    rows = _rows(table, _CSV_CELL, ",".join)
+    return "\n".join([",".join(names), *_blocks(rows, "\n")]) + "\n"
 
 
 def json_text(summary: dict, table=None) -> str:
     """{"schema_version": 1, **summary} as indented JSON, plus "per_face"
     when a table is given: one object per row, its values named by the
-    table's fields."""
+    table's fields.
+
+    json.dumps writes the summary. The rows are filled in from the table's
+    cells, in the layout json.dumps(indent=2) gives the objects of a list
+    that is the last value of the document.
+    """
     payload = {"schema_version": SCHEMA_VERSION, **summary}
-    if table is not None:
-        names = _names(table)
-        columns = (getattr(table, name).tolist() for name in names)
-        payload["per_face"] = [dict(zip(names, row)) for row in zip(*columns)]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if table is None:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json.dumps({**payload, "per_face": []}, indent=2, allow_nan=False)
+    keys = map(encode_basestring_ascii, _names(table))
+    row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    body = ",\n".join(_blocks(_rows(table, _JSON_CELL, row.__mod__), ",\n"))
+    if not body:
+        return text + "\n"
+    return text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
 
 @dataclass(frozen=True)

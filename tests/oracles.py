@@ -9,8 +9,9 @@ so they run the library's public kernel one crop or one image at a time."""
 from __future__ import annotations
 
 import io
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from anchorkit.ams import ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
 from anchorkit.corpus import ImageRecord, LogUniformAR, WiderParseError, kept_mask
 from anchorkit.matching import assign_labels_xywh
-from anchorkit.reports import LABEL_KINDS, MatchReport, MatchRow
+from anchorkit.reports import LABEL_KINDS, SCHEMA_VERSION, MatchReport, MatchRow
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
 
@@ -415,6 +416,19 @@ def naive_match_report(records, design, cfg) -> MatchReport:
                       result.max_iou, result.positive_count, result.effective_tp))
     table = MatchRow(*map(np.concatenate, zip(*parts)))
     return MatchReport(cfg, n_images, n_anchors, labels, table)
+
+
+def naive_json_text(summary: dict, table=None) -> str:
+    """reports.json_text built as one dict per row and written whole by
+    json.dumps(indent=2): {"schema_version": 1, **summary}, plus "per_face"
+    when a table is given, one object per row with its values named by the
+    table's fields."""
+    payload = {"schema_version": SCHEMA_VERSION, **summary}
+    if table is not None:
+        names = [f.name for f in fields(table)]
+        columns = (getattr(table, name).tolist() for name in names)
+        payload["per_face"] = [dict(zip(names, row)) for row in zip(*columns)]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tempfile
 import tracemalloc
@@ -34,6 +36,23 @@ def mini_file(tmp_path):
     p = tmp_path / "mini.txt"
     p.write_text(MINI, encoding="utf-8")
     return str(p)
+
+
+# Image paths that a CSV cell must quote: one holds a comma, one quotes.
+QUOTED_PATHS = ("0--Parade/a,b.jpg", 'say "hi".jpg')
+
+
+@pytest.fixture
+def quoted_paths_file(tmp_path):
+    p = tmp_path / "quoted.txt"
+    p.write_text("".join(f"{path}\n1\n10 20 30 40 0 0 0 0 0 0\n" for path in QUOTED_PATHS),
+                 encoding="utf-8")
+    return str(p)
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows the csv module reads from text."""
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 class TestHelp:
@@ -153,6 +172,17 @@ class TestAmsCommand:
         assert lines[0] == "image,face,ar,width,max_iou,matched"
         assert len(lines) == 3
 
+    def test_csv_quotes_paths(self, quoted_paths_file, capsys):
+        # Each row keeps its six cells under the six names of the header.
+        assert main(["ams", "--annotations", quoted_paths_file, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:] == ['"0--Parade/a,b.jpg",0,1.333333,30.000000,0.759494,1',
+                                        '"say ""hi"".jpg",0,1.333333,30.000000,0.759494,1']
+        header, *body = csv_rows(out)
+        assert header == "image,face,ar,width,max_iou,matched".split(",")
+        assert [row[0] for row in body] == list(QUOTED_PATHS)
+        assert all(len(row) == len(header) for row in body)
+
     def test_no_per_face_means_summary_only(self, mini_file, capsys):
         assert main(["ams", "--annotations", mini_file, "--format", "csv", "--no-per-face"]) == 0
         assert capsys.readouterr().out == (
@@ -211,6 +241,19 @@ class TestMatchCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "image,face,ar,max_iou,positive_count,effective_tp"
         assert len(lines) == 3
+
+    def test_csv_quotes_paths(self, quoted_paths_file, capsys):
+        assert main(["match", "--annotations", quoted_paths_file, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        header, *body = csv_rows(out)
+        assert header == "image,face,ar,max_iou,positive_count,effective_tp".split(",")
+        assert [row[:2] for row in body] == [[path, "0"] for path in QUOTED_PATHS]
+        assert all(len(row) == len(header) for row in body)
+        assert out.splitlines()[2].startswith('"say ""hi"".jpg",0,1.333333,')
+        # JSON writes the paths as they are.
+        assert main(["match", "--annotations", quoted_paths_file]) == 0
+        per_face = json.loads(capsys.readouterr().out)["per_face"]
+        assert [row["image"] for row in per_face] == list(QUOTED_PATHS)
 
     def test_bad_config_exit_1(self, mini_file, capsys):
         assert main(["match", "--annotations", mini_file, "--tp", "0.3", "--tn", "0.4"]) == 1

@@ -1,8 +1,11 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import anchorkit.reports
 from anchorkit.ams import AmsReport, FaceMatchStat, run_ams
@@ -10,8 +13,9 @@ from anchorkit.anchors import ams_design, detector_design
 from anchorkit.cli import _match_report
 from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
 from anchorkit.matching import MatchConfig, MatchResult
-from anchorkit.reports import MatchReport, MatchRow, emit_reports, json_text
+from anchorkit.reports import MatchReport, MatchRow, csv_text, emit_reports, json_text
 from builders import record, rows
+from oracles import naive_json_text
 
 # The CSV header of each per-face table.
 FACE_STATS_CSV_HEADER = "image,face,ar,width,max_iou,matched"
@@ -50,6 +54,19 @@ def face_stats(ar=(0.449275, 4.0)) -> FaceMatchStat:
 STATS = face_stats()
 NO_STATS = FaceMatchStat(np.empty(0, dtype=object),
                          *(np.empty(0, dtype=t) for t in (int, float, float, float, bool)))
+
+
+def seven_rows() -> FaceMatchStat:
+    """Seven rows of two images, with repeated values and both zeros."""
+    n = 7
+    return FaceMatchStat(
+        image=np.array(["a.jpg"] * 3 + ["b.jpg"] * 4, dtype=object),
+        face=np.arange(n),
+        ar=np.array([0.5, 2.0, 0.5, -0.0, 0.0, 1 / 3, 2.0]),
+        width=np.full(n, 8.0),
+        max_iou=np.linspace(0.0, 1.0, n),
+        matched=np.arange(n) % 2 == 0,
+    )
 
 
 class TestAmsReportFormats:
@@ -96,23 +113,26 @@ class TestFaceStatsFormats:
         # Seven rows in blocks of three: the blocks join without a missing
         # or doubled line break, and repeated values share their text.
         monkeypatch.setattr(anchorkit.reports, "_ROW_BLOCK", 3)
-        n = 7
-        columns = FaceMatchStat(
-            image=np.array(["a.jpg"] * 3 + ["b.jpg"] * 4, dtype=object),
-            face=np.arange(n),
-            ar=np.array([0.5, 2.0, 0.5, -0.0, 0.0, 1 / 3, 2.0]),
-            width=np.full(n, 8.0),
-            max_iou=np.linspace(0.0, 1.0, n),
-            matched=np.arange(n) % 2 == 0,
-        )
+        columns = seven_rows()
         want = [FACE_STATS_CSV_HEADER] + [
             f"{p},{i},{a:.6f},{w:.6f},{m:.6f},{int(k)}"
-            for p, i, a, w, m, k in zip(columns.image.tolist(), range(n), columns.ar.tolist(),
+            for p, i, a, w, m, k in zip(columns.image.tolist(), range(7), columns.ar.tolist(),
                                         columns.width.tolist(), columns.max_iou.tolist(),
                                         columns.matched.tolist())
         ]
         assert emit_reports(REPORT, "csv", columns) == "\n".join(want) + "\n"
         assert "b.jpg,3,-0.000000," in want[4]
+
+    def test_json_rows_joined_in_blocks(self, monkeypatch):
+        # The same rows in JSON: the blocks join with one ",\n" between
+        # objects, so no row is missing or doubled.
+        monkeypatch.setattr(anchorkit.reports, "_ROW_BLOCK", 3)
+        columns = seven_rows()
+        text = json_text({"n_faces": 7}, columns)
+        assert text == naive_json_text({"n_faces": 7}, columns)
+        assert [row["face"] for row in json.loads(text)["per_face"]] == list(range(7))
+        assert text.count("    {\n") == text.count("\n    }") == 7
+        assert ",," not in text and ",\n," not in text and "\n\n" not in text
 
     def test_empty_stats_header_only(self):
         assert emit_reports(REPORT, "csv", NO_STATS) == FACE_STATS_CSV_HEADER + "\n"
@@ -243,6 +263,12 @@ class TestJsonFinite:
             json_text({"eta": value})
         with pytest.raises(ValueError):
             emit_reports(REPORT, "json", face_stats(ar=(value, 4.0)))
+        # A per-face cell is refused as json.dumps refuses it.
+        with pytest.raises(ValueError) as want:
+            naive_json_text({}, face_stats(ar=(4.0, value)))
+        with pytest.raises(ValueError) as got:
+            json_text({}, face_stats(ar=(4.0, value)))
+        assert str(got.value) == str(want.value)
 
 
 MATCH = MatchConfig()
@@ -309,3 +335,78 @@ class TestColumnTypes:
             _, face, seen, positive, _, _ = line.split(",")
             assert face.isdigit() and seen.isdigit() and positive.isdigit(), line
         assert all(type(v) is int for row in rows(out.per_face) for v in row[1:4])
+
+
+# Column values the formats must render as json.dumps and the csv module do:
+# signed zeros, subnormals, large and small magnitudes, integers past 2**53,
+# and paths with non-ASCII text, quotes, backslashes and control characters.
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310, 1e16, -1e16,
+                     1e-5, 1e22, 0.1, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+INTS = st.one_of(
+    st.sampled_from([0, -1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+PATHS = st.one_of(
+    st.sampled_from(["a.jpg", "0--Parade/a,b.jpg", 'say "cheese".jpg', "C:\\faces\\a.jpg",
+                     "tab\t.jpg", "two\nlines.jpg", "cr\r.jpg", "caf\u00e9/\u4e2d.jpg",
+                     "\x00\x1f\x7f.jpg", "\U0001f600.jpg", ""]),
+    st.text(),
+)
+COLUMN_KINDS = {"f": (FLOATS, np.float64), "i": (INTS, np.int64), "b": (st.booleans(), bool),
+                "O": (PATHS, object)}
+# The CSV text of one value, by its column's dtype kind.
+CSV_FORMAT = {"f": "{:.6f}".format, "i": str, "b": lambda v: str(int(v)), "O": str}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+SUMMARIES = st.one_of(
+    st.just({"config": MatchConfig().to_json_dict(), "n_faces": 3,
+             "labels": dict.fromkeys(anchorkit.reports.LABEL_KINDS, 0)}),
+    st.dictionaries(st.text().filter(lambda key: key != "per_face"), JSON_VALUES, max_size=4),
+)
+
+
+@st.composite
+def tables(draw):
+    """A per-face table of two to six random columns (every per-face table
+    has several), each a few distinct values repeated over 0 to 12 rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=2, max_size=6))
+    n = draw(st.integers(0, 12))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        values, dtype = COLUMN_KINDS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        name = draw(st.sampled_from([f"c{j}", f"col_{j}", f"\u00e9t\u00e9_{j}"]))
+        columns[name] = np.array([pool[i] for i in picks], dtype=dtype)
+    return dataclasses.make_dataclass("Table", list(columns), frozen=True)(**columns)
+
+
+def csv_writer_line(cells) -> str:
+    """The line csv.writer writes for cells under csv.QUOTE_MINIMAL, without
+    its line terminator."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue().removesuffix("\r\n")
+
+
+class TestColumnRenderer:
+    """json_text and csv_text render the per-face rows from column cells."""
+
+    @given(tables(), SUMMARIES)
+    def test_json_equals_dict_per_face_oracle(self, table, summary):
+        assert json_text(summary, table) == naive_json_text(summary, table)
+        assert json_text(summary) == naive_json_text(summary)
+
+    @given(tables())
+    def test_csv_equals_csv_writer(self, table):
+        names = [f.name for f in dataclasses.fields(table)]
+        columns = (map(CSV_FORMAT[column.dtype.kind], column.tolist())
+                   for column in (getattr(table, name) for name in names))
+        want = [",".join(names)] + [csv_writer_line(cells) for cells in zip(*columns)]
+        assert csv_text(table) == "\n".join(want) + "\n"
