@@ -16,8 +16,12 @@
 # and each stdout's sha256 must be equal. No workload writes JSON at corpus
 # scale, so `ams --format json` and `match --design detector` (JSON by
 # default) also run, at BASE and here, on the seed-1 ams_corpus inputs, and
-# each stdout's sha256 must be equal too. When bench/ differs between BASE
-# and HEAD the workloads themselves may differ, so the check is skipped.
+# each stdout's sha256 must be equal too. So must those of `parse --emit` on
+# the same annotations and of synthetic corpora, which no workload reads:
+# `ams --synthetic 65536 --format csv`, `ams --synthetic 4096 --ar-list
+# 0.25,1,4 --format json` and `coverage --synthetic 65536`. When bench/
+# differs between BASE and HEAD the workloads themselves may differ, so the
+# check is skipped.
 set -euo pipefail
 
 base=$1
@@ -77,6 +81,11 @@ ann, dims = inputs("ams_corpus", 1)
 digest("ams_corpus:1 ams --format json", cli_args("ams_corpus", ann, dims) + ["--format", "json"])
 digest("ams_corpus:1 match --design detector",
        ["match", "--annotations", ann, "--dims", dims, "--design", "detector"])
+digest("ams_corpus:1 parse --emit", ["parse", "--annotations", ann, "--emit"])
+for argv in (["ams", "--synthetic", "65536", "--format", "csv"],
+             ["ams", "--synthetic", "4096", "--ar-list", "0.25,1,4", "--format", "json"],
+             ["coverage", "--synthetic", "65536"]):
+    digest(" ".join(argv), argv)
 EOF
 }
 
@@ -87,5 +96,5 @@ runs head
 cli_digests "$tmp/base" > "$tmp/cli_base.txt"
 cli_digests "$PWD" | tee "$tmp/cli_head.txt"
 diff "$tmp/cli_base.txt" "$tmp/cli_head.txt"
-echo "simulate --strategy sam and sam_compensate, and ams and match JSON at corpus scale:" \
-  "the same bytes as $base"
+echo "simulate --strategy sam and sam_compensate, ams and match JSON and parse --emit at" \
+  "corpus scale, and ams and coverage on synthetic corpora: the same bytes as $base"

@@ -25,6 +25,7 @@ from .anchors import (
 )
 from .corpus import (
     FACE_COLUMNS,
+    Corpus,
     FixedListAR,
     ImageRecord,
     LogUniformAR,
@@ -63,6 +64,7 @@ __all__ = [
     "AnchorDesign",
     "AnchorGrid",
     "ConvSpec",
+    "Corpus",
     "CropParams",
     "FACE_COLUMNS",
     "FaceMatchStat",

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .anchors import AnchorDesign
-from .corpus import ImageRecord, face_table, kept_mask
+from .corpus import Corpus
 
 # Faces per ideal_max_iou call in run_ams. Each call builds a few
 # (faces x sizes) temporaries, so the block bounds their memory; the
@@ -35,9 +34,9 @@ FACE_BLOCK = 8192
 class FaceMatchStat:
     """The per-face table of an ams report: one column per field, in output
     order, with one element per kept face in corpus order. Each face's
-    image path, its position in that record's faces (as corpus.face_table
-    gives it), its aspect ratio and width, its ideal max IoU, and whether
-    that is strictly above the threshold."""
+    image path, its position among that image's faces (as
+    Corpus.kept gives it), its aspect ratio and width, its ideal max
+    IoU, and whether that is strictly above the threshold."""
 
     image: np.ndarray
     face: np.ndarray
@@ -118,21 +117,17 @@ def boundary_ar(t_p: float, anchor_ar: float) -> float:
     return anchor_ar * half * half
 
 
-def run_ams(
-    records: Iterable[ImageRecord], design: AnchorDesign, t_p: float
-) -> tuple[AmsReport, FaceMatchStat]:
+def run_ams(corpus: Corpus, design: AnchorDesign, t_p: float) -> tuple[AmsReport, FaceMatchStat]:
     """Simulate matching over a corpus: compute each kept face's ideal max
     IoU, mark it matched when strictly above t_p, and report the matched-AR
-    range, with the per-face table. Faces are kept by corpus.kept_mask, and
+    range, with the per-face table. Faces are kept by Corpus.kept, and
     scored FACE_BLOCK at a time.
     """
     if not 0.0 <= t_p <= 1.0:
         raise ValueError("t_p must be in [0, 1]")
-    records = list(records)
-    record, position, faces = face_table(records)
-    keep = kept_mask(faces)
-    w = faces[keep, 2]
-    ar = faces[keep, 3] / w
+    image, position, xywh = corpus.kept()
+    w = xywh[:, 2]
+    ar = xywh[:, 3] / w
     best = np.empty(len(w))
     for k in range(0, len(w), FACE_BLOCK):
         best[k:k + FACE_BLOCK] = ideal_max_iou(w[k:k + FACE_BLOCK], ar[k:k + FACE_BLOCK], design)
@@ -156,5 +151,4 @@ def run_ams(
         n_faces=len(w),
         n_matched=len(matched_ars),
     )
-    paths = np.array([rec.path for rec in records], dtype=object)
-    return report, FaceMatchStat(paths[record[keep]], position[keep], ar, w, best, matched)
+    return report, FaceMatchStat(corpus.paths[image], position, ar, w, best, matched)

@@ -20,14 +20,13 @@ from .ams import run_ams
 from .anchors import (SQRT2, AnchorDesign, ams_design, detector_design, generate_anchor_boxes,
                       ladder_design, load_design)
 from .corpus import (
+    Corpus,
     FixedListAR,
     LogUniformAR,
     ar_coverage,
     attach_dims,
     corpus_counts,
-    face_table,
     generate_synthetic,
-    kept_mask,
     parse_wider,
     read_dims_csv,
     serialize_wider,
@@ -56,7 +55,7 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
 
 
 # The synthetic flags default to None, so a flag that was given can be told
-# apart; these values apply once the flags are checked (see _load_records).
+# apart; these values apply once the flags are checked (see _load_corpus).
 _SYNTHETIC_DEFAULTS = {"seed": 0, "ar_lo": 0.2, "ar_hi": 5.0}
 
 
@@ -92,7 +91,7 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
         raise ValueError(f"{flag} takes comma-separated numbers, not {text!r}") from None
 
 
-def _load_records(args: argparse.Namespace):
+def _load_corpus(args: argparse.Namespace) -> Corpus:
     # A synthetic flag that would change nothing is refused: the AR flags
     # without --synthetic, or --ar-lo/--ar-hi beside --ar-list, and --seed
     # without --synthetic, except in simulate, where it also seeds the crops.
@@ -124,10 +123,10 @@ def _load_records(args: argparse.Namespace):
     if not args.annotations:
         raise ValueError("either --annotations or --synthetic is required")
     with open(args.annotations, "r", encoding="utf-8") as fh:
-        records = parse_wider(fh)
+        corpus = parse_wider(fh)
     if getattr(args, "dims", None):
-        records = attach_dims(records, read_dims_csv(args.dims))
-    return records
+        corpus = attach_dims(corpus, read_dims_csv(args.dims))
+    return corpus
 
 
 def _design_for(args: argparse.Namespace) -> AnchorDesign:
@@ -157,15 +156,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_ams(args: argparse.Namespace) -> int:
-    records = _load_records(args)
-    report, faces = run_ams(records, _design_for(args), args.tp)
+    report, faces = run_ams(_load_corpus(args), _design_for(args), args.tp)
     _write_out(emit_reports(report, args.format, faces if args.per_face else None), args.out)
     return 0
 
 
-def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
-    if rec.width is not None and rec.height is not None:
-        return rec.width, rec.height
+def _canvas_for(width, height, xywh, max_stride: float) -> tuple[float, float]:
+    if not math.isnan(width):
+        return width, height
     # Fall back to the smallest stride-aligned canvas covering the faces.
     max_x, max_y = (xywh[:, :2] + xywh[:, 2:]).max(axis=0).tolist()
     w = max(max_stride, math.ceil(max_x / max_stride) * max_stride)
@@ -173,22 +171,21 @@ def _canvas_for(rec, xywh, max_stride: float) -> tuple[float, float]:
     return float(w), float(h)
 
 
-def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
+def _match_report(corpus: Corpus, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
     """Label every image that keeps a face on the grid of its canvas. The
     images of one canvas are labelled one kernel call per range of
     matching.set_runs."""
     max_stride = max(lv.stride for lv in design.levels)
-    record, position, rows = face_table(records)
-    keep = kept_mask(rows)
-    record, position, faces = record[keep], position[keep], rows[keep, :4]
+    image, position, faces = corpus.kept()
 
-    # The images that keep a face, numbered in file order: each one's record,
-    # first face and face count, and their numbers by distinct canvas, in
-    # order of first use.
-    images, starts, sizes = np.unique(record, return_index=True, return_counts=True)
+    # The images that keep a face, numbered in file order: each one's index,
+    # first kept face and kept face count, and their numbers by distinct
+    # canvas, in order of first use.
+    images, starts, sizes = np.unique(image, return_index=True, return_counts=True)
     by_canvas = {}
-    for n, (i, start, size) in enumerate(zip(images.tolist(), starts.tolist(), sizes.tolist())):
-        canvas = _canvas_for(records[i], faces[start:start + size], max_stride)
+    dims = corpus.dims[images].tolist()
+    for n, ((w, h), start, size) in enumerate(zip(dims, starts.tolist(), sizes.tolist())):
+        canvas = _canvas_for(w, h, faces[start:start + size], max_stride)
         by_canvas.setdefault(canvas, []).append(n)
     max_iou, tp = np.zeros((2, len(faces)))
     positive = np.zeros(len(faces), dtype=np.int64)
@@ -209,26 +206,26 @@ def _match_report(records, design: AnchorDesign, cfg: MatchConfig) -> MatchRepor
             for kind, count in result.label_counts().items():
                 labels[kind] += count
             del result  # drop its rows before the next call builds its own
-    paths = np.array([rec.path for rec in records], dtype=object)
-    table = MatchRow(paths[record], position, faces[:, 3] / faces[:, 2], max_iou, positive, tp)
+    table = MatchRow(corpus.paths[image], position, faces[:, 3] / faces[:, 2], max_iou, positive,
+                     tp)
     return MatchReport(cfg, len(images), n_anchors, labels, table)
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    records = _load_records(args)
+    corpus = _load_corpus(args)
     cfg = _match_config(args)
-    report = _match_report(records, _design_for(args), cfg)
+    report = _match_report(corpus, _design_for(args), cfg)
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scales = _float_list(args.scales, "--scales")
-    records = _load_records(args)
+    corpus = _load_corpus(args)
     cfg = _match_config(args)
     design = _design_for(args)
     params = CropParams(scale_options=scales, output_side=args.output_side)
-    outcome = simulate(records, design, cfg, args.crops, args.seed, params)
+    outcome = simulate(corpus, design, cfg, args.crops, args.seed, params)
     _write_out(emit_reports(outcome, args.format), args.out)
     return 0
 
@@ -271,17 +268,13 @@ def _cmd_rfd(args: argparse.Namespace) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     with open(args.annotations, "r", encoding="utf-8") as fh:
-        records = parse_wider(fh)
-    if args.emit:
-        _write_out(serialize_wider(records), args.out)
-        return 0
-    _write_out(json_text(corpus_counts(records)), args.out)
+        corpus = parse_wider(fh)
+    _write_out(serialize_wider(corpus) if args.emit else json_text(corpus_counts(corpus)), args.out)
     return 0
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    records = _load_records(args)
-    frac = ar_coverage(records, args.anchor_ar, args.eta)
+    frac = ar_coverage(_load_corpus(args), args.anchor_ar, args.eta)
     if args.format == "json":
         text = json_text({"anchor_ar": args.anchor_ar, "eta": args.eta, "coverage": frac})
     else:

@@ -4,21 +4,23 @@ The parser reads the standard WIDER-style ground-truth format: repeated blocks
 of an image path line, a face-count line, and that many face lines of ten
 space-separated integers ("x y w h blur expression illumination invalid
 occlusion pose"). A count of zero is followed by a single placeholder box line
-(a quirk of the dataset files) which is discarded. Each record holds its faces
-as one (n, 10) float64 array in that column order (FACE_COLUMNS). Face values
-are bounded by 2**53 in magnitude, so float64 holds every one exactly. Nothing
-is silently dropped: zero-area boxes and invalid-flagged faces are retained,
-and kept_mask is the one default filter that drops them: every analysis
-stacks its corpus once with face_table and applies it to that table.
+(a quirk of the dataset files) which is discarded. A corpus is one Corpus:
+its images' paths and dims, each image's first face, and one (n, 10) float64
+face table in that column order (FACE_COLUMNS). Face values are bounded by
+2**53 in magnitude, so float64 holds every one exactly. Nothing is silently
+dropped: zero-area boxes and invalid-flagged faces are retained, and
+kept_mask is the one default filter that drops them: every analysis reads
+the faces it keeps through Corpus.kept.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -36,8 +38,9 @@ _INVALID = FACE_COLUMNS.index("invalid")
 # The largest magnitude of an accepted face value: every integer up to it is
 # exact in float64, so canonical re-emission gives back the annotated value.
 MAX_FACE_VALUE = 2**53
-# The most faces generate_synthetic draws. A face's record takes about
-# 650 B, so a corpus at the cap takes about 680 MB.
+# The most faces generate_synthetic draws. A face takes about 180 B of
+# columns (its face row, path string and pointer, dims and first row), and
+# about 260 B while drawn, so a corpus at the cap takes about 190 MB.
 MAX_SYNTHETIC_FACES = 2**20
 
 
@@ -49,26 +52,48 @@ class WiderParseError(ValueError):
         self.line = line
 
 
-def _no_faces() -> np.ndarray:
-    return np.empty((0, len(FACE_COLUMNS)))
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """One image's annotations. Pixel dimensions are optional because the
-    annotation files omit them; a sidecar CSV can supply them when needed.
-    faces is an (n, 10) float64 array with the columns FACE_COLUMNS."""
+    """One image of a Corpus, as iterating the corpus gives it: its path,
+    its pixel width and height (None when the corpus holds no dims for it)
+    and its rows of the corpus's face table."""
 
     path: str
-    width: float | None = None
-    height: float | None = None
-    faces: np.ndarray = field(default_factory=_no_faces)
+    width: float | None
+    height: float | None
+    faces: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, ImageRecord):
-            return NotImplemented
-        return ((self.path, self.width, self.height) == (other.path, other.width, other.height)
-                and np.array_equal(self.faces, other.faces))
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """The images of a corpus as columns, in file order: paths, an (m,)
+    object array; dims, their (m, 2) float64 pixel width and height, NaN in
+    both for an image without dims (annotation files omit them, attach_dims
+    adds a sidecar's); first, the (m,) int64 row of each image's first face
+    in faces, the (n, 10) float64 table (FACE_COLUMNS), image by image.
+    Iterating gives one ImageRecord view per image."""
+
+    paths: np.ndarray
+    dims: np.ndarray
+    first: np.ndarray
+    faces: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[ImageRecord]:
+        first = self.first.tolist()
+        for path, (w, h), a, b in zip(self.paths.tolist(), self.dims.tolist(), first,
+                                      first[1:] + [len(self.faces)]):
+            yield ImageRecord(path, None if math.isnan(w) else w, None if math.isnan(h) else h,
+                              self.faces[a:b])
+
+    def kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The faces kept_mask keeps, in order: each one's image index, its
+        position among that image's faces, and its (k, 4) xywh row."""
+        keep = kept_mask(self.faces)
+        image = np.repeat(np.arange(len(self)), np.diff(self.first, append=len(self.faces)))[keep]
+        return image, np.flatnonzero(keep) - self.first[image], self.faces[keep, :4]
 
 
 def _parse_face_line(text: str, line_no: int) -> list[float]:
@@ -94,7 +119,7 @@ def _bulk_faces(face_lines: list[str]) -> np.ndarray | None:
     cannot read a line that int() can (such as "1_0" or non-ASCII digits). A
     warning counts as a failure: older numpy parses "1.0" with a warning."""
     if not face_lines:
-        return _no_faces()
+        return np.empty((0, len(FACE_COLUMNS)))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -154,8 +179,9 @@ def _walk_blocks(lines: list[str]) -> tuple[list[tuple[str, int, int]], WiderPar
     return blocks, None
 
 
-def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
-    """Parse WIDER-style annotation text into records, in file order.
+def parse_wider(source: str | IO[str] | Iterable[str]) -> Corpus:
+    """Parse WIDER-style annotation text into a Corpus, in file order, with
+    no dims.
 
     Accepts a string, an open text stream, or any iterable of lines. A
     string is read as a stream: split at "\n" only, and a trailing "\r" is
@@ -165,7 +191,7 @@ def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
 
     The face lines are read in one bulk call and checked as arrays; only
     when a check fails are they parsed again one by one, which raises the
-    first bad line's error. Each record's faces are a slice of one array.
+    first bad line's error.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -180,12 +206,9 @@ def parse_wider(source: str | IO[str] | Iterable[str]) -> list[ImageRecord]:
     if error is not None:
         raise error
 
-    records: list[ImageRecord] = []
-    start = 0
-    for path, _, count in blocks:
-        records.append(ImageRecord(path, faces=faces[start:start + count]))
-        start += count
-    return records
+    counts = np.array([count for _, _, count in blocks], dtype=np.int64)
+    return Corpus(np.array([path for path, _, _ in blocks], dtype=object),
+                  np.full((len(blocks), 2), math.nan), np.cumsum(counts) - counts, faces)
 
 
 def _int_field(value: float, what: str) -> str:
@@ -194,20 +217,17 @@ def _int_field(value: float, what: str) -> str:
     return str(int(value))
 
 
-def serialize_wider(records: Iterable[ImageRecord]) -> str:
-    """Render records back into the annotation grammar (canonical form).
+def serialize_wider(corpus: Corpus) -> str:
+    """Render a corpus back into the annotation grammar (canonical form).
 
     The grammar is integer-valued, so boxes with fractional coordinates are
-    rejected. Empty records emit the standard all-zero placeholder line.
+    rejected. An image with no faces emits the all-zero placeholder line.
     """
+    rows = [" ".join(map(_int_field, row, FACE_COLUMNS)) for row in corpus.faces.tolist()]
+    first = corpus.first.tolist()
     out: list[str] = []
-    for rec in records:
-        out.append(rec.path)
-        out.append(str(len(rec.faces)))
-        if len(rec.faces) == 0:
-            out.append("0 0 0 0 0 0 0 0 0 0")
-        for row in rec.faces.tolist():
-            out.append(" ".join(map(_int_field, row, FACE_COLUMNS)))
+    for path, a, b in zip(corpus.paths.tolist(), first, first[1:] + [len(rows)]):
+        out += [path, str(b - a), *(rows[a:b] or ["0 0 0 0 0 0 0 0 0 0"])]
     return "\n".join(out) + "\n"
 
 
@@ -217,21 +237,11 @@ def kept_mask(faces: np.ndarray) -> np.ndarray:
     return (faces[:, _INVALID] == 0) & (faces[:, 2] > 0) & (faces[:, 3] > 0)
 
 
-def face_table(records: list[ImageRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every face of records in corpus order: each face's record index, its
-    position in that record's faces, and the (n, 10) rows stacked."""
-    counts = np.array([len(rec.faces) for rec in records], dtype=np.int64)
-    record = np.repeat(np.arange(len(records)), counts)
-    position = np.arange(len(record)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return record, position, np.concatenate([_no_faces(), *(rec.faces for rec in records)])
-
-
-def corpus_counts(records: Iterable[ImageRecord]) -> dict[str, int]:
+def corpus_counts(corpus: Corpus) -> dict[str, int]:
     """Raw and filtered face tallies for a corpus."""
-    records = list(records)
-    faces = face_table(records)[2]
+    faces = corpus.faces
     return {
-        "n_images": len(records),
+        "n_images": len(corpus),
         "n_faces": len(faces),
         "n_invalid": int(np.count_nonzero(faces[:, _INVALID])),
         "n_degenerate": int(np.count_nonzero(~((faces[:, 2] > 0) & (faces[:, 3] > 0)))),
@@ -269,16 +279,14 @@ class FixedListAR:
             raise ValueError(f"aspect ratios must be positive and finite: {self.values!r}")
 
 
-def generate_synthetic(
-    seed: int, n: int, law: LogUniformAR | FixedListAR
-) -> list[ImageRecord]:
-    """Deterministic synthetic corpus: one face per image record.
+def generate_synthetic(seed: int, n: int, law: LogUniformAR | FixedListAR) -> Corpus:
+    """Deterministic synthetic corpus: one face per image.
 
     Face widths are log-uniform in [4, 512]; aspect ratios follow the given
     law. Face i draws from PRNG stream (seed, i), in the order width, then
     aspect ratio (log-uniform law only), then x and y. Image dimensions are
-    sized to contain the face with margin. Each record's face is a slice of
-    one array. n above MAX_SYNTHETIC_FACES is refused before any draw.
+    sized to contain the face with margin. n above MAX_SYNTHETIC_FACES is
+    refused before any draw.
     """
     if n <= 0:
         raise ValueError(f"synthetic corpus size must be positive, not {n}")
@@ -299,16 +307,15 @@ def generate_synthetic(
     dims = np.maximum(640.0, np.ceil(wh) + 64.0)
     xy = 32.0 + ((dims - wh - 32.0) - 32.0) * u[:, -2:]  # uniform in [32, dims - wh - 32)
     faces = np.hstack([xy, wh, np.zeros((n, len(FACE_COLUMNS) - 4))])
-    return [ImageRecord(f"synthetic/{i:05d}.jpg", width, height, faces[i:i + 1])
-            for i, (width, height) in enumerate(zip(*dims.T.tolist()))]
+    paths = np.array([f"synthetic/{i:05d}.jpg" for i in range(n)], dtype=object)
+    return Corpus(paths, dims, np.arange(n), faces)
 
 
-def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) -> float:
+def ar_coverage(corpus: Corpus, anchor_ar: float, eta: float) -> float:
     """Fraction of kept faces whose aspect ratio lies in D(anchor_ar, eta)."""
     from .matching import arsd_contains
 
-    faces = face_table(list(records))[2]
-    xywh = faces[kept_mask(faces), :4]
+    xywh = corpus.kept()[2]
     inside = arsd_contains(xywh[:, 3] / xywh[:, 2], anchor_ar, eta)
     if len(xywh) == 0:
         raise ValueError("corpus has no usable faces")
@@ -318,41 +325,45 @@ def ar_coverage(records: Iterable[ImageRecord], anchor_ar: float, eta: float) ->
 def read_dims_csv(source: str | IO[str]) -> dict[str, tuple[float, float]]:
     """Read a `path,width,height` sidecar CSV mapping image paths to pixel dims.
 
-    Lines end at "\n" only, as in parse_wider. A dimension that is not a
-    positive finite number, or a path listed twice, raises ValueError naming
-    the line.
+    A path and a stream are both read whole by the csv module, as a file
+    opened with newline="" is: lines end at "\n", "\r\n" or a lone "\r",
+    and a field may be quoted as the per-face CSV quotes it. Paths are
+    stripped, as annotation paths are; blank lines are skipped, and a first
+    line whose path is "path" is a header. A malformed quote, a dimension
+    that is not positive and finite, or a path listed twice raises
+    ValueError naming the line.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_dims_csv(fh)
+    reader = csv.reader(io.StringIO(source.read(), newline=""), strict=True)
     dims: dict[str, tuple[float, float]] = {}
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if parts[0] == "path" and line_no == 1:
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"dims CSV line {line_no}: expected path,width,height")
-        try:
-            w, h = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"dims CSV line {line_no}: non-numeric dimension") from None
-        if not (0 < w < math.inf and 0 < h < math.inf):
-            raise ValueError(f"dims CSV line {line_no}: dimensions must be positive and finite")
-        if parts[0] in dims:
-            raise ValueError(f"dims CSV line {line_no}: duplicate path {parts[0]!r}")
-        dims[parts[0]] = (w, h)
+    try:
+        for row in reader:
+            line_no = reader.line_num
+            if len(row) < 2 and not "".join(row).strip():
+                continue
+            path = row[0].strip()
+            if path == "path" and line_no == 1:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"dims CSV line {line_no}: expected path,width,height")
+            try:
+                w, h = float(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(f"dims CSV line {line_no}: non-numeric dimension") from None
+            if not (0 < w < math.inf and 0 < h < math.inf):
+                raise ValueError(f"dims CSV line {line_no}: dimensions must be positive and finite")
+            if path in dims:
+                raise ValueError(f"dims CSV line {line_no}: duplicate path {path!r}")
+            dims[path] = (w, h)
+    except csv.Error as err:
+        raise ValueError(f"dims CSV line {reader.line_num}: {err}") from None
     return dims
 
 
-def attach_dims(
-    records: Iterable[ImageRecord], dims: dict[str, tuple[float, float]]
-) -> list[ImageRecord]:
-    """Attach sidecar dimensions to records in place; returns the list."""
-    out = list(records)
-    for rec in out:
-        if rec.path in dims:
-            rec.width, rec.height = dims[rec.path]
-    return out
+def attach_dims(corpus: Corpus, dims: dict[str, tuple[float, float]]) -> Corpus:
+    """A new corpus whose images take their dims from dims where their path
+    is listed there, and keep the ones they had where it is not."""
+    table = [dims.get(path, old) for path, old in zip(corpus.paths.tolist(), corpus.dims.tolist())]
+    return replace(corpus, dims=np.array(table, dtype=np.float64).reshape(-1, 2))

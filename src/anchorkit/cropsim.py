@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
 from . import ams, matching
 from .anchors import AnchorDesign, generate_anchor_boxes
-from .corpus import ImageRecord, face_table, kept_mask
+from .corpus import Corpus
 from .matching import MatchConfig, assign_labels_xywh
 from .prng import floats
 
@@ -104,7 +103,7 @@ class SimOutcome:
 
 
 def simulate(
-    records: Iterable[ImageRecord],
+    corpus: Corpus,
     design: AnchorDesign,
     cfg: MatchConfig,
     n_crops: int,
@@ -124,35 +123,35 @@ def simulate(
     the table is the same for every valid cfg.tn. An image's crops are
     drawn and bounded in blocks of at most ams.FACE_BLOCK crop-face cells
     (or one crop), and a block's crops are labelled one kernel call per
-    range of matching.set_runs; the values depend on neither. Every record must
-    carry pixel dimensions, and on every image that keeps a face the
-    smallest crop patch must have a side above 0 and a finite rescale
-    factor; both are checked before any draw.
+    range of matching.set_runs; the values depend on neither. Every image
+    must have pixel dims in corpus.dims, and on every image that keeps a
+    face the smallest crop patch must have a side above 0 and a finite
+    rescale factor; both are checked before any draw.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
-    record_list = list(records)
-    for rec in record_list:
-        if rec.width is None or rec.height is None:
-            raise ValueError(f"record {rec.path!r} has no image dimensions")
+    missing = np.isnan(corpus.dims).any(axis=1)
+    if missing.any():
+        raise ValueError(f"record {corpus.paths[missing.argmax()]!r} has no image dimensions")
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
     cfg = replace(cfg, tn=0.0)  # valid: t0, and under WARM t0 - delta, stay above it
 
-    record, position, rows = face_table(record_list)
-    keep = kept_mask(rows)
-    record, position, faces = record[keep], position[keep], rows[keep, :4]
-    sizes = np.bincount(record, minlength=len(record_list)).tolist()  # kept faces per image
+    image, position, faces = corpus.kept()
+    sizes = np.bincount(image, minlength=len(corpus))  # kept faces per image
     scale = min(params.scale_options)  # if its patch rescales, larger ones do
-    for rec, size in zip(record_list, sizes):
-        side = scale * min(rec.width, rec.height)
-        if size and not (side > 0 and math.isfinite(params.output_side / side)):
-            raise ValueError(f"image {rec.path!r}: crop scale {scale!r} gives a patch side of "
-                             f"{side!r} px, too small to rescale to {params.output_side!r} px")
+    side = scale * corpus.dims.min(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = (sizes > 0) & ~((side > 0) & np.isfinite(params.output_side / side))
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"image {corpus.paths[i]!r}: crop scale {scale!r} gives a patch side "
+                         f"of {side[i].item()!r} px, too small to rescale to "
+                         f"{params.output_side!r} px")
     seen, positive = np.zeros((2, len(faces)), dtype=np.int64)
     best_obs, best_ideal = np.zeros((2, len(faces)))
     end = 0
-    for img_idx, (rec, size) in enumerate(zip(record_list, sizes)):
+    for img_idx, ((width, height), size) in enumerate(zip(corpus.dims.tolist(), sizes.tolist())):
         # This image's faces are rows start .. end-1 of the columns.
         start, end = end, end + size
         if not size:
@@ -160,8 +159,7 @@ def simulate(
         block = max(1, ams.FACE_BLOCK // size)
         for first in range(0, n_crops, block):
             u = floats(seed, img_idx, 3 * first, 3 * min(block, n_crops - first))
-            crop, k, boxes = _crops(rec.width, rec.height, faces[start:end], params,
-                                    u.reshape(-1, 3))
+            crop, k, boxes = _crops(width, height, faces[start:end], params, u.reshape(-1, 3))
             k += start
             bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
             observed = np.empty(len(k))
@@ -178,6 +176,5 @@ def simulate(
             np.maximum.at(best_ideal, k, bounds)
             np.maximum.at(best_obs, k, observed)
 
-    paths = np.array([rec.path for rec in record_list], dtype=object)
-    table = FaceSimStat(paths[record], position, seen, positive, best_obs, best_ideal)
+    table = FaceSimStat(corpus.paths[image], position, seen, positive, best_obs, best_ideal)
     return SimOutcome(seed=seed, n_crops=n_crops, per_face=table)

@@ -39,7 +39,7 @@ _ROW_BLOCK = 8192
 class MatchRow:
     """The per-face table of a match report: one column per field, in
     output order, with one element per kept face in file order. Each
-    face's image path, its position in that record's faces, its aspect
+    face's image path, its position among that image's faces, its aspect
     ratio, its best IoU over the grid, its positive anchor count and its
     positive threshold."""
 

@@ -17,10 +17,22 @@ import numpy as np
 
 from anchorkit.ams import ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
-from anchorkit.corpus import ImageRecord, LogUniformAR, WiderParseError, kept_mask
+from anchorkit.corpus import LogUniformAR, WiderParseError, kept_mask
 from anchorkit.matching import assign_labels_xywh
 from anchorkit.reports import LABEL_KINDS, SCHEMA_VERSION, MatchReport, MatchRow
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
+
+
+@dataclass(frozen=True, eq=False)
+class Record:
+    """One image as the oracles build it: the fields of a corpus.ImageRecord
+    view (path, width and height or None, (k, 10) face rows), made without
+    the library's Corpus."""
+
+    path: str
+    width: float | None
+    height: float | None
+    faces: np.ndarray
 
 
 def eager_anchor_rows(design, image_w, image_h):
@@ -187,11 +199,12 @@ def _naive_face_line(text: str, line_no: int) -> list[float]:
 
 
 def naive_parse_wider(source) -> list:
-    """WIDER-style annotation text to records, one line at a time: each face
+    """WIDER-style annotation text to Records, one line at a time: each face
     line is parsed as it is reached, so the first bad line in the text raises
-    its WiderParseError. corpus.parse_wider must give equal records, or an
-    error with the same message and line. A string is split into lines at
-    "\n" only, as a stream is."""
+    its WiderParseError. Iterating the Corpus of corpus.parse_wider must give
+    views equal to these Records, or it must raise an error with the same
+    message and line. A string is split into lines at "\n" only, as a
+    stream is."""
     if isinstance(source, str):
         source = io.StringIO(source)
     lines = [ln.rstrip("\n").rstrip("\r") for ln in source]
@@ -233,7 +246,7 @@ def naive_parse_wider(source) -> list:
                 faces.append(_naive_face_line(lines[i], i + 1))
             # count == 0: the placeholder box line is discarded.
             i += 1
-        records.append(ImageRecord(path, faces=np.array(faces).reshape(-1, 10)))
+        records.append(Record(path, None, None, np.array(faces).reshape(-1, 10)))
     return records
 
 
@@ -277,7 +290,8 @@ def substream(seed: int, index: int) -> SplitMix64:
 def naive_generate_synthetic(seed, n, law) -> list:
     """The synthetic corpus drawn one face and one float at a time from its
     own substream: width, then aspect ratio (log-uniform law only), then x
-    and y. generate_synthetic must give equal records."""
+    and y. Iterating the Corpus of generate_synthetic must give views equal
+    to these Records."""
     if n <= 0:
         raise ValueError(f"synthetic corpus size must be positive, not {n}")
     records = []
@@ -294,7 +308,7 @@ def naive_generate_synthetic(seed, n, law) -> list:
         x = rng.uniform(32.0, img_w - w - 32.0)
         y = rng.uniform(32.0, img_h - h - 32.0)
         records.append(
-            ImageRecord(
+            Record(
                 path=f"synthetic/{i:05d}.jpg",
                 width=img_w,
                 height=img_h,
@@ -337,22 +351,24 @@ def naive_random_crop(image_w, image_h, faces, params, rng):
 
 
 def kept_faces(rec):
-    """One record's kept faces, filtered on their own: the positions in
+    """One image's kept faces, filtered on their own: the positions in
     rec.faces of the faces kept_mask keeps, and their (k, 4) xywh rows. The
-    library filters a whole corpus's stacked table once; the per-record
-    oracles below filter record by record, so they check that path."""
+    library filters a whole corpus's face table once; the oracles below
+    iterate a Corpus's views and filter image by image, so they check that
+    path."""
     idx = kept_mask(rec.faces).nonzero()[0]
     return idx, rec.faces[idx, :4]
 
 
-def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
-    """Crop simulation aggregated one crop and one face at a time, as scalar
-    counters and strictly-greater maxima. Returns the cropsim.FaceSimStat
-    columns as lists, keyed by field name; simulate must give equal ones."""
+def naive_simulate(corpus, design, cfg, n_crops, seed, params) -> dict:
+    """Crop simulation of a Corpus, read one image view at a time, and
+    aggregated one crop and one face at a time, as scalar counters and
+    strictly-greater maxima. Returns the cropsim.FaceSimStat columns as
+    lists, keyed by field name; simulate must give equal ones."""
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
     out = {name: [] for name in ("image", "face", "crops_seen", "crops_positive",
                                  "best_observed_iou", "best_ideal_iou")}
-    for img_idx, rec in enumerate(records):
+    for img_idx, rec in enumerate(corpus):
         idx, xywh = kept_faces(rec)
         rng = substream(seed, img_idx)
         seen = [0] * len(idx)
@@ -384,19 +400,19 @@ def naive_simulate(records, design, cfg, n_crops, seed, params) -> dict:
     return out
 
 
-def naive_match_report(records, design, cfg) -> MatchReport:
-    """The match command's report, labelled one image at a time: one
-    ungrouped assign_labels_xywh call per image that keeps a face, on a grid
-    built for that image's canvas (its dims, or else the smallest canvas
-    aligned to the largest stride that covers its faces), with the tallies
-    summed and the columns joined image by image. match must render the
-    same bytes from it in every format."""
+def naive_match_report(corpus, design, cfg) -> MatchReport:
+    """The match command's report on a Corpus, read and labelled one image
+    view at a time: one ungrouped assign_labels_xywh call per image that
+    keeps a face, on a grid built for that image's canvas (its dims, or else
+    the smallest canvas aligned to the largest stride that covers its
+    faces), with the tallies summed and the columns joined image by image.
+    match must render the same bytes from it in every format."""
     max_stride = max(level.stride for level in design.levels)
     n_images = n_anchors = 0
     labels = dict.fromkeys(LABEL_KINDS, 0)
     f, i = np.empty(0), np.empty(0, dtype=np.int64)
     parts = [(np.empty(0, dtype=object), i, f, f, i, f)]
-    for rec in records:
+    for rec in corpus:
         idx, xywh = kept_faces(rec)
         if not len(idx):
             continue

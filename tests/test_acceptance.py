@@ -30,7 +30,7 @@ from anchorkit.cropsim import CropParams, simulate
 from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh, warm_threshold
 from anchorkit.reports import emit_reports
 from anchorkit.rfd import rfd_output_shape, rfd_param_count, rfd_receptive_fields, rfd_spec
-from builders import record
+from builders import corpus, record
 from oracles import naive_warm_threshold, rfd_forward_naive, zero_weights
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
@@ -88,13 +88,13 @@ def test_criterion_2_anchor_ar_rows():
         design = ams_design(ra)
         inner = [ra * 2.249, ra / 2.249]
         outer = [ra * 2.251, ra / 2.251]
-        corpus = [
+        images = [
             face_record(
                 f"ra{ra}.jpg",
                 [(ar, aligned_width(32.0, ar, ra)) for ar in inner + [ra] + outer],
             )
         ]
-        report, faces = run_ams(corpus, design, 0.5)
+        report, faces = run_ams(corpus(images), design, 0.5)
         matched = {round(ar, 9) for ar in faces.ar[faces.matched].tolist()}
         expected = {round(ar, 9) for ar in inner + [ra]}
         ok &= matched == expected
@@ -251,8 +251,8 @@ def test_criterion_6_crop_convergence():
     records = [record("synthetic/wide.jpg", faces, 1280.0, 640.0)]
     params = CropParams(scale_options=(1.0,))
     design = detector_design()
-    outcome = simulate(records, design, MatchConfig(), 200, seed=7, params=params)
-    again = simulate(records, design, MatchConfig(), 200, seed=7, params=params)
+    outcome = simulate(corpus(records), design, MatchConfig(), 200, seed=7, params=params)
+    again = simulate(corpus(records), design, MatchConfig(), 200, seed=7, params=params)
 
     byte_identical = emit_reports(outcome, "json") == emit_reports(again, "json")
     table = outcome.per_face

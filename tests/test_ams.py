@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 import anchorkit.ams
 from anchorkit.ams import analytic_max_iou, boundary_ar, ideal_max_iou, run_ams
 from anchorkit.anchors import ams_design, detector_design, generate_anchor_boxes, ladder_design
-from anchorkit.corpus import ImageRecord, LogUniformAR, generate_synthetic
+from anchorkit.corpus import Corpus, LogUniformAR, generate_synthetic
 from anchorkit.matching import iou_pairs
-from builders import record, rows
+from builders import corpus, record, rows
 from oracles import kept_faces, naive_ideal_max_iou, naive_iou
 
 
@@ -159,7 +159,7 @@ class TestIdealMaxIouBroadcast:
                    for k in range(0, len(faces), per_record)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(anchorkit.ams, "FACE_BLOCK", block)
-            _, got = run_ams(records, design, 0.5)
+            _, got = run_ams(corpus(records), design, 0.5)
         xywh = np.concatenate([rec.faces[:, :4] for rec in records])
         w, ar = xywh[:, 2], xywh[:, 3] / xywh[:, 2]
         want = np.array([naive_ideal_max_iou(a, b, design) for a, b in zip(w.tolist(), ar.tolist())])
@@ -258,7 +258,7 @@ def synthetic_corpus():
 
     matched = [face(ar, aligned_width(16.0, ar, 1.0)) for ar in (0.5, 1.0, 2.0)]
     unmatched = [face(0.3, 30.0), face(2.3, 30.0), face(4.0, 25.0)]
-    return [record("img/a.jpg", matched), record("img/b.jpg", unmatched)]
+    return corpus([record("img/a.jpg", matched), record("img/b.jpg", unmatched)])
 
 
 class TestRunAms:
@@ -279,7 +279,7 @@ class TestRunAms:
         assert report.analytic_eta == math.inf
 
     def test_empty_corpus_flagged(self):
-        report, faces = run_ams([], ams_design(1.0), 0.5)
+        report, faces = run_ams(corpus([]), ams_design(1.0), 0.5)
         assert report.n_faces == 0
         assert report.n_matched == 0
         assert report.matched_ar_min is None
@@ -300,31 +300,31 @@ class TestRunAms:
     def test_invalid_faces_filtered_by_default(self):
         # The second face is flagged invalid, the third is degenerate.
         records = [record("x.jpg", [(0, 0, 32, 32), (0, 0, 32, 32), (0, 0, 0, 32)], invalid=[1])]
-        report, faces = run_ams(records, ams_design(1.0), 0.5)
+        report, faces = run_ams(corpus(records), ams_design(1.0), 0.5)
         assert report.n_faces == 1
         assert faces.face.tolist() == [0]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            run_ams([], ams_design(1.0), 1.5)
+            run_ams(corpus([]), ams_design(1.0), 1.5)
 
     def test_fitted_eta_takes_wider_tail(self):
         faces = [
             (0, 0, aligned_width(16.0, ar, 1.0), aligned_width(16.0, ar, 1.0) * ar)
             for ar in (0.8, 2.0)
         ]
-        report, _ = run_ams([record("y.jpg", faces)], ams_design(1.0), 0.5)
+        report, _ = run_ams(corpus([record("y.jpg", faces)]), ams_design(1.0), 0.5)
         assert report.fitted_eta == pytest.approx(2.0, rel=1e-9)
 
     def test_columns_match_per_record_scoring(self):
-        # Records with no faces, with only dropped faces and with several
-        # kept ones: the columns are each record's kept_faces scored alone.
-        records = generate_synthetic(5, 40, LogUniformAR(0.2, 5.0))
+        # Images with no faces, with only dropped faces and with several
+        # kept ones: the columns are each image's kept_faces scored alone.
+        records = list(generate_synthetic(5, 40, LogUniformAR(0.2, 5.0)))
         records[3] = record("empty.jpg", [])
         records[7] = record("dropped.jpg", [(0, 0, 8, 8), (0, 0, 0, 8)], invalid=[0])
         records[9] = record("mixed.jpg", [(0, 0, 8, 20), (0, 0, 0, 8), (1, 1, 30, 12)])
         design = ams_design(1.0)
-        _, faces = run_ams(records, design, 0.5)
+        _, faces = run_ams(corpus(records), design, 0.5)
         want_rows = []
         for rec in records:
             idx, xywh = kept_faces(rec)
@@ -336,7 +336,7 @@ class TestRunAms:
 
 class TestRunAmsResources:
     def test_peak_memory_over_100k_faces(self):
-        # 100k faces in 25k records score in FACE_BLOCK blocks: the peak is
+        # 100k faces in 25k images score in FACE_BLOCK blocks: the peak is
         # the corpus and its columns, not (faces x sizes) temporaries, which
         # would take 12 MB each at once.
         rng = np.random.default_rng(3)
@@ -344,11 +344,12 @@ class TestRunAmsResources:
         faces = np.zeros((n, 10))
         faces[:, 2] = rng.uniform(4, 512, n)
         faces[:, 3] = faces[:, 2] * rng.uniform(0.2, 5.0, n)
-        records = [ImageRecord(f"{k}.jpg", faces=faces[k * 4:k * 4 + 4]) for k in range(n // 4)]
+        paths = np.array([f"{k}.jpg" for k in range(n // 4)], dtype=object)
+        table = Corpus(paths, np.full((n // 4, 2), np.nan), np.arange(0, n, 4), faces)
         design = ams_design(1.0)
         tracemalloc.start()
         try:
-            _, columns = run_ams(records, design, 0.5)
+            _, columns = run_ams(table, design, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

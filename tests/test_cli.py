@@ -546,7 +546,7 @@ class TestBadInput:
     @pytest.mark.parametrize("n", ["1048577", "1000000000000"])
     def test_synthetic_size_over_the_cap(self, cmd, n, capsys):
         # Refused before any face is drawn: 2**20 + 1 faces would hold
-        # about 680 MB of records.
+        # about 190 MB of columns.
         tracemalloc.start()
         try:
             assert main([cmd, "--synthetic", n]) == 1
@@ -671,7 +671,7 @@ class TestBadInput:
         _one_error_line(capsys, needle)
 
     def test_dims_path_holding_a_unicode_line_break(self, tmp_path, capsys):
-        # Both files end lines at "\n" only, so "\x85" stays inside the path.
+        # Neither file ends a line at "\x85", so it stays inside the path.
         ann = tmp_path / "ann.txt"
         ann.write_text("a\x85b.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
         dims = tmp_path / "dims.csv"
@@ -751,3 +751,53 @@ class TestCoverageCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["eta"] == 1.2
         assert 0.0 <= data["coverage"] <= 1.0
+
+
+class TestDimsSidecar:
+    """match and simulate read the dims sidecar with the csv module, from a
+    file as read_dims_csv reads a stream."""
+
+    def test_path_quoted_as_the_per_face_csv_writes_it(self, tmp_path, capsys):
+        # The per-face CSV quotes a path that holds a comma; a sidecar line
+        # that names the image by that cell gives it its dims.
+        ann = tmp_path / "ann.txt"
+        ann.write_text("0--Parade/a,b.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
+        assert main(["match", "--annotations", str(ann), "--format", "csv"]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        cell = line[:line.rindex('"') + 1]
+        assert cell == '"0--Parade/a,b.jpg"'
+        dims = tmp_path / "dims.csv"
+        dims.write_text(f"path,width,height\n{cell},1024,768\n", encoding="utf-8")
+        assert read_dims_csv(str(dims)) == {"0--Parade/a,b.jpg": (1024.0, 768.0)}
+        assert main(["match", "--annotations", str(ann), "--dims", str(dims)]) == 0
+        want = len(generate_anchor_boxes(detector_design(), 1024.0, 768.0))
+        assert json.loads(capsys.readouterr().out)["n_anchors"] == want
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(dims), "--crops", "2"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["per_face"][0]["image"] == "0--Parade/a,b.jpg"
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
+    def test_file_and_stream_end_lines_alike(self, end, tmp_path, capsys):
+        # A lone "\r" ends a line in a file and in a stream alike.
+        text = f"a.jpg,640,480{end}b.jpg,320,320\n"
+        dims = tmp_path / "dims.csv"
+        dims.write_bytes(text.encode("utf-8"))
+        want = {"a.jpg": (640.0, 480.0), "b.jpg": (320.0, 320.0)}
+        assert read_dims_csv(str(dims)) == read_dims_csv(io.StringIO(text)) == want
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\nb.jpg\n1\n10 10 30 30 0 0 0 0 0 0\n",
+                       encoding="utf-8")
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(dims), "--crops", "2"]
+        assert main(argv) == 0
+        assert [f["image"] for f in json.loads(capsys.readouterr().out)["per_face"]] == [
+            "a.jpg", "b.jpg"]
+
+    @pytest.mark.parametrize("text, needle", [
+        ('"a"b.jpg,640,480\n', "line 1: ',' expected after '\"'"),
+        ('a.jpg,640,480\n"b.jpg,64,64\n', "line 2: unexpected end of data"),
+    ], ids=["text-after-quote", "unclosed-quote"])
+    def test_malformed_quote_names_its_line(self, text, needle, mini_file, tmp_path, capsys):
+        dims = tmp_path / "dims.csv"
+        dims.write_text(text, encoding="utf-8")
+        assert main(["match", "--annotations", mini_file, "--dims", str(dims)]) == 1
+        _one_error_line(capsys, needle)

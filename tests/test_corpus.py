@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 import anchorkit.corpus
 from anchorkit.corpus import (
     FixedListAR,
+    ImageRecord,
     LogUniformAR,
     WiderParseError,
     ar_coverage,
     attach_dims,
     corpus_counts,
-    face_table,
     generate_synthetic,
     kept_mask,
     parse_wider,
     read_dims_csv,
     serialize_wider,
 )
-from builders import record
+from builders import corpus, images, record
 from oracles import kept_faces, naive_generate_synthetic, naive_parse_wider
 
 FIXTURE = Path(__file__).parent / "data" / "wider_50.txt"
@@ -30,7 +31,7 @@ class TestParseWider:
     def test_single_block(self):
         records = parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n")
         assert len(records) == 1
-        rec = records[0]
+        (rec,) = records
         assert rec.path == "a.jpg"
         assert rec.width is None and rec.height is None
         assert rec.faces.dtype == np.float64
@@ -39,26 +40,26 @@ class TestParseWider:
     def test_zero_count_placeholder_discarded(self):
         records = parse_wider("a.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")
         assert len(records) == 1
-        assert records[0].faces.shape == (0, 10)
+        assert records.faces.shape == (0, 10) and records.first.tolist() == [0]
 
     def test_accepts_stream_and_line_iterables(self):
         text = "a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\n"
-        assert parse_wider(io.StringIO(text)) == parse_wider(text)
-        assert parse_wider(text.splitlines()) == parse_wider(text)
+        assert images(parse_wider(io.StringIO(text))) == images(parse_wider(text))
+        assert images(parse_wider(text.splitlines())) == images(parse_wider(text))
 
     def test_attributes_parsed(self):
         records = parse_wider("a.jpg\n1\n1 2 3 4 2 1 1 1 2 1\n")
         # blur expression illumination invalid occlusion pose
-        assert records[0].faces[0, 4:].tolist() == [2, 1, 1, 1, 2, 1]
+        assert records.faces[0, 4:].tolist() == [2, 1, 1, 1, 2, 1]
 
     def test_degenerate_box_retained_and_flagged(self):
         records = parse_wider("a.jpg\n1\n10 20 0 40 0 0 0 0 0 0\n")
-        assert records[0].faces.shape == (1, 10)
-        assert len(kept_faces(records[0])[0]) == 0
+        assert records.faces.shape == (1, 10)
+        assert len(kept_faces(next(iter(records)))[0]) == 0
 
     def test_negative_coordinates_allowed(self):
         records = parse_wider("a.jpg\n1\n-5 -3 30 40 0 0 0 0 0 0\n")
-        assert records[0].faces[0, 0] == -5.0
+        assert records.faces[0, 0] == -5.0
 
     def test_truncated_block_cites_line(self):
         with pytest.raises(WiderParseError) as err:
@@ -153,9 +154,20 @@ class TestParseWider:
 
         monkeypatch.setattr(anchorkit.corpus, "_parse_face_line", per_line)
         records = parse_wider(FIXTURE.read_text(encoding="utf-8"))
-        assert records == naive_parse_wider(FIXTURE.read_text(encoding="utf-8"))
-        # Every record's faces are a view of one array.
-        assert len({id(rec.faces.base) for rec in records}) == 1
+        assert images(records) == images(naive_parse_wider(FIXTURE.read_text(encoding="utf-8")))
+
+    def test_iteration_gives_each_block_its_rows(self):
+        # What a face counter over parse_wider's result reads: one view per
+        # block, in file order, whose faces are that block's rows of the
+        # one face table, the zero-count block included.
+        text = FIXTURE.read_text(encoding="utf-8")
+        corpus, blocks = parse_wider(text), naive_parse_wider(text)
+        views = list(corpus)
+        assert all(isinstance(view, ImageRecord) for view in views)
+        assert images(views) == images(blocks)
+        assert all(np.shares_memory(view.faces, corpus.faces) for view in views if len(view.faces))
+        assert any(len(view.faces) == 0 for view in views)
+        assert sum(len(view.faces) for view in views) == len(corpus.faces) == 164
 
     def test_blank_line_mid_file_rejected(self):
         with pytest.raises(WiderParseError) as err:
@@ -225,7 +237,7 @@ def annotation_text(draw):
 
 def outcome(parse, source):
     try:
-        return parse(source)
+        return images(parse(source))
     except WiderParseError as err:
         return str(err), err.line
 
@@ -243,15 +255,15 @@ class TestParseDifferential:
         assert outcome(parse_wider, io.StringIO(text)) == outcome(naive_parse_wider, io.StringIO(text))
         assert outcome(parse_wider, io.StringIO(text)) == want
         if isinstance(want, list):
-            assert all(r.faces.dtype == np.float64 and r.faces.shape[1:] == (10,)
-                       for r in outcome(parse_wider, text))
+            faces = parse_wider(text).faces
+            assert faces.dtype == np.float64 and faces.shape[1:] == (10,)
 
     def test_string_splits_like_stream(self):
         # "\x0c" ends a line for str.splitlines, not for a stream: the face
         # line holds ten fields either way.
         text = "a.jpg\n1\n1 2 3 4\x0c0 0 0 0 0 0\n"
         assert outcome(parse_wider, text) == outcome(parse_wider, io.StringIO(text))
-        assert parse_wider(text)[0].faces.tolist() == [[1, 2, 3, 4, 0, 0, 0, 0, 0, 0]]
+        assert parse_wider(text).faces.tolist() == [[1, 2, 3, 4, 0, 0, 0, 0, 0, 0]]
 
 
 class TestSerializeWider:
@@ -262,7 +274,7 @@ class TestSerializeWider:
         )
         records = parse_wider(text)
         assert serialize_wider(records) == text
-        assert parse_wider(serialize_wider(records)) == records
+        assert images(parse_wider(serialize_wider(records))) == images(records)
 
     def test_fixture_round_trip_bit_exact(self):
         text = FIXTURE.read_text(encoding="utf-8")
@@ -273,7 +285,7 @@ class TestSerializeWider:
     def test_rejects_fractional_coordinates(self):
         rec = record("x.jpg", [(0.5, 0, 4, 4)])
         with pytest.raises(ValueError):
-            serialize_wider([rec])
+            serialize_wider(corpus([rec]))
 
 
 class TestFaceAnnotation:
@@ -287,27 +299,27 @@ class TestFaceAnnotation:
 
 
 class TestIterFaces:
-    """The default filter over the stacked face table, and the tallies built
-    on it."""
+    """The default filter over the face table, and the tallies built on it."""
 
-    def corpus(self):
+    def records(self):
         return [record("x.jpg", [(0, 0, 4, 4), (0, 0, 4, 4), (0, 0, 0, 4), (0, 0, 8, 8)],
                        invalid=[1])]
 
     def test_default_filter_keeps_original_indices(self):
-        corpus = self.corpus() + [record("y.jpg", []), record("z.jpg", [(1, 2, 3, 4)])]
-        record_idx, position, faces = face_table(corpus)
-        keep = kept_mask(faces)
-        assert record_idx[keep].tolist() == [0, 0, 2]
-        assert position[keep].tolist() == [0, 3, 0]
-        assert faces[keep, :4].tolist() == [[0, 0, 4, 4], [0, 0, 8, 8], [1, 2, 3, 4]]
-        # The oracle, which filters one record on its own, keeps the same faces.
-        idx, xywh = kept_faces(corpus[0])
+        records = self.records() + [record("y.jpg", []), record("z.jpg", [(1, 2, 3, 4)])]
+        table = corpus(records)
+        image, position, xywh = table.kept()
+        assert image.tolist() == [0, 0, 2]
+        assert position.tolist() == [0, 3, 0]
+        assert xywh.tolist() == [[0, 0, 4, 4], [0, 0, 8, 8], [1, 2, 3, 4]]
+        assert kept_mask(table.faces).tolist() == [True, False, False, True, True]
+        # The oracle, which filters one image on its own, keeps the same faces.
+        idx, xywh = kept_faces(records[0])
         assert idx.tolist() == [0, 3]
         assert xywh.tolist() == [[0, 0, 4, 4], [0, 0, 8, 8]]
 
     def test_counts(self):
-        counts = corpus_counts(self.corpus())
+        counts = corpus_counts(corpus(self.records()))
         assert counts == {
             "n_images": 1,
             "n_faces": 4,
@@ -326,13 +338,13 @@ class TestGenerateSynthetic:
 
     def test_deterministic(self):
         law = LogUniformAR(0.2, 5.0)
-        assert generate_synthetic(9, 20, law) == generate_synthetic(9, 20, law)
+        assert images(generate_synthetic(9, 20, law)) == images(generate_synthetic(9, 20, law))
 
     def test_different_seeds_differ(self):
         law = LogUniformAR(0.2, 5.0)
         a = generate_synthetic(1, 5, law)
         b = generate_synthetic(2, 5, law)
-        assert a != b
+        assert images(a) != images(b)
 
     def test_law_support_and_width_range(self):
         records = generate_synthetic(3, 3000, LogUniformAR(0.2, 5.0))
@@ -345,6 +357,20 @@ class TestGenerateSynthetic:
             # face fits inside the image with margin
             assert x >= 0 and y >= 0
             assert x + w <= rec.width and y + h <= rec.height
+
+    def test_peak_memory_is_the_columns(self):
+        # 2**15 faces as columns keep about 180 B a face (an 80 B face row,
+        # a 68 B path string, its pointer, dims and first row), 5.9 MB, and
+        # drawing them peaks near 8.5 MB. One record per face peaked near
+        # 17 MB.
+        tracemalloc.start()
+        try:
+            corpus = generate_synthetic(0, 2**15, LogUniformAR(0.2, 5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == len(corpus.faces) == 2**15
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_fixed_list_cycles(self):
         records = generate_synthetic(1, 5, FixedListAR((1.0, 2.0)))
@@ -392,7 +418,7 @@ class TestArCoverage:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            ar_coverage([], 1.0, 2.0)
+            ar_coverage(corpus([]), 1.0, 2.0)
 
     @pytest.mark.parametrize("anchor_ar, eta, needle", [
         (1.0, float("nan"), "eta"),
@@ -407,7 +433,7 @@ class TestArCoverage:
         with pytest.raises(ValueError, match=needle):
             ar_coverage(records, anchor_ar, eta)
         with pytest.raises(ValueError, match=needle):
-            ar_coverage([], anchor_ar, eta)
+            ar_coverage(corpus([]), anchor_ar, eta)
 
     @given(st.floats(min_value=1.01, max_value=4.0, allow_nan=False),
            st.floats(min_value=1.1, max_value=3.0, allow_nan=False))
@@ -423,9 +449,10 @@ class TestDimsSidecar:
         dims = read_dims_csv(str(p))
         assert dims == {"a.jpg": (1024.0, 768.0)}
         records = parse_wider("a.jpg\n1\n10 20 30 40 0 0 0 0 0 0\nb.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")
-        attach_dims(records, dims)
-        assert (records[0].width, records[0].height) == (1024.0, 768.0)
-        assert records[1].width is None
+        got = attach_dims(records, dims)
+        assert [(r.width, r.height) for r in got] == [(1024.0, 768.0), (None, None)]
+        # A new corpus: the parsed one keeps no dims.
+        assert np.isnan(records.dims).all() and got.faces is records.faces
 
     def test_read_splits_lines_at_newline_only(self):
         text = "path,width,height\na\u2028b.jpg,1,2\n"

@@ -14,7 +14,7 @@ from anchorkit.cropsim import CropParams, _crops, simulate
 from anchorkit.matching import MatchConfig, Strategy
 from anchorkit.prng import floats
 from anchorkit.reports import emit_reports
-from builders import record as make_record, rows
+from builders import corpus, record as make_record, rows
 from oracles import SplitMix64, naive_random_crop, naive_simulate, substream
 
 SAM = MatchConfig(strategy=Strategy.SAM)
@@ -149,7 +149,7 @@ class TestSimulate:
         return record("img/a.jpg", 640, 640, [(296.0, 296.0, 64.0, 64.0)])
 
     def test_zero_crops_zero_counters(self):
-        out = simulate([self.aligned_record()], detector_design(), SAM, 0, seed=1)
+        out = simulate(corpus([self.aligned_record()]), detector_design(), SAM, 0, seed=1)
         s = out.per_face
         assert len(s.face) == 1
         assert (s.crops_seen[0], s.crops_positive[0]) == (0, 0)
@@ -158,7 +158,7 @@ class TestSimulate:
 
     def test_grid_aligned_face_always_positive(self):
         out = simulate(
-            [self.aligned_record()], detector_design(), SAM, 25, seed=4, params=FULL_PATCH
+            corpus([self.aligned_record()]), detector_design(), SAM, 25, seed=4, params=FULL_PATCH
         )
         s = out.per_face
         assert len(s.face) == 1
@@ -171,8 +171,8 @@ class TestSimulate:
         # With scale 1.0 on square images every crop is the same deterministic
         # resize, so counters are n_crops times the single-crop outcome.
         rec = record("img/b.jpg", 320, 320, [(100.0, 120.0, 40.0, 30.0)])
-        one = simulate([rec], detector_design(), SAM, 1, seed=6, params=FULL_PATCH)
-        many = simulate([rec], detector_design(), SAM, 40, seed=6, params=FULL_PATCH)
+        one = simulate(corpus([rec]), detector_design(), SAM, 1, seed=6, params=FULL_PATCH)
+        many = simulate(corpus([rec]), detector_design(), SAM, 40, seed=6, params=FULL_PATCH)
         s1, s40 = one.per_face, many.per_face
         assert s40.crops_seen[0] == 40 * s1.crops_seen[0]
         assert s40.crops_positive[0] == 40 * s1.crops_positive[0]
@@ -185,8 +185,8 @@ class TestSimulate:
         w = 64.0 / math.sqrt(2.4)
         h = w * 2.4
         rec = record("img/e.jpg", 1280, 640, [(500.0 - w / 2, 328.0 - h / 2, w, h)])
-        sam = simulate([rec], detector_design(), SAM, 200, seed=7, params=FULL_PATCH)
-        warm = simulate([rec], detector_design(), WARM, 200, seed=7, params=FULL_PATCH)
+        sam = simulate(corpus([rec]), detector_design(), SAM, 200, seed=7, params=FULL_PATCH)
+        warm = simulate(corpus([rec]), detector_design(), WARM, 200, seed=7, params=FULL_PATCH)
         s, m = sam.per_face, warm.per_face
         expected = analytic_max_iou(2.4, 1.0)
 
@@ -203,7 +203,7 @@ class TestSimulate:
             record("img/r.jpg", 900, 700,
                    [(100, 100, 50, 120), (400, 300, 33.5, 21.0), (700, 150, 90, 90)]),
         ]
-        out = simulate(recs, detector_design(), WARM, 60, seed=13)
+        out = simulate(corpus(recs), detector_design(), WARM, 60, seed=13)
         s = out.per_face
         assert len(s.face) == 3
         assert (s.best_observed_iou <= s.best_ideal_iou + 1e-9).all()
@@ -213,8 +213,8 @@ class TestSimulate:
             record("img/x.jpg", 800, 600, [(100, 100, 64, 64), (300, 200, 40, 90)]),
             record("img/y.jpg", 640, 640, [(50, 50, 128, 128)]),
         ]
-        a = simulate(recs, detector_design(), WARM, 30, seed=21)
-        b = simulate(recs, detector_design(), WARM, 30, seed=21)
+        a = simulate(corpus(recs), detector_design(), WARM, 30, seed=21)
+        b = simulate(corpus(recs), detector_design(), WARM, 30, seed=21)
         assert emit_reports(a, "json") == emit_reports(b, "json")
 
     def test_substreams_isolate_images(self):
@@ -222,23 +222,23 @@ class TestSimulate:
         base = record("img/x.jpg", 800, 600, [(100, 100, 64, 64)])
         other1 = record("img/y.jpg", 640, 640, [(50, 50, 128, 128)])
         other2 = record("img/y.jpg", 640, 640, [(200, 200, 32, 32), (33, 41, 77, 20)])
-        a = simulate([base, other1], detector_design(), WARM, 25, seed=3)
-        b = simulate([base, other2], detector_design(), WARM, 25, seed=3)
+        a = simulate(corpus([base, other1]), detector_design(), WARM, 25, seed=3)
+        b = simulate(corpus([base, other2]), detector_design(), WARM, 25, seed=3)
         assert rows(a.per_face)[0] == rows(b.per_face)[0]
 
     def test_missing_dims_names_record(self):
         rec = make_record("img/missing.jpg", [(0, 0, 4, 4)])
         with pytest.raises(ValueError, match="img/missing.jpg"):
-            simulate([rec], detector_design(), SAM, 1, seed=0)
+            simulate(corpus([rec]), detector_design(), SAM, 1, seed=0)
 
     def test_invalid_faces_excluded(self):
         rec = record("img/z.jpg", 640, 640, [(100, 100, 64, 64), (0, 0, 10, 10)], invalid=[1])
-        out = simulate([rec], detector_design(), SAM, 2, seed=0)
+        out = simulate(corpus([rec]), detector_design(), SAM, 2, seed=0)
         assert out.per_face.face.tolist() == [0]
 
     def test_negative_crops_rejected(self):
         with pytest.raises(ValueError):
-            simulate([], detector_design(), SAM, -1, seed=0)
+            simulate(corpus([]), detector_design(), SAM, -1, seed=0)
 
 
 
@@ -294,8 +294,8 @@ class TestSimulateDifferential:
     def test_matches_scalar_loop(self, records, strategy, n_crops, seed, scales, tn):
         cfg = MatchConfig(strategy=strategy)
         params = CropParams(scale_options=scales, output_side=128.0)
-        got = simulate(records, SMALL_DESIGN, cfg, n_crops, seed, params).per_face
-        want = naive_simulate(records, SMALL_DESIGN, replace(cfg, tn=tn), n_crops, seed, params)
+        got = simulate(corpus(records), SMALL_DESIGN, cfg, n_crops, seed, params).per_face
+        want = naive_simulate(corpus(records), SMALL_DESIGN, replace(cfg, tn=tn), n_crops, seed, params)
         assert [f.name for f in fields(got)] == list(want)
         for name, column in want.items():
             assert getattr(got, name).tolist() == column, name
@@ -305,7 +305,7 @@ class TestSimulateDifferential:
         # The examples above hold a face no crop retains and an image whose
         # every crop is empty.
         params = CropParams(scale_options=(0.3, 0.6), output_side=128.0)
-        out = simulate([NEVER_SEEN, ALL_EMPTY], SMALL_DESIGN, MatchConfig(), 5, 2, params)
+        out = simulate(corpus([NEVER_SEEN, ALL_EMPTY]), SMALL_DESIGN, MatchConfig(), 5, 2, params)
         assert out.per_face.crops_seen.tolist()[1:] == [0, 0, 0]
         assert out.per_face.crops_seen[0] > 0
 
@@ -324,12 +324,12 @@ class TestFaceBlock:
     @pytest.mark.parametrize("block", range(1, 8))
     def test_block_does_not_change_columns(self, block, monkeypatch):
         params = CropParams(scale_options=(0.3, 0.6, 1.0), output_side=128.0)
-        want = simulate(self.RECORDS, SMALL_DESIGN, WARM, 9, 5, params).per_face
+        want = simulate(corpus(self.RECORDS), SMALL_DESIGN, WARM, 9, 5, params).per_face
         calls = []
         bound = ams.ideal_max_iou
         monkeypatch.setattr(ams, "FACE_BLOCK", block)
         monkeypatch.setattr(ams, "ideal_max_iou", lambda *a: calls.append(1) or bound(*a))
-        got = simulate(self.RECORDS, SMALL_DESIGN, WARM, 9, 5, params).per_face
+        got = simulate(corpus(self.RECORDS), SMALL_DESIGN, WARM, 9, 5, params).per_face
         for f in fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), f.name
@@ -351,7 +351,7 @@ class TestFaceBlock:
         rec = record("img/crowd.jpg", 400, 300, faces)
         tracemalloc.start()
         try:
-            out = simulate([rec], SMALL_DESIGN, WARM, 1000, 3, CropParams(output_side=128.0))
+            out = simulate(corpus([rec]), SMALL_DESIGN, WARM, 1000, 3, CropParams(output_side=128.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -373,7 +373,7 @@ class TestFaceBlock:
         for n in (1000, 10_000):
             tracemalloc.start()
             try:
-                out = simulate([rec], detector_design(), WARM, n, 3)
+                out = simulate(corpus([rec]), detector_design(), WARM, n, 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -391,7 +391,7 @@ class TestFaceBlock:
         # many calls.
         faces = [(0, 0, 128, 128), (100, 100, 16, 12), (180, 30, 12, 12)]
         rec = record("img/sq.jpg", 256, 256, faces)
-        want = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
+        want = simulate(corpus([rec]), SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         grid = generate_anchor_boxes(SMALL_DESIGN, 640, 640)
         per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, replace(WARM, tn=0.0)).sum()
         assert per_crop > 0
@@ -405,7 +405,7 @@ class TestFaceBlock:
 
         monkeypatch.setattr(matching, "RUN_PAIRS", run * per_crop // 3)
         monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
-        got = simulate([rec], SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
+        got = simulate(corpus([rec]), SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         for f in fields(got):
             assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
         per_call = max(1, run // 3)
@@ -429,7 +429,7 @@ class TestFaceBlock:
 
         monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
         monkeypatch.setattr(matching, "RUN_PAIRS", 1)
-        want = simulate([rec], SMALL_DESIGN, WARM, 60, 2, params).per_face
+        want = simulate(corpus([rec]), SMALL_DESIGN, WARM, 60, 2, params).per_face
         # One call per crop that keeps a face, but crops whose faces can
         # keep no pair (a bound of 0) share a call.
         kept = sum(len(np.unique(g)) for g in calls)
@@ -437,7 +437,7 @@ class TestFaceBlock:
         for budget in (300, 1000, 2**40):
             calls.clear()
             monkeypatch.setattr(matching, "RUN_PAIRS", budget)
-            got = simulate([rec], SMALL_DESIGN, WARM, 60, 2, params).per_face
+            got = simulate(corpus([rec]), SMALL_DESIGN, WARM, 60, 2, params).per_face
             for f in fields(got):
                 assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
             assert 1 < len(calls) < kept if budget < 2**40 else len(calls) == 1

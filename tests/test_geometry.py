@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from anchorkit.ams import ideal_max_iou, run_ams
 from anchorkit.anchors import AnchorDesign, PyramidLevel, ams_design
 from anchorkit.matching import iou_pairs
-from builders import record
+from builders import corpus, record
 from oracles import naive_iou
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -94,7 +94,7 @@ class TestIou:
 class TestAspectRatio:
     def test_height_over_width(self):
         # Aspect ratios are height over width throughout the library.
-        _, faces = run_ams([record("a.jpg", [(0, 0, 10, 25)])], ams_design(1.0), 0.5)
+        _, faces = run_ams(corpus([record("a.jpg", [(0, 0, 10, 25)])]), ams_design(1.0), 0.5)
         assert faces.ar.tolist() == [2.5]
 
 

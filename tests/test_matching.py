@@ -31,7 +31,7 @@ from anchorkit.matching import (
     warm_threshold,
 )
 
-from builders import record
+from builders import corpus, record
 from oracles import (
     eager_anchor_rows,
     naive_assign,
@@ -948,7 +948,7 @@ class TestResources:
                               240.0, 160.0) for k in range(n)]
             tracemalloc.start()
             try:
-                report = _match_report(records, ams_design(1.0), cfg)
+                report = _match_report(corpus(records), ams_design(1.0), cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

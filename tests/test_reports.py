@@ -14,7 +14,7 @@ from anchorkit.cli import _match_report
 from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
 from anchorkit.matching import MatchConfig, MatchResult
 from anchorkit.reports import MatchReport, MatchRow, csv_text, emit_reports, json_text
-from builders import record, rows
+from builders import corpus, record, rows
 from oracles import naive_json_text
 
 # The CSV header of each per-face table.
@@ -281,7 +281,7 @@ SCENE = [
 
 def match_report(records) -> MatchReport:
     """The report the match command builds from records on the detector design."""
-    return _match_report(records, detector_design(), MATCH)
+    return _match_report(corpus(records), detector_design(), MATCH)
 
 
 class TestEmptyTables:
@@ -294,7 +294,7 @@ class TestEmptyTables:
     def test_run_ams_with_no_faces(self):
         dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], invalid=[0])
         for records in ([], [dropped]):
-            report, faces = run_ams(records, ams_design(1.0), 0.5)
+            report, faces = run_ams(corpus(records), ams_design(1.0), 0.5)
             self.check(report, FACE_STATS_CSV_HEADER, faces)
 
     def test_match_report_with_no_images(self):
@@ -308,7 +308,7 @@ class TestEmptyTables:
     def test_simulate_with_no_kept_faces(self):
         dropped = record("x.jpg", [(0, 0, 4, 4), (0, 0, 0, 4)], 64.0, 64.0, invalid=[0])
         for records in ([], [dropped], [record("e.jpg", [], 64.0, 64.0)]):
-            self.check(simulate(records, detector_design(), MATCH, 3, seed=0), SIM_CSV_HEADER)
+            self.check(simulate(corpus(records), detector_design(), MATCH, 3, seed=0), SIM_CSV_HEADER)
 
 
 class TestColumnTypes:
@@ -328,7 +328,7 @@ class TestColumnTypes:
         assert type(face) is type(count) is int
 
     def test_simulate_counts_are_integers(self):
-        out = simulate(SCENE, detector_design(), MATCH, 5, seed=2)
+        out = simulate(corpus(SCENE), detector_design(), MATCH, 5, seed=2)
         lines = emit_reports(out, "csv").splitlines()[1:]
         assert len(lines) == 3
         for line in lines:
