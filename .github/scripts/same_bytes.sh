@@ -19,7 +19,12 @@
 # each stdout's sha256 must be equal too. So must those of `parse --emit` on
 # the same annotations and of synthetic corpora, which no workload reads:
 # `ams --synthetic 65536 --format csv`, `ams --synthetic 4096 --ar-list
-# 0.25,1,4 --format json` and `coverage --synthetic 65536`. When bench/
+# 0.25,1,4 --format json` and `coverage --synthetic 65536`. The match
+# workloads run the detector design at `--tn 0.35` only, so `match --design
+# ams --strategy sam_compensate` runs on the seed-1 match_sparse inputs
+# (stride-1 grids, each under the grid cap) and `match --tn 0`, where a
+# face's bar is its positive threshold, on the seed-1 match_crowd inputs,
+# and each stdout's sha256 must be equal as well. When bench/
 # differs between BASE and HEAD the workloads themselves may differ, so the
 # check is skipped.
 set -euo pipefail
@@ -82,6 +87,12 @@ digest("ams_corpus:1 ams --format json", cli_args("ams_corpus", ann, dims) + ["-
 digest("ams_corpus:1 match --design detector",
        ["match", "--annotations", ann, "--dims", dims, "--design", "detector"])
 digest("ams_corpus:1 parse --emit", ["parse", "--annotations", ann, "--emit"])
+ann, dims = inputs("match_sparse", 1)
+digest("match_sparse:1 match --design ams --strategy sam_compensate",
+       ["match", "--annotations", ann, "--dims", dims, "--design", "ams",
+        "--strategy", "sam_compensate"])
+ann, dims = inputs("match_crowd", 1)
+digest("match_crowd:1 match --tn 0", cli_args("match_crowd", ann, dims) + ["--tn", "0"])
 for argv in (["ams", "--synthetic", "65536", "--format", "csv"],
              ["ams", "--synthetic", "4096", "--ar-list", "0.25,1,4", "--format", "json"],
              ["coverage", "--synthetic", "65536"]):
@@ -97,4 +108,5 @@ cli_digests "$tmp/base" > "$tmp/cli_base.txt"
 cli_digests "$PWD" | tee "$tmp/cli_head.txt"
 diff "$tmp/cli_base.txt" "$tmp/cli_head.txt"
 echo "simulate --strategy sam and sam_compensate, ams and match JSON and parse --emit at" \
-  "corpus scale, and ams and coverage on synthetic corpora: the same bytes as $base"
+  "corpus scale, match on ams grids and under --tn 0, and ams and coverage on synthetic" \
+  "corpora: the same bytes as $base"

@@ -9,10 +9,12 @@ RFD feature-enhancement block's shapes, receptive fields, and parameters.
 from .ams import (
     AmsReport,
     FaceMatchStat,
+    MatchReport,
     analytic_max_iou,
     boundary_ar,
     ideal_max_iou,
     run_ams,
+    run_match,
 )
 from .anchors import (
     AnchorDesign,
@@ -47,7 +49,7 @@ from .matching import (
     iou_pairs,
     warm_threshold,
 )
-from .reports import MatchReport, emit_reports
+from .reports import emit_reports
 from .rfd import (
     ConvSpec,
     RfdSpec,
@@ -101,6 +103,7 @@ __all__ = [
     "rfd_receptive_fields",
     "rfd_spec",
     "run_ams",
+    "run_match",
     "serialize_wider",
     "simulate",
     "warm_threshold",

@@ -11,7 +11,8 @@ rho = max(r_face/r_anchor, r_anchor/r_face):
 obtained by optimizing the anchor scale: the best scale is the geometric mean
 of the face's width and height (normalized by the anchor shape), where the
 anchor matches the face's width on one axis and undershoots by sqrt(rho) on
-the other.
+the other. run_ams scores that bound over a corpus; run_match (on each
+image's grid) and cropsim.simulate (on each crop's) label through label_sets.
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import AnchorDesign
+from . import matching
+from .anchors import AnchorDesign, AnchorGrid, generate_anchor_boxes
 from .corpus import Corpus
+from .matching import MatchConfig, _expand, assign_labels_xywh
 
 # Faces per ideal_max_iou call in run_ams. Each call builds a few
 # (faces x sizes) temporaries, so the block bounds their memory; the
 # values do not depend on it.
 FACE_BLOCK = 8192
+
+LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
 
 
 @dataclass(frozen=True)
@@ -152,3 +157,93 @@ def run_ams(corpus: Corpus, design: AnchorDesign, t_p: float) -> tuple[AmsReport
         n_matched=len(matched_ars),
     )
     return report, FaceMatchStat(corpus.paths[image], position, ar, w, best, matched)
+
+
+@dataclass(frozen=True)
+class MatchRow:
+    """The per-face table of a match report: one column per field, in
+    output order, with one element per kept face in file order. Each
+    face's image path, its position among that image's faces, its aspect
+    ratio, its best IoU over the grid, its positive anchor count and its
+    positive threshold."""
+
+    image: np.ndarray
+    face: np.ndarray
+    ar: np.ndarray
+    max_iou: np.ndarray
+    positive_count: np.ndarray
+    effective_tp: np.ndarray
+
+
+@dataclass(frozen=True)
+class MatchReport:
+    """Label-assignment audit of a corpus. n_images counts the images that
+    keep a face, n_anchors the anchors of their grids, one grid per image,
+    and labels tallies those anchors' labels (LABEL_KINDS) summed over the
+    images. per_face is the table of every kept face in file order."""
+
+    config: MatchConfig
+    n_images: int
+    n_anchors: int
+    labels: dict[str, int]
+    per_face: MatchRow
+
+    @property
+    def n_matched(self) -> int:
+        """The kept faces with at least one positive anchor."""
+        return int(np.count_nonzero(self.per_face.positive_count))
+
+
+def label_sets(grid: AnchorGrid, faces: np.ndarray, cfg: MatchConfig, group: np.ndarray):
+    """Label (m, 4) xywh faces on grid, in sets of equal consecutive group
+    ids: one assign_labels_xywh call per range of matching.set_runs, its set
+    ids counted from the range's first. Returns each face's max_iou,
+    positive_count and effective_tp, and the calls' n_anchors and label
+    tallies (by LABEL_KINDS) summed."""
+    max_iou, tp = np.zeros((2, len(faces)))
+    positive = np.zeros(len(faces), dtype=np.int64)
+    n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
+    for lo, hi in matching.set_runs(grid, faces, cfg, group):
+        result = assign_labels_xywh(grid, faces[lo:hi], cfg, group=group[lo:hi] - group[lo])
+        max_iou[lo:hi], positive[lo:hi], tp[lo:hi] = (result.max_iou, result.positive_count,
+                                                      result.effective_tp)
+        n_anchors += result.n_anchors
+        labels = {kind: labels[kind] + n for kind, n in result.label_counts().items()}
+        del result  # drop its rows before the next call builds its own
+    return max_iou, positive, tp, n_anchors, labels
+
+
+def run_match(corpus: Corpus, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
+    """Label every image that keeps a face on the grid of its canvas: its
+    pixel dims, or else the smallest canvas aligned to the design's largest
+    stride that covers its faces. The images of one canvas share one grid
+    and one label_sets call, each image its own set."""
+    max_stride = max(lv.stride for lv in design.levels)
+    image, position, faces = corpus.kept()
+
+    # The images that keep a face, numbered in file order: each one's index,
+    # first kept face and kept face count, and their numbers by distinct
+    # canvas, in order of first use.
+    images, starts, sizes = np.unique(image, return_index=True, return_counts=True)
+    by_canvas, far = {}, faces[:, :2] + faces[:, 2:]
+    dims = corpus.dims[images].tolist()
+    for n, ((w, h), start, size) in enumerate(zip(dims, starts.tolist(), sizes.tolist())):
+        if math.isnan(w):  # the smallest stride-aligned canvas covering the faces
+            w, h = (float(max(max_stride, math.ceil(v / max_stride) * max_stride))
+                    for v in far[start:start + size].max(axis=0).tolist())
+        by_canvas.setdefault((w, h), []).append(n)
+    max_iou, tp = np.zeros((2, len(faces)))
+    positive = np.zeros(len(faces), dtype=np.int64)
+    n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
+    for canvas, numbers in by_canvas.items():
+        grid = generate_anchor_boxes(design, *canvas)
+        # Each image's set is a copy of the grid and keeps a face, so the
+        # anchors and tallies are the sums over the canvas's images.
+        group, offset = _expand(sizes[numbers])
+        at = starts[numbers][group] + offset  # the canvas's faces, image by image
+        max_iou[at], positive[at], tp[at], anchors, tally = label_sets(grid, faces[at], cfg, group)
+        n_anchors += anchors
+        labels = {kind: labels[kind] + n for kind, n in tally.items()}
+    table = MatchRow(corpus.paths[image], position, faces[:, 3] / faces[:, 2], max_iou, positive,
+                     tp)
+    return MatchReport(cfg, len(images), n_anchors, labels, table)

@@ -9,16 +9,11 @@ coverage). Exit codes: 0 success, 1 validation or parse error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import matching
-from .ams import run_ams
-from .anchors import (SQRT2, AnchorDesign, ams_design, detector_design, generate_anchor_boxes,
-                      ladder_design, load_design)
+from .ams import run_ams, run_match
+from .anchors import SQRT2, AnchorDesign, ams_design, detector_design, ladder_design, load_design
 from .corpus import (
     Corpus,
     FixedListAR,
@@ -32,8 +27,8 @@ from .corpus import (
     serialize_wider,
 )
 from .cropsim import CropParams, simulate
-from .matching import MatchConfig, Strategy, _expand, assign_labels_xywh
-from .reports import LABEL_KINDS, MatchReport, MatchRow, emit_reports, json_text
+from .matching import MatchConfig, Strategy
+from .reports import emit_reports, json_text
 from .rfd import rfd_param_count, rfd_receptive_fields, rfd_spec
 
 _SQRT2_TEXT = "1.4142135624"
@@ -161,60 +156,10 @@ def _cmd_ams(args: argparse.Namespace) -> int:
     return 0
 
 
-def _canvas_for(width, height, xywh, max_stride: float) -> tuple[float, float]:
-    if not math.isnan(width):
-        return width, height
-    # Fall back to the smallest stride-aligned canvas covering the faces.
-    max_x, max_y = (xywh[:, :2] + xywh[:, 2:]).max(axis=0).tolist()
-    w = max(max_stride, math.ceil(max_x / max_stride) * max_stride)
-    h = max(max_stride, math.ceil(max_y / max_stride) * max_stride)
-    return float(w), float(h)
-
-
-def _match_report(corpus: Corpus, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:
-    """Label every image that keeps a face on the grid of its canvas. The
-    images of one canvas are labelled one kernel call per range of
-    matching.set_runs."""
-    max_stride = max(lv.stride for lv in design.levels)
-    image, position, faces = corpus.kept()
-
-    # The images that keep a face, numbered in file order: each one's index,
-    # first kept face and kept face count, and their numbers by distinct
-    # canvas, in order of first use.
-    images, starts, sizes = np.unique(image, return_index=True, return_counts=True)
-    by_canvas = {}
-    dims = corpus.dims[images].tolist()
-    for n, ((w, h), start, size) in enumerate(zip(dims, starts.tolist(), sizes.tolist())):
-        canvas = _canvas_for(w, h, faces[start:start + size], max_stride)
-        by_canvas.setdefault(canvas, []).append(n)
-    max_iou, tp = np.zeros((2, len(faces)))
-    positive = np.zeros(len(faces), dtype=np.int64)
-    n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
-    for canvas, numbers in by_canvas.items():
-        grid = generate_anchor_boxes(design, *canvas)
-        # One kernel call per range of set_runs, each image its own group.
-        # Each group is a copy of the grid and keeps a face, so a call's
-        # anchors and tallies are the sums over its images.
-        group, offset = _expand(sizes[numbers])
-        at = starts[numbers][group] + offset  # the canvas's faces, image by image
-        for lo, hi in matching.set_runs(grid, faces[at], cfg, group):
-            run = at[lo:hi]
-            result = assign_labels_xywh(grid, faces[run], cfg, group=group[lo:hi] - group[lo])
-            max_iou[run], positive[run], tp[run] = (result.max_iou, result.positive_count,
-                                                    result.effective_tp)
-            n_anchors += result.n_anchors
-            for kind, count in result.label_counts().items():
-                labels[kind] += count
-            del result  # drop its rows before the next call builds its own
-    table = MatchRow(corpus.paths[image], position, faces[:, 3] / faces[:, 2], max_iou, positive,
-                     tp)
-    return MatchReport(cfg, len(images), n_anchors, labels, table)
-
-
 def _cmd_match(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     cfg = _match_config(args)
-    report = _match_report(corpus, _design_for(args), cfg)
+    report = run_match(corpus, _design_for(args), cfg)
     _write_out(emit_reports(report, args.format), args.out)
     return 0
 

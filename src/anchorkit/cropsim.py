@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ams, matching
+from . import ams
 from .anchors import AnchorDesign, generate_anchor_boxes
 from .corpus import Corpus
-from .matching import MatchConfig, assign_labels_xywh
+from .matching import MatchConfig
 from .prng import floats
 
 
@@ -122,23 +122,23 @@ def simulate(
     assign_labels_xywh keeps only the pairs above each face's threshold, and
     the table is the same for every valid cfg.tn. An image's crops are
     drawn and bounded in blocks of at most ams.FACE_BLOCK crop-face cells
-    (or one crop), and a block's crops are labelled one kernel call per
-    range of matching.set_runs; the values depend on neither. Every image
-    must have pixel dims in corpus.dims, and on every image that keeps a
-    face the smallest crop patch must have a side above 0 and a finite
-    rescale factor; both are checked before any draw.
+    (or one crop), and a block's crops are labelled by one ams.label_sets
+    call, each crop its own set; the values depend on neither. Every image
+    that keeps a face must have pixel dims in corpus.dims, and its smallest
+    crop patch a side above 0 and a finite rescale factor; both are checked
+    before any draw.
     """
     if n_crops < 0:
         raise ValueError("n_crops must be non-negative")
-    missing = np.isnan(corpus.dims).any(axis=1)
+    image, position, faces = corpus.kept()
+    sizes = np.bincount(image, minlength=len(corpus))  # kept faces per image
+    missing = (sizes > 0) & np.isnan(corpus.dims).any(axis=1)
     if missing.any():
-        raise ValueError(f"record {corpus.paths[missing.argmax()]!r} has no image dimensions")
+        raise ValueError(f"image {corpus.paths[missing.argmax()]!r} has no pixel dimensions")
 
     grid = generate_anchor_boxes(design, params.output_side, params.output_side)
     cfg = replace(cfg, tn=0.0)  # valid: t0, and under WARM t0 - delta, stay above it
 
-    image, position, faces = corpus.kept()
-    sizes = np.bincount(image, minlength=len(corpus))  # kept faces per image
     scale = min(params.scale_options)  # if its patch rescales, larger ones do
     side = scale * corpus.dims.min(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
@@ -162,17 +162,11 @@ def simulate(
             crop, k, boxes = _crops(width, height, faces[start:end], params, u.reshape(-1, 3))
             k += start
             bounds = ams.ideal_max_iou(boxes[:, 2], boxes[:, 3] / boxes[:, 2], design)
-            observed = np.empty(len(k))
-            hit = np.empty(len(k), dtype=bool)
-            for lo, hi in matching.set_runs(grid, boxes, cfg, crop):
-                result = assign_labels_xywh(grid, boxes[lo:hi], cfg,
-                                            group=crop[lo:hi] - crop[lo])
-                observed[lo:hi] = result.max_iou
-                hit[lo:hi] = result.positive_count > 0
+            observed, positive_count = ams.label_sets(grid, boxes, cfg, crop)[:2]
             # Every value is finite and >= +0.0, and a crop holds a face at
             # most once, so these folds equal the crop-by-crop updates.
             np.add.at(seen, k, 1)
-            np.add.at(positive, k, hit)
+            np.add.at(positive, k, positive_count > 0)
             np.maximum.at(best_ideal, k, bounds)
             np.maximum.at(best_obs, k, observed)
 

@@ -1,6 +1,6 @@
 """Anchor label assignment: fixed-threshold SAM, the WARM variable-threshold
 strategy, the anchor-compensation baseline, and aspect-ratio sampling-domain
-membership tests. iou_pairs is the one IoU routine.
+membership tests. The kernel and iou_pairs score IoU by _overlap and _iou.
 
 assign_labels_xywh states the label contract. WARM lowers the positive
 threshold linearly for faces whose aspect ratio falls in the extreme-AR
@@ -25,8 +25,8 @@ IGNORE = -2
 # plane) groups in slices by their pairs; a slice holds at least one item.
 # Each pair expanded takes a few hundred bytes of temporaries.
 PAIR_BUDGET = 2**15
-# Most pairs, by pair_bound, that one range of set_runs holds: simulate and
-# match pass each range to assign_labels_xywh as one call, which holds the
+# Most pairs, by pair_bound, that one range of set_runs holds: ams.label_sets
+# passes each range to assign_labels_xywh as one call, which holds the
 # decisive pairs and the labelled rows of all its sets until it ends.
 RUN_PAIRS = 2**16
 
@@ -365,11 +365,10 @@ def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
     """Per face of (m, 4) xywh faces, an upper bound on the (face, anchor)
     pairs assign_labels_xywh can keep for it: over the planes whose
     concentric IoU (see assign_labels_xywh) reaches the face's bar, the
-    cells across that its anchors can overlap times the cells down. Each
-    axis's count is estimated as min(cells, (face + anchor) / stride + 3),
-    within a cell of the kernel's, without expanding any cell. It sizes
-    set_runs and decides no label. Faces are checked as
-    assign_labels_xywh checks them.
+    cells across times the cells down of the _cell_range ranges the kernel
+    expands; a kept pair is at or above the bar, so it lies in them. No cell
+    is expanded. It sizes set_runs and decides no label. Faces are checked
+    as assign_labels_xywh checks them.
     """
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
     _check_faces(faces)
@@ -377,15 +376,17 @@ def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
     area = (grid.size[:, 0] * grid.size[:, 1]) + (size[..., 0] * size[..., 1])
     upper = _iou(np.minimum(grid.size, size).prod(axis=2), area)
     bar = _thresholds(faces, cfg) if cfg.tn == 0 else np.full(len(faces), cfg.tn)
-    cells = np.minimum(grid.cells, (size + grid.size) / grid.stride[:, None] + 3)
-    return np.where(upper >= bar[:, None], cells[..., 0] * cells[..., 1], 0).sum(axis=1)
+    face, plane = np.nonzero(upper >= bar[:, None])
+    f1, f2 = faces[face, :2], faces[face, :2] + faces[face, 2:]
+    count = _cell_range(f1, f2, grid.size[plane], grid.stride[plane, None], grid.cells[plane])[1]
+    return np.bincount(face, count.prod(axis=1), minlength=len(faces))
 
 
 def set_runs(grid: AnchorGrid, face_xywh, cfg: MatchConfig, group) -> list[tuple[int, int]]:
     """Cut m faces, in sets of equal consecutive group ids, into (lo, hi)
     face ranges in order: each holds whole sets whose pair_bound sum is
     within RUN_PAIRS, or one set. One set gives one range without a bound
-    taken, and no faces give no range."""
+    taken, and no faces give no range. ams.label_sets makes one kernel call per range."""
     group = np.asarray(group)
     sets = np.flatnonzero(_starts(group))
     if sets.size < 2:

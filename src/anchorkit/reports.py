@@ -1,8 +1,9 @@
-"""Report emission: JSON, CSV, and aligned-text renderings of analysis outputs.
+"""Report emission: JSON, CSV, and aligned-text renderings of analysis outputs,
+which ams and cropsim build; this module only renders them.
 
 A per-face table is a frozen dataclass whose fields are its columns, in
 output order, each an array with one element per face: ams.FaceMatchStat,
-MatchRow and cropsim.FaceSimStat. One column renderer writes every table in
+ams.MatchRow and cropsim.FaceSimStat. One column renderer writes every table in
 both formats: it formats each distinct value of a column once, by the
 column's dtype, and fills one row template per row from those cells. The
 CSV header is the field names; floats have six decimal places (the
@@ -20,35 +21,17 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ams import AmsReport, FaceMatchStat
+from .ams import AmsReport, FaceMatchStat, MatchReport
 from .cropsim import SimOutcome
-from .matching import MatchConfig
 
 SCHEMA_VERSION = 1
-LABEL_KINDS = ("positive", "negative", "ignore", "compensated")
 _ROW_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class MatchRow:
-    """The per-face table of a match report: one column per field, in
-    output order, with one element per kept face in file order. Each
-    face's image path, its position among that image's faces, its aspect
-    ratio, its best IoU over the grid, its positive anchor count and its
-    positive threshold."""
-
-    image: np.ndarray
-    face: np.ndarray
-    ar: np.ndarray
-    max_iou: np.ndarray
-    positive_count: np.ndarray
-    effective_tp: np.ndarray
 
 
 def _names(table) -> list[str]:
@@ -139,25 +122,6 @@ def json_text(summary: dict, table=None) -> str:
     if not body:
         return text + "\n"
     return text[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Label-assignment audit of a corpus. n_images counts the images that
-    keep a face, n_anchors the anchors of their grids, one grid per image,
-    and labels tallies those anchors' labels (LABEL_KINDS) summed over the
-    images. per_face is the table of every kept face in file order."""
-
-    config: MatchConfig
-    n_images: int
-    n_anchors: int
-    labels: dict[str, int]
-    per_face: MatchRow
-
-    @property
-    def n_matched(self) -> int:
-        """The kept faces with at least one positive anchor."""
-        return int(np.count_nonzero(self.per_face.positive_count))
 
 
 def _ams_summary(report: AmsReport) -> dict:

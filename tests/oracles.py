@@ -15,11 +15,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from anchorkit.ams import ideal_max_iou
+from anchorkit.ams import LABEL_KINDS, MatchReport, MatchRow, ideal_max_iou
 from anchorkit.anchors import generate_anchor_boxes
 from anchorkit.corpus import LogUniformAR, WiderParseError, kept_mask
 from anchorkit.matching import assign_labels_xywh
-from anchorkit.reports import LABEL_KINDS, SCHEMA_VERSION, MatchReport, MatchRow
+from anchorkit.reports import SCHEMA_VERSION
 from anchorkit.rfd import ConvSpec, RfdSpec, rfd_output_shape
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anchorkit.ams
 import anchorkit.anchors
 import anchorkit.cli
 from anchorkit import matching
@@ -19,8 +20,10 @@ from anchorkit.anchors import (
     ladder_design,
     load_design,
 )
-from anchorkit.cli import _design_for, build_parser, main
-from anchorkit.corpus import MAX_SYNTHETIC_FACES, attach_dims, parse_wider, read_dims_csv
+from anchorkit.ams import run_ams
+from anchorkit.cli import build_parser, main
+from anchorkit.corpus import (MAX_SYNTHETIC_FACES, LogUniformAR, attach_dims, generate_synthetic,
+                              parse_wider, read_dims_csv)
 from anchorkit.matching import MatchConfig, Strategy, assign_labels_xywh
 from anchorkit.reports import emit_reports
 
@@ -95,12 +98,23 @@ class TestHelp:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    def test_a_step_farther_from_sqrt2_gets_its_own_ladder(self):
-        args = build_parser().parse_args(["ams", "--scale-step", "1.41421356"])
-        assert _design_for(args) == ladder_design(1.0, scale_step=1.41421356)
-        assert _design_for(args) != ams_design(1.0)
-        args = build_parser().parse_args(["ams", "--scale-step", "1.4142135624"])
-        assert _design_for(args) == ams_design(1.0)
+    def test_a_step_farther_from_sqrt2_gets_its_own_ladder(self, capsys):
+        # Each step prints the bytes of run_ams on the design it selects.
+        synthetic = generate_synthetic(0, 64, LogUniformAR(0.2, 5.0))
+
+        def printed(step):
+            assert main(["ams", "--synthetic", "64", "--format", "json",
+                         "--scale-step", step]) == 0
+            return capsys.readouterr().out
+
+        def rendered(design):
+            report, table = run_ams(synthetic, design, 0.5)
+            return emit_reports(report, "json", table)
+
+        far, near = rendered(ladder_design(1.0, scale_step=1.41421356)), rendered(ams_design(1.0))
+        assert far != near
+        assert printed("1.41421356") == far
+        assert printed("1.4142135624") == near
 
 
 class TestRfdCommand:
@@ -289,9 +303,9 @@ class TestMatchCommand:
             kernel.append(((grid.image_w, grid.image_h), group.tolist()))
             return assign_labels_xywh(grid, faces, cfg, group=group)
 
-        monkeypatch.setattr(anchorkit.cli, "generate_anchor_boxes",
+        monkeypatch.setattr(anchorkit.ams, "generate_anchor_boxes",
                             lambda d, w, h: built.append((w, h)) or generate_anchor_boxes(d, w, h))
-        monkeypatch.setattr(anchorkit.cli, "assign_labels_xywh", counted)
+        monkeypatch.setattr(anchorkit.ams, "assign_labels_xywh", counted)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
         assert built == [(640.0, 480.0), (320.0, 320.0)]
@@ -364,7 +378,7 @@ class TestMatchRunsPerCanvas:
     def test_equals_one_call_per_image(self, corpus, with_dims, design, strategy, tn, budget):
         # Without dims each image gets the fallback canvas of its faces.
         ann_text, dims_text = corpus
-        calls, kernel = [], anchorkit.cli.assign_labels_xywh
+        calls, kernel = [], anchorkit.ams.assign_labels_xywh
 
         def counted(grid, faces, cfg, group):
             calls.append(group)
@@ -372,7 +386,7 @@ class TestMatchRunsPerCanvas:
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(matching, "RUN_PAIRS", budget)
-            mp.setattr(anchorkit.cli, "assign_labels_xywh", counted)
+            mp.setattr(anchorkit.ams, "assign_labels_xywh", counted)
             want = self.check(tmp, ann_text, dims_text if with_dims else None, design,
                               strategy, tn)
         # Each of the three formats labels every image that keeps a face as
@@ -703,6 +717,35 @@ class TestSimulateCommand:
         ann = tmp_path / "ann.txt"
         ann.write_text("a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n", encoding="utf-8")
         assert main(["simulate", "--annotations", str(ann), "--crops", "1"]) == 1
+
+    @pytest.mark.parametrize("block", ["0\n0 0 0 0 0 0 0 0 0 0\n", "1\n5 5 20 20 0 0 0 1 0 0\n"],
+                             ids=["no-face", "invalid-face"])
+    def test_image_keeping_no_face_needs_no_dims(self, block, tmp_path, capsys):
+        # b.jpg, last and absent from the sidecar, keeps no face: no crop of
+        # it is drawn, and the run prints the bytes of the corpus without it.
+        dims = tmp_path / "dims.csv"
+        dims.write_text("a.jpg,640,640\n", encoding="utf-8")
+        a = "a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n"
+        outs = []
+        for text in (a, a + "b.jpg\n" + block):
+            ann = tmp_path / "ann.txt"
+            ann.write_text(text, encoding="utf-8")
+            argv = ["simulate", "--annotations", str(ann), "--dims", str(dims), "--crops", "3"]
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["per_face"][0]["crops_seen"] > 0
+
+    def test_image_keeping_a_face_without_dims_is_named(self, tmp_path, capsys):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("a.jpg\n1\n100 100 64 64 0 0 0 0 0 0\n"
+                       "b.jpg\n2\n5 5 20 20 0 0 0 1 0 0\n10 10 30 30 0 0 0 0 0 0\n",
+                       encoding="utf-8")
+        dims = tmp_path / "dims.csv"
+        dims.write_text("a.jpg,640,640\n", encoding="utf-8")
+        argv = ["simulate", "--annotations", str(ann), "--dims", str(dims), "--crops", "3"]
+        assert main(argv) == 1
+        _one_error_line(capsys, "image 'b.jpg' has no pixel dimensions")
 
     def test_tp_below_the_match_default_tn_runs(self, tmp_path, capsys):
         # simulate has no --tn: its crops are labelled under tn 0, so a --tp

@@ -344,9 +344,11 @@ class TestFaceBlock:
         # bounds in test_matching.py and its calls would dominate the time.
         def kernel(grid, boxes, cfg, group):
             return SimpleNamespace(max_iou=np.ones(len(boxes)),
-                                   positive_count=np.ones(len(boxes), dtype=np.int64))
+                                   positive_count=np.ones(len(boxes), dtype=np.int64),
+                                   effective_tp=np.full(len(boxes), cfg.t0), n_anchors=0,
+                                   label_counts=lambda: {})
 
-        monkeypatch.setattr(cropsim, "assign_labels_xywh", kernel)
+        monkeypatch.setattr(ams, "assign_labels_xywh", kernel)
         faces = [(20 * i + 2, 30 * j + 3, 14, 20) for i in range(20) for j in range(10)]
         rec = record("img/crowd.jpg", 400, 300, faces)
         tracemalloc.start()
@@ -361,11 +363,14 @@ class TestFaceBlock:
     def test_kernel_memory_does_not_grow_with_crops(self):
         # Six faces near AR 1 and four tall ones (AR 5.2), whose crops often
         # fall below tn. Both runs span more than one block of 819 crops, so
-        # their peak is one block's arrays and one call's decisive pairs,
-        # near 2.7 MB, and ten times the crops add less than 1 MB. Calls of
-        # 2**17 pairs by pair_bound peaked near 4.6 MB, and one kernel call
-        # per block near 10-11 MB. Keeping the pairs below tn, or expanding
-        # 2**20 candidate pairs at once, took runs of 64 faces to 25-38 MB.
+        # their peak is one block's arrays plus the larger of two transients
+        # (by tracemalloc, above the memory at the call's start): one kernel
+        # call, up to 2.3 MB, and set_runs -> pair_bound over the block, up
+        # to 1.7 MB. The runs peak at 2.5 and 2.7 MB: ten times the crops add
+        # less than 1 MB. Calls of 2**17 pairs by a position-blind bound
+        # peaked near 4.6 MB, and one kernel call per block near 10-11 MB.
+        # Keeping the pairs below tn, or expanding 2**20 candidate pairs at
+        # once, took runs of 64 faces to 25-38 MB.
         faces = [(40 + 55 * i, 60 + 37 * (i % 3), 20 + 4 * i, 24 + 3 * i) for i in range(6)]
         faces += [(380 + 60 * i, 40 + 20 * i, 24 + 6 * i, 5.2 * (24 + 6 * i)) for i in range(4)]
         rec = record("img/ten.jpg", 640, 480, faces)
@@ -396,7 +401,7 @@ class TestFaceBlock:
         per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, replace(WARM, tn=0.0)).sum()
         assert per_crop > 0
         calls = []
-        kernel = cropsim.assign_labels_xywh
+        kernel = ams.assign_labels_xywh
 
         def counted(grid, boxes, cfg, group):
             assert cfg == replace(WARM, tn=0.0)
@@ -404,7 +409,7 @@ class TestFaceBlock:
             return kernel(grid, boxes, cfg, group=group)
 
         monkeypatch.setattr(matching, "RUN_PAIRS", run * per_crop // 3)
-        monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
+        monkeypatch.setattr(ams, "assign_labels_xywh", counted)
         got = simulate(corpus([rec]), SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         for f in fields(got):
             assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
@@ -421,13 +426,13 @@ class TestFaceBlock:
         # whole crops, so the columns are those of one call per crop.
         rec = self.RECORDS[0]
         params = CropParams(scale_options=(0.3, 0.6, 1.0), output_side=128.0)
-        kernel, calls = cropsim.assign_labels_xywh, []
+        kernel, calls = ams.assign_labels_xywh, []
 
         def counted(grid, boxes, cfg, group):
             calls.append(group)
             return kernel(grid, boxes, cfg, group=group)
 
-        monkeypatch.setattr(cropsim, "assign_labels_xywh", counted)
+        monkeypatch.setattr(ams, "assign_labels_xywh", counted)
         monkeypatch.setattr(matching, "RUN_PAIRS", 1)
         want = simulate(corpus([rec]), SMALL_DESIGN, WARM, 60, 2, params).per_face
         # One call per crop that keeps a face, but crops whose faces can

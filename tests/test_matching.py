@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import anchorkit.anchors
 import anchorkit.matching
+from anchorkit.ams import run_match
 from anchorkit.anchors import (
     MAX_GRID_ROWS,
     MAX_LADDER_RUNGS,
@@ -19,7 +20,6 @@ from anchorkit.anchors import (
     generate_anchor_boxes,
     ladder_design,
 )
-from anchorkit.cli import _match_report
 from anchorkit.matching import (
     IGNORE,
     NEGATIVE,
@@ -948,7 +948,7 @@ class TestResources:
                               240.0, 160.0) for k in range(n)]
             tracemalloc.start()
             try:
-                report = _match_report(corpus(records), ams_design(1.0), cfg)
+                report = run_match(corpus(records), ams_design(1.0), cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1101,17 +1101,17 @@ class TestGroupedKernel:
         # Sets 0, 2, 3 and 5 in order; 1 and 4 hold no face. In sets 0 and
         # 3, face `on` is anchor 0 and can keep pairs, and the unmatched
         # faces a and b share their argmax anchor 3 (see TestCompensation).
-        # The off-grid faces of sets 2 and 5 can keep none (pair_bound,
-        # blind to position, counts their cells); under compensation each
-        # claims row 0 of its own set, whether the call is sliced face by
-        # face or not.
+        # The off-grid faces of sets 2 and 5 can keep none, and pair_bound,
+        # which counts the cells the kernel would expand, gives them 0;
+        # under compensation each claims row 0 of its own set, whether the
+        # call is sliced face by face or not.
         grid = one_level(100, (10.0,), 200, 200)
         a, b, on = [130.0, 130.0, 40.0, 40.0], [140.0, 140.0, 20.0, 20.0], [45.0, 45, 10, 10]
         off = [900.0, 5, 8, 8]
         faces = np.array([a, b, on, off, a, b, on, off])
         group = np.array([0, 0, 0, 2, 3, 3, 3, 5])
         cfg = MatchConfig(strategy=strategy, tn=tn)
-        assert anchorkit.matching.pair_bound(grid, faces, cfg).tolist() == [0, 0, 4, 4] * 2
+        assert anchorkit.matching.pair_bound(grid, faces, cfg).tolist() == [0, 0, 4, 0] * 2
         got = labelled(grid, faces, group, cfg, 1)
         assert_same_result(got, labelled(grid, faces, group, cfg, 2**62))
         assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
@@ -1158,7 +1158,8 @@ class TestGroupedKernel:
 
 
 class TestSetRuns:
-    """set_runs cuts sets of faces into the calls simulate and match make."""
+    """set_runs cuts sets of faces into the kernel calls of ams.label_sets,
+    which simulate and match share, by pair_bound."""
 
     @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
            tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([0, 1, 40, 400, 2**62]),
@@ -1189,6 +1190,26 @@ class TestSetRuns:
             if n + 1 < len(runs):  # the next set would not have fit
                 nxt = hi + np.count_nonzero(sets == sets[hi])
                 assert bound[lo:nxt].sum() > budget
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.2, 0.35]))
+    @settings(max_examples=150)
+    def test_bound_holds_every_pair_a_face_can_keep(self, scene, strategy, tn):
+        # Counted densely over the grid's rows: the pairs at or above tn,
+        # or under tn 0 above the face's threshold, which are the pairs the
+        # kernel may keep, never outnumber the face's bound.
+        design, w, h, faces = scene
+        grid = generate_anchor_boxes(design, w, h)
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        iou = iou_pairs(np.asarray(grid)[None], faces[:, None])
+        if tn == 0:
+            tp = [naive_warm_threshold(f[3] / f[2], cfg) if strategy is Strategy.WARM
+                  else cfg.t0 for f in faces]
+            keepable = iou > np.array(tp).reshape(-1, 1)
+        else:
+            keepable = iou >= tn
+        bound = anchorkit.matching.pair_bound(grid, faces, cfg)
+        assert (keepable.sum(axis=1) <= bound).all(), (keepable.sum(axis=1), bound)
 
     def test_one_set_or_no_faces_takes_no_bound(self, monkeypatch):
         calls, bound = [], anchorkit.matching.pair_bound

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import anchorkit
-from anchorkit import MatchConfig, Strategy, assign_labels_xywh
+from anchorkit import (MatchConfig, Strategy, assign_labels_xywh, detector_design,
+                       generate_anchor_boxes, run_match)
 from anchorkit.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
@@ -62,13 +63,14 @@ def test_library_example_and_public_names():
             values.append(eval(compile(ast.Expression(node.value), "README", "eval"), scope))
         else:
             exec(compile(ast.Module([node], type_ignores=[]), "README", "exec"), scope)
-    boundary, best_iou, tp, rows, positives, counts = values
+    boundary, best_iou, tp, rows, positives, counts, matched = values
     assert boundary == 2.25
     assert best_iou == pytest.approx(0.4766, abs=5e-5)
     assert type(tp) is float and tp == pytest.approx(0.46, abs=1e-12)
     assert len(scope["grid"]) == 102_300 and rows.shape == (102_300, 4)
     assert positives > 0
     assert set(counts) == {"positive", "negative", "ignore", "compensated"}
+    assert matched == 1
 
     # The same face gets no positive anchor under SAM.
     call = next(n.value for n in tree.body
@@ -77,6 +79,11 @@ def test_library_example_and_public_names():
     sam = assign_labels_xywh(scope["grid"], face, MatchConfig(strategy=Strategy.SAM))
     assert sam.positive_count[0] == 0
     assert np.array_equal(sam.max_iou, scope["result"].max_iou)
+    # run_match labels the parsed face on its fallback canvas, where SAM
+    # leaves it unmatched too.
+    report = run_match(scope["corpus"], detector_design(), MatchConfig(strategy=Strategy.SAM))
+    assert report.n_anchors == len(generate_anchor_boxes(detector_design(), 384, 384))
+    assert report.n_matched == 0
 
     names = anchorkit.__all__
     assert len(set(names)) == len(names)

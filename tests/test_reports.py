@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anchorkit.reports
-from anchorkit.ams import AmsReport, FaceMatchStat, run_ams
+from anchorkit.ams import (LABEL_KINDS, AmsReport, FaceMatchStat, MatchReport, MatchRow, run_ams,
+                           run_match)
 from anchorkit.anchors import ams_design, detector_design
-from anchorkit.cli import _match_report
 from anchorkit.cropsim import FaceSimStat, SimOutcome, simulate
 from anchorkit.matching import MatchConfig, MatchResult
-from anchorkit.reports import MatchReport, MatchRow, csv_text, emit_reports, json_text
+from anchorkit.reports import csv_text, emit_reports, json_text
 from builders import corpus, record, rows
 from oracles import naive_json_text
 
@@ -281,7 +281,7 @@ SCENE = [
 
 def match_report(records) -> MatchReport:
     """The report the match command builds from records on the detector design."""
-    return _match_report(corpus(records), detector_design(), MATCH)
+    return run_match(corpus(records), detector_design(), MATCH)
 
 
 class TestEmptyTables:
@@ -366,7 +366,7 @@ JSON_VALUES = st.recursive(
 )
 SUMMARIES = st.one_of(
     st.just({"config": MatchConfig().to_json_dict(), "n_faces": 3,
-             "labels": dict.fromkeys(anchorkit.reports.LABEL_KINDS, 0)}),
+             "labels": dict.fromkeys(LABEL_KINDS, 0)}),
     st.dictionaries(st.text().filter(lambda key: key != "per_face"), JSON_VALUES, max_size=4),
 )
 
