@@ -21,10 +21,12 @@
 # `ams --synthetic 65536 --format csv`, `ams --synthetic 4096 --ar-list
 # 0.25,1,4 --format json` and `coverage --synthetic 65536`. The match
 # workloads run the detector design at `--tn 0.35` only, so `match --design
-# ams --strategy sam_compensate` runs on the seed-1 match_sparse inputs
-# (stride-1 grids, each under the grid cap) and `match --tn 0`, where a
-# face's bar is its positive threshold, on the seed-1 match_crowd inputs,
-# and each stdout's sha256 must be equal as well. When bench/
+# ams --strategy sam_compensate` and `match --design ams --tn 0` (warm, the
+# default strategy) run on the seed-1 match_sparse inputs (stride-1 grids,
+# each under the grid cap), and `match --tn 0` on the seed-1 match_crowd
+# inputs. Under `--tn 0` a face's bar is its positive threshold, and on the
+# ams grids match cuts each canvas's images into many kernel calls; each
+# stdout's sha256 must be equal as well. When bench/
 # differs between BASE and HEAD the workloads themselves may differ, so the
 # check is skipped.
 set -euo pipefail
@@ -91,6 +93,8 @@ ann, dims = inputs("match_sparse", 1)
 digest("match_sparse:1 match --design ams --strategy sam_compensate",
        ["match", "--annotations", ann, "--dims", dims, "--design", "ams",
         "--strategy", "sam_compensate"])
+digest("match_sparse:1 match --design ams --tn 0",
+       ["match", "--annotations", ann, "--dims", dims, "--design", "ams", "--tn", "0"])
 ann, dims = inputs("match_crowd", 1)
 digest("match_crowd:1 match --tn 0", cli_args("match_crowd", ann, dims) + ["--tn", "0"])
 for argv in (["ams", "--synthetic", "65536", "--format", "csv"],
@@ -108,5 +112,5 @@ cli_digests "$tmp/base" > "$tmp/cli_base.txt"
 cli_digests "$PWD" | tee "$tmp/cli_head.txt"
 diff "$tmp/cli_base.txt" "$tmp/cli_head.txt"
 echo "simulate --strategy sam and sam_compensate, ams and match JSON and parse --emit at" \
-  "corpus scale, match on ams grids and under --tn 0, and ams and coverage on synthetic" \
-  "corpora: the same bytes as $base"
+  "corpus scale, match on ams grids, under --tn 0 and on ams grids under --tn 0, and ams" \
+  "and coverage on synthetic corpora: the same bytes as $base"

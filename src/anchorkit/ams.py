@@ -196,21 +196,23 @@ class MatchReport:
 
 def label_sets(grid: AnchorGrid, faces: np.ndarray, cfg: MatchConfig, group: np.ndarray):
     """Label (m, 4) xywh faces on grid, in sets of equal consecutive group
-    ids: one assign_labels_xywh call per range of matching.set_runs, its set
-    ids counted from the range's first. Returns each face's max_iou,
-    positive_count and effective_tp, and the calls' n_anchors and label
-    tallies (by LABEL_KINDS) summed."""
-    max_iou, tp = np.zeros((2, len(faces)))
+    ids: one matching.plan_faces plan, then one assign_labels_xywh call per
+    range of matching.set_runs, given its slice of the plan and its set ids
+    counted from the range's first. Returns each face's max_iou,
+    positive_count and effective_tp (the plan's tp), and the calls'
+    n_anchors and label tallies (by LABEL_KINDS) summed."""
+    max_iou = np.zeros(len(faces))
     positive = np.zeros(len(faces), dtype=np.int64)
     n_anchors, labels = 0, dict.fromkeys(LABEL_KINDS, 0)
-    for lo, hi in matching.set_runs(grid, faces, cfg, group):
-        result = assign_labels_xywh(grid, faces[lo:hi], cfg, group=group[lo:hi] - group[lo])
-        max_iou[lo:hi], positive[lo:hi], tp[lo:hi] = (result.max_iou, result.positive_count,
-                                                      result.effective_tp)
+    plan = matching.plan_faces(grid, faces, cfg)
+    for lo, hi in matching.set_runs(plan, group):
+        result = assign_labels_xywh(grid, faces[lo:hi], cfg, group=group[lo:hi] - group[lo],
+                                    plan=plan[lo:hi])
+        max_iou[lo:hi], positive[lo:hi] = result.max_iou, result.positive_count
         n_anchors += result.n_anchors
         labels = {kind: labels[kind] + n for kind, n in result.label_counts().items()}
         del result  # drop its rows before the next call builds its own
-    return max_iou, positive, tp, n_anchors, labels
+    return max_iou, positive, plan.tp, n_anchors, labels
 
 
 def run_match(corpus: Corpus, design: AnchorDesign, cfg: MatchConfig) -> MatchReport:

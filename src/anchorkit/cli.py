@@ -9,6 +9,7 @@ coverage). Exit codes: 0 success, 1 validation or parse error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -133,6 +134,8 @@ def _design_for(args: argparse.Namespace) -> AnchorDesign:
     if args.design == "detector":
         return detector_design()
     if args.design == "ams":
+        if step is not None and not 1 < step < math.inf:
+            raise ValueError(f"--scale-step must be finite and above 1, not {step!r}")
         # A step at least as close to sqrt(2) as the rounded default the
         # help text prints gets the exact half-power ladder, so that printed
         # default reproduces the default.

@@ -25,7 +25,7 @@ IGNORE = -2
 # plane) groups in slices by their pairs; a slice holds at least one item.
 # Each pair expanded takes a few hundred bytes of temporaries.
 PAIR_BUDGET = 2**15
-# Most pairs, by pair_bound, that one range of set_runs holds: ams.label_sets
+# Most pairs, by FacePlan.pairs, that one range of set_runs holds: ams.label_sets
 # passes each range to assign_labels_xywh as one call, which holds the
 # decisive pairs and the labelled rows of all its sets until it ends.
 RUN_PAIRS = 2**16
@@ -185,7 +185,7 @@ class MatchResult:
 
 
 def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig,
-                       group=0) -> MatchResult:
+                       group=0, plan: FacePlan | None = None) -> MatchResult:
     """Assign positive/negative/ignore labels to the anchors of grid against
     (m, 4) xywh faces.
 
@@ -211,40 +211,23 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     face reads IGNORE, not NEGATIVE. A group count whose keys would reach
     2**63 is refused before any array is built. A call holds the decisive
     pairs and labelled rows of all its sets until it ends; set_runs cuts
-    sets into calls of bounded size.
+    sets into calls of bounded size. plan is plan_faces(grid, face_xywh,
+    cfg) or its slice for exactly these faces; without one, the call plans
+    its faces itself, after the group checks, to the same result.
 
     The cost grows with the pairs that can matter, never with the anchor
-    count. Per face and anchor plane, the cells whose anchors can overlap
-    the face form an index range on each axis (from the cell centres,
-    widened by one cell), and each axis's cells are scored alone by their
-    overlap with the face. On a plane an anchor's IoU rises with each axis
-    overlap and every rounded step is monotone, so the per-axis maxima give
-    the face's max IoU exactly. A face's bar is cfg.tn, or under cfg.tn == 0
-    its effective threshold. Only anchors whose x and y cells each reach
-    min(bar, that max) against the other axis's maximum are scored: they
-    hold every pair that can decide a label, and the argmax, which only
-    compensation reads. Pairs below
-    cfg.tn are not kept: they decide no label, since their anchor is either
-    negative, the background when cfg.tn > 0, or has a better pair. Under
-    cfg.tn == 0 the background is IGNORE, so pairs at or below their face's
-    threshold are not kept either. Each slice of pairs is reduced to its
-    decisive pairs alone, and the slices' survivors once more at the end.
-
-    Before any cell is scored, two bounds skip the (face, plane) items that
-    cannot reach min(bar, the face's max). The upper bound of an item is
-    the IoU of the plane's anchor shape and the face's placed
-    concentrically, built from the same area sum as every pair; the overlap
-    clamp and monotone rounding keep every pair of the plane at or below
-    it. The lower bound of a face is the best IoU, over the planes, of the
-    anchor in the cell nearest the face's centre on each axis (clipped to
-    the grid), scored as the pairs are; it is a real anchor's IoU, so at
-    most the face's max. An item whose upper bound is below min(bar, the
-    lower bound) holds no pair at or above min(bar, the face's max): it
-    decides no label, passes no per-axis filter and holds no argmax, so it
-    is not listed. Cell ranges, cells and per-axis maxima are computed for
-    the listed items alone, and each face's max is folded over its own; the
-    plane that holds it always passes. For a face that overlaps none of its
-    nearest anchors, nothing is skipped.
+    count. Each of the plan's (face, plane) items scores each axis's cells
+    alone by their overlap with the face. On a plane an anchor's IoU rises
+    with each axis overlap and every rounded step is monotone, so the
+    per-axis maxima give the face's max IoU exactly. Only anchors whose x
+    and y cells each reach min(bar, that max) against the other axis's
+    maximum are scored: they hold every pair that can decide a label, and
+    the argmax, which only compensation reads. Pairs below cfg.tn are not
+    kept: they decide no label, since their anchor is either negative, the
+    background when cfg.tn > 0, or has a better pair. Under cfg.tn == 0 the
+    background is IGNORE, so pairs at or below their face's threshold are
+    not kept either. Each slice of pairs is reduced to its decisive pairs
+    alone, and the slices' survivors once more at the end.
     """
     if not isinstance(grid, AnchorGrid):
         raise TypeError("anchors must be an AnchorGrid (see generate_anchor_boxes)")
@@ -256,33 +239,10 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     n_groups = int(group.max()) + 1 if m else 1
     if n_groups * len(grid) >= 2**63:
         raise ValueError(f"{n_groups} groups of {len(grid)} anchors overflow the int64 row keys")
-    _check_faces(faces)
-    tp = _thresholds(faces, cfg)
-
-    # Per face and plane: the area sum, and the IoU of the concentric shapes,
-    # above every pair's. Per face: the IoU of a real anchor, the one in the
-    # cell nearest its centre on each plane, at most its max.
-    corner, size = faces[:, None, :2], faces[:, None, 2:]
-    (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
-    area = (aw * ah) + (fw * fh)
-    upper = _iou(np.minimum(aw, fw) * np.minimum(ah, fh), area)
-    near = np.clip(np.floor((corner + size / 2.0) / grid.stride[:, None]), 0, grid.cells - 1)
-    a1 = (near + 0.5) * grid.stride[:, None] - grid.size / 2.0
-    o = _overlap(a1, grid.size, corner, size)
-    reach = _iou(o[..., 0] * o[..., 1], area).max(axis=1)
-    # Each face's bar: cfg.tn, or under cfg.tn == 0 its threshold tp. Only
-    # the (face, plane) items whose bound reaches min(bar, that IoU) are
-    # listed, face-major: any other holds no pair that can decide a label or
-    # be the argmax.
-    bar = tp if cfg.tn == 0 else np.full(m, cfg.tn)
-    face, plane = np.nonzero(upper >= np.minimum(bar, reach)[:, None])
-    area, f1 = area[face, plane], faces[face, :2]
-    # Per item and per axis (x, y): first candidate cell and count.
-    lo, count = _cell_range(f1, f1 + faces[face, 2:], grid.size[plane],
-                            grid.stride[plane, None], grid.cells[plane])
+    plan = plan_faces(grid, faces, cfg) if plan is None else plan
     # Each face's first item, and its candidate cells on both axes.
-    start = np.searchsorted(face, np.arange(m + 1))
-    cells = np.diff(np.append(0, np.cumsum(count.sum(axis=1)))[start])
+    start = np.searchsorted(plan.face, np.arange(m + 1))
+    cells = np.diff(np.append(0, np.cumsum(plan.count.sum(axis=1)))[start])
     none = np.iinfo(np.int64).max
     # Each face's argmax, the lowest row at its max, is read by compensation only.
     compensate = cfg.strategy is Strategy.SAM_COMPENSATE
@@ -293,9 +253,9 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
     for part in _chunks(cells, PAIR_BUDGET):
         # The items of the slice's faces.
         items = slice(start[part.start], start[part.stop])
-        fi, pi, area_p = face[items], plane[items], area[items]
+        fi, pi, area_p = plan.face[items], plan.plane[items], plan.area[items]
         (aw, ah), f, s = grid.size[pi].T, faces[fi], grid.stride[pi]
-        lo_p, count_p = lo[items], count[items]
+        lo_p, count_p = plan.lo[items], plan.count[items]
         gx, i, iw = _axis_hits(lo_p[:, 0], count_p[:, 0], s, aw, f[:, 0], f[:, 2])
         gy, k, ih = _axis_hits(lo_p[:, 1], count_p[:, 1], s, ah, f[:, 1], f[:, 3])
         top_w, top_h = np.zeros(fi.size), np.zeros(fi.size)  # per-axis maxima
@@ -306,7 +266,7 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
                                                   np.flatnonzero(first))
         # A pair reaches c only if each of its cells, paired with the
         # other axis's best cell, does.
-        c = np.minimum(bar[fi], face_max[fi])
+        c = np.minimum(plan.bar[fi], face_max[fi])
         x = np.flatnonzero(_iou(iw * top_h[gx], area_p[gx]) >= c[gx])
         y = np.flatnonzero(_iou(top_w[gy] * ih, area_p[gy]) >= c[gy])
         gx, i, iw, gy, k, ih = gx[x], i[x], iw[x], gy[y], k[y], ih[y]
@@ -324,17 +284,17 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
                 np.minimum.at(face_arg, fc[top], row[top])
             # Pairs below tn decide no label. Under tn 0 the background is
             # IGNORE, so neither does a pair at or below its face's threshold.
-            up = val > tp[fc] if cfg.tn == 0 else val >= cfg.tn
-            kept.append(_decisive(row[up], fc[up], val[up], tp))
+            up = val > plan.tp[fc] if cfg.tn == 0 else val >= cfg.tn
+            kept.append(_decisive(row[up], fc[up], val[up], plan.tp))
     # Each slice was reduced alone; several slices' survivors are reduced
     # once more, together.
     row, face, val = kept[-1]
     if len(kept) > 2:
-        row, face, val = _decisive(*map(np.concatenate, zip(*kept)), tp)
+        row, face, val = _decisive(*map(np.concatenate, zip(*kept)), plan.tp)
     first = _starts(row)
     rows = row[first]
     labels = np.full(rows.size, IGNORE)
-    up = val > tp[face]  # at most one pair per row: its best positive
+    up = val > plan.tp[face]  # at most one pair per row: its best positive
     labels[np.cumsum(first)[up] - 1] = face[up]
     positive_count = np.bincount(face[up], minlength=m)
     compensated = np.zeros(rows.size, dtype=bool)
@@ -358,58 +318,92 @@ def assign_labels_xywh(grid: AnchorGrid, face_xywh: np.ndarray, cfg: MatchConfig
         compensated[slot] = True
         positive_count[j] = 1
     return MatchResult(n_groups * len(grid), rows, labels, compensated, background,
-                       face_max, positive_count, tp)
+                       face_max, positive_count, plan.tp)
 
 
-def pair_bound(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> np.ndarray:
-    """Per face of (m, 4) xywh faces, an upper bound on the (face, anchor)
-    pairs assign_labels_xywh can keep for it: over the planes whose
-    concentric IoU (see assign_labels_xywh) reaches the face's bar, the
-    cells across times the cells down of the _cell_range ranges the kernel
-    expands; a kept pair is at or above the bar, so it lies in them. No cell
-    is expanded. It sizes set_runs and decides no label. Faces are checked
-    as assign_labels_xywh checks them.
-    """
+@dataclass(frozen=True)
+class FacePlan:
+    """The bounds pass of a block of (m, 4) xywh faces, as plan_faces makes
+    it. Per face: tp, its positive threshold; bar, cfg.tn or under cfg.tn
+    == 0 tp; pairs, the most (face, anchor) pairs the kernel can keep for
+    it. Per listed (face, plane) item, in face order: face, plane, area (the
+    area sum of face and anchor shape), and lo and count, its first
+    candidate cell and cell count on x and y. plan[lo:hi] plans faces lo ..
+    hi-1 alone."""
+
+    tp: np.ndarray
+    bar: np.ndarray
+    pairs: np.ndarray
+    face: np.ndarray
+    plane: np.ndarray
+    area: np.ndarray
+    lo: np.ndarray
+    count: np.ndarray
+
+    def __getitem__(self, faces: slice) -> FacePlan:
+        lo, hi, _ = faces.indices(self.tp.size)
+        a, b = np.searchsorted(self.face, [lo, hi])
+        return FacePlan(self.tp[lo:hi], self.bar[lo:hi], self.pairs[lo:hi], self.face[a:b] - lo,
+                        self.plane[a:b], self.area[a:b], self.lo[a:b], self.count[a:b])
+
+
+def plan_faces(grid: AnchorGrid, face_xywh, cfg: MatchConfig) -> FacePlan:
+    """Check (m, 4) xywh faces and plan them on grid under cfg: list the
+    (face, plane) items assign_labels_xywh scores, with their cell ranges,
+    and bound each face's pairs. No cell is expanded.
+
+    Two bounds skip the items that cannot reach min(bar, the face's max).
+    The upper bound of an item is the IoU of the plane's anchor shape and
+    the face's placed concentrically, built from the same area sum as every
+    pair; the overlap clamp and monotone rounding keep every pair of the
+    plane at or below it. The lower bound of a face is the best IoU, over
+    the planes, of the anchor in the cell nearest the face's centre on each
+    axis (clipped to the grid), scored as the pairs are: a real anchor's
+    IoU, at most the face's max. An item whose upper bound is below
+    min(bar, the lower bound) holds no pair at or above min(bar, the face's
+    max): it decides no label, passes no per-axis filter and holds no
+    argmax, so it is not listed. A kept pair is at or above the bar, so a
+    face's pairs sum x cells times y cells over its items whose upper bound
+    reaches the bar; a face off the grid has 0."""
     faces = np.asarray(face_xywh, dtype=np.float64).reshape(-1, 4)
-    _check_faces(faces)
-    size = faces[:, None, 2:]
-    area = (grid.size[:, 0] * grid.size[:, 1]) + (size[..., 0] * size[..., 1])
-    upper = _iou(np.minimum(grid.size, size).prod(axis=2), area)
-    bar = _thresholds(faces, cfg) if cfg.tn == 0 else np.full(len(faces), cfg.tn)
-    face, plane = np.nonzero(upper >= bar[:, None])
-    f1, f2 = faces[face, :2], faces[face, :2] + faces[face, 2:]
-    count = _cell_range(f1, f2, grid.size[plane], grid.stride[plane, None], grid.cells[plane])[1]
-    return np.bincount(face, count.prod(axis=1), minlength=len(faces))
-
-
-def set_runs(grid: AnchorGrid, face_xywh, cfg: MatchConfig, group) -> list[tuple[int, int]]:
-    """Cut m faces, in sets of equal consecutive group ids, into (lo, hi)
-    face ranges in order: each holds whole sets whose pair_bound sum is
-    within RUN_PAIRS, or one set. One set gives one range without a bound
-    taken, and no faces give no range. ams.label_sets makes one kernel call per range."""
-    group = np.asarray(group)
-    sets = np.flatnonzero(_starts(group))
-    if sets.size < 2:
-        return [(0, group.size)] if group.size else []
-    ends = np.append(sets, group.size).tolist()
-    bound = np.add.reduceat(pair_bound(grid, face_xywh, cfg), sets)
-    return [(ends[r.start], ends[r.stop]) for r in _chunks(bound, RUN_PAIRS)]
-
-
-def _check_faces(faces):
-    """Refuse (m, 4) faces with a value not finite or of 2**511 or more in
-    magnitude, or a side that is not positive."""
     if not (np.abs(faces) < MAX_EXTENT).all():
         raise ValueError("faces must be finite, each value below 2**511 in magnitude")
     if np.any(faces[:, 2] <= 0) or np.any(faces[:, 3] <= 0):
         raise ValueError("faces must have positive dimensions")
+    tp = (warm_threshold(faces[:, 3] / faces[:, 2], cfg) if cfg.strategy is Strategy.WARM
+          else np.full(len(faces), cfg.t0))
+    bar = tp if cfg.tn == 0 else np.full(len(faces), cfg.tn)
+    # Per face and plane: the area sum, the IoU of the anchor in the cell
+    # nearest the face's centre (its intersection built one axis at a time),
+    # and the IoU of the concentric shapes, above every pair's.
+    (aw, ah), fw, fh = grid.size.T, faces[:, 2:3], faces[:, 3:4]
+    area = (aw * ah) + (fw * fh)
+    inter = 1.0
+    for f1, f_len, size, cells in zip(faces[:, :2].T, faces[:, 2:].T, grid.size.T, grid.cells.T):
+        a1 = np.clip(np.floor((f1 + f_len / 2.0)[:, None] / grid.stride), 0, cells - 1)
+        a1 = (a1 + 0.5) * grid.stride - size / 2.0
+        inter = inter * _overlap(a1, size, f1[:, None], f_len[:, None])
+    reach = _iou(inter, area).max(axis=1)
+    upper = _iou(np.minimum(aw, fw) * np.minimum(ah, fh), area)
+    face, plane = np.nonzero(upper >= np.minimum(bar, reach)[:, None])
+    area, upper = area[face, plane], upper[face, plane]  # per listed item
+    f1 = faces[face, :2]
+    lo, count = _cell_range(f1, f1 + faces[face, 2:], grid.size[plane],
+                            grid.stride[plane, None], grid.cells[plane])
+    pairs = np.bincount(face, count.prod(axis=1) * (upper >= bar[face]), minlength=len(faces))
+    return FacePlan(tp, bar, pairs, face, plane, area, lo, count)
 
 
-def _thresholds(faces, cfg):
-    """Each face's positive threshold under cfg."""
-    if cfg.strategy is Strategy.WARM:
-        return warm_threshold(faces[:, 3] / faces[:, 2], cfg)
-    return np.full(len(faces), cfg.t0, dtype=np.float64)
+def set_runs(plan: FacePlan, group) -> list[tuple[int, int]]:
+    """Cut a plan's faces, in sets of equal consecutive group ids, into
+    (lo, hi) face ranges in order: each holds whole sets whose plan.pairs
+    sum is within RUN_PAIRS, or one set. No faces give no range.
+    ams.label_sets makes one kernel call per range."""
+    group = np.asarray(group)
+    sets = np.flatnonzero(_starts(group))
+    ends = np.append(sets, group.size).tolist()
+    return [(ends[r.start], ends[r.stop])
+            for r in _chunks(np.add.reduceat(plan.pairs, sets), RUN_PAIRS)]
 
 
 def _cell_range(f1, f2, size, stride, cells):

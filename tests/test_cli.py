@@ -299,9 +299,9 @@ class TestMatchCommand:
         want = capsys.readouterr().out
         built, kernel = [], []
 
-        def counted(grid, faces, cfg, group):
+        def counted(grid, faces, cfg, group, plan):
             kernel.append(((grid.image_w, grid.image_h), group.tolist()))
-            return assign_labels_xywh(grid, faces, cfg, group=group)
+            return assign_labels_xywh(grid, faces, cfg, group=group, plan=plan)
 
         monkeypatch.setattr(anchorkit.ams, "generate_anchor_boxes",
                             lambda d, w, h: built.append((w, h)) or generate_anchor_boxes(d, w, h))
@@ -344,7 +344,8 @@ def shared_canvas_corpora(draw):
 
 class TestMatchRunsPerCanvas:
     """match labels the images of each canvas in runs of whole images, cut
-    by matching.pair_bound, one kernel call per run; its bytes must equal
+    by the per-face pairs bound of the canvas's one plan
+    (matching.plan_faces), one kernel call per run; its bytes must equal
     those of one call per image (oracles.naive_match_report) in every
     format."""
 
@@ -380,9 +381,9 @@ class TestMatchRunsPerCanvas:
         ann_text, dims_text = corpus
         calls, kernel = [], anchorkit.ams.assign_labels_xywh
 
-        def counted(grid, faces, cfg, group):
+        def counted(grid, faces, cfg, group, plan):
             calls.append(group)
-            return kernel(grid, faces, cfg, group=group)
+            return kernel(grid, faces, cfg, group=group, plan=plan)
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(matching, "RUN_PAIRS", budget)
@@ -618,6 +619,15 @@ class TestBadInput:
         assert main(argv + ["--scale-step", step]) == 1
         _one_error_line(capsys, "--scale-step", "--design ams")
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "1", "0.5"])
+    @pytest.mark.parametrize("argv", [["ams", "--synthetic", "200"],
+                                      ["match", "--synthetic", "3", "--design", "ams"]])
+    def test_scale_step_must_be_finite_above_one(self, argv, step, capsys):
+        # A NaN step fails every comparison, so it must not pass for the
+        # default ladder; no other step outside (1, inf) makes a ladder.
+        assert main(argv + ["--scale-step", step]) == 1
+        _one_error_line(capsys, "--scale-step", step)
 
     @pytest.mark.parametrize("levels, ok", [((1024,), True), ((1025,), False),
                                             ((512, 513), False)])

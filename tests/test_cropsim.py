@@ -342,7 +342,7 @@ class TestFaceBlock:
         # 200 faces x 1000 crops: drawn in one piece, the crops alone peak
         # near 13 MB. The kernel is stubbed, since its memory has its own
         # bounds in test_matching.py and its calls would dominate the time.
-        def kernel(grid, boxes, cfg, group):
+        def kernel(grid, boxes, cfg, group, plan):
             return SimpleNamespace(max_iou=np.ones(len(boxes)),
                                    positive_count=np.ones(len(boxes), dtype=np.int64),
                                    effective_tp=np.full(len(boxes), cfg.t0), n_anchors=0,
@@ -363,12 +363,17 @@ class TestFaceBlock:
     def test_kernel_memory_does_not_grow_with_crops(self):
         # Six faces near AR 1 and four tall ones (AR 5.2), whose crops often
         # fall below tn. Both runs span more than one block of 819 crops, so
-        # their peak is one block's arrays plus the larger of two transients
-        # (by tracemalloc, above the memory at the call's start): one kernel
-        # call, up to 2.3 MB, and set_runs -> pair_bound over the block, up
-        # to 1.7 MB. The runs peak at 2.5 and 2.7 MB: ten times the crops add
-        # less than 1 MB. Calls of 2**17 pairs by a position-blind bound
-        # peaked near 4.6 MB, and one kernel call per block near 10-11 MB.
+        # their peak is one block's arrays and plan plus the larger of two
+        # transients (by tracemalloc, above the memory at the call's start):
+        # matching.plan_faces over the block, up to 2.5 MB, and one kernel
+        # call given its slice of the plan, up to 1.5 MB. Both runs peak
+        # near 2.8 MB: ten times the crops add less than 1 MB. A plan
+        # that folds its nearest-anchor bound one plane at a time peaks at
+        # 1.8 MB, but its small per-plane steps took 40% more time on 36
+        # crowded canvases. When each kernel call took its own bounds pass,
+        # the calls reached 2.3 MB and the runs 2.5 and 2.7 MB. Calls of
+        # 2**17 pairs by a position-blind bound peaked near 4.6 MB, and one
+        # kernel call per block near 10-11 MB.
         # Keeping the pairs below tn, or expanding 2**20 candidate pairs at
         # once, took runs of 64 faces to 25-38 MB.
         faces = [(40 + 55 * i, 60 + 37 * (i % 3), 20 + 4 * i, 24 + 3 * i) for i in range(6)]
@@ -398,15 +403,16 @@ class TestFaceBlock:
         rec = record("img/sq.jpg", 256, 256, faces)
         want = simulate(corpus([rec]), SMALL_DESIGN, WARM, 40, 5, FULL_PATCH).per_face
         grid = generate_anchor_boxes(SMALL_DESIGN, 640, 640)
-        per_crop = matching.pair_bound(grid, np.array(faces) * 2.5, replace(WARM, tn=0.0)).sum()
+        plan = matching.plan_faces(grid, np.array(faces) * 2.5, replace(WARM, tn=0.0))
+        per_crop = plan.pairs.sum()
         assert per_crop > 0
         calls = []
         kernel = ams.assign_labels_xywh
 
-        def counted(grid, boxes, cfg, group):
+        def counted(grid, boxes, cfg, group, plan):
             assert cfg == replace(WARM, tn=0.0)
             calls.append(group.tolist())
-            return kernel(grid, boxes, cfg, group=group)
+            return kernel(grid, boxes, cfg, group=group, plan=plan)
 
         monkeypatch.setattr(matching, "RUN_PAIRS", run * per_crop // 3)
         monkeypatch.setattr(ams, "assign_labels_xywh", counted)
@@ -428,9 +434,9 @@ class TestFaceBlock:
         params = CropParams(scale_options=(0.3, 0.6, 1.0), output_side=128.0)
         kernel, calls = ams.assign_labels_xywh, []
 
-        def counted(grid, boxes, cfg, group):
+        def counted(grid, boxes, cfg, group, plan):
             calls.append(group)
-            return kernel(grid, boxes, cfg, group=group)
+            return kernel(grid, boxes, cfg, group=group, plan=plan)
 
         monkeypatch.setattr(ams, "assign_labels_xywh", counted)
         monkeypatch.setattr(matching, "RUN_PAIRS", 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import anchorkit.ams
 import anchorkit.anchors
 import anchorkit.matching
 from anchorkit.ams import run_match
@@ -1101,8 +1102,8 @@ class TestGroupedKernel:
         # Sets 0, 2, 3 and 5 in order; 1 and 4 hold no face. In sets 0 and
         # 3, face `on` is anchor 0 and can keep pairs, and the unmatched
         # faces a and b share their argmax anchor 3 (see TestCompensation).
-        # The off-grid faces of sets 2 and 5 can keep none, and pair_bound,
-        # which counts the cells the kernel would expand, gives them 0;
+        # The off-grid faces of sets 2 and 5 can keep none, and their plan's
+        # bound, which counts the cells the kernel would expand, is 0;
         # under compensation each claims row 0 of its own set, whether the
         # call is sliced face by face or not.
         grid = one_level(100, (10.0,), 200, 200)
@@ -1111,7 +1112,7 @@ class TestGroupedKernel:
         faces = np.array([a, b, on, off, a, b, on, off])
         group = np.array([0, 0, 0, 2, 3, 3, 3, 5])
         cfg = MatchConfig(strategy=strategy, tn=tn)
-        assert anchorkit.matching.pair_bound(grid, faces, cfg).tolist() == [0, 0, 4, 0] * 2
+        assert anchorkit.matching.plan_faces(grid, faces, cfg).pairs.tolist() == [0, 0, 4, 0] * 2
         got = labelled(grid, faces, group, cfg, 1)
         assert_same_result(got, labelled(grid, faces, group, cfg, 2**62))
         assert_grouped_equals_per_group(grid, faces, group, cfg, budget=1)
@@ -1159,7 +1160,7 @@ class TestGroupedKernel:
 
 class TestSetRuns:
     """set_runs cuts sets of faces into the kernel calls of ams.label_sets,
-    which simulate and match share, by pair_bound."""
+    which simulate and match share, by the pairs bound of their plan."""
 
     @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
            tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([0, 1, 40, 400, 2**62]),
@@ -1175,21 +1176,47 @@ class TestSetRuns:
                          dtype=np.int64)
         grid = generate_anchor_boxes(design, w, h)
         cfg = MatchConfig(strategy=strategy, tn=tn)
+        plan = anchorkit.matching.plan_faces(grid, faces, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(anchorkit.matching, "RUN_PAIRS", budget)
-            runs = anchorkit.matching.set_runs(grid, faces, cfg, group)
+            runs = anchorkit.matching.set_runs(plan, group)
         # The ranges cover faces 0 .. m-1 in order, and none starts inside a set.
         ends = [0] + [hi for _, hi in runs]
         assert [lo for lo, _ in runs] == ends[:-1] and ends[-1] == m
         assert all(lo < hi and (lo == 0 or group[lo] != group[lo - 1]) for lo, hi in runs)
         sets = np.cumsum(np.diff(group, prepend=-1) != 0)  # each face's set, from 1
-        bound = anchorkit.matching.pair_bound(grid, faces, cfg)
+        bound = plan.pairs
         for n, (lo, hi) in enumerate(runs):
             if sets[hi - 1] > sets[lo]:  # more than one set
                 assert bound[lo:hi].sum() <= budget
             if n + 1 < len(runs):  # the next set would not have fit
                 nxt = hi + np.count_nonzero(sets == sets[hi])
                 assert bound[lo:nxt].sum() > budget
+
+    @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
+           tn=st.sampled_from([0.0, 0.35]), budget=st.sampled_from([0, 40, 2**62]),
+           data=st.data())
+    @settings(max_examples=150)
+    def test_plan_slice_labels_as_the_range_alone(self, scene, strategy, tn, budget, data):
+        # Set ids that never decrease, as label_sets takes them. Each range's
+        # call given its slice of the block's plan equals the call that
+        # plans the range's faces itself, bit for bit.
+        design, w, h, faces = scene
+        faces = np.vstack([faces, faces[::-1]])
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=len(faces),
+                                   max_size=len(faces)))
+        group = np.cumsum(steps)
+        grid = generate_anchor_boxes(design, w, h)
+        cfg = MatchConfig(strategy=strategy, tn=tn)
+        plan = anchorkit.matching.plan_faces(grid, faces, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anchorkit.matching, "RUN_PAIRS", budget)
+            runs = anchorkit.matching.set_runs(plan, group)
+        for lo, hi in runs:
+            ids = group[lo:hi] - group[lo]
+            assert_same_result(assign_labels_xywh(grid, faces[lo:hi], cfg, group=ids,
+                                                  plan=plan[lo:hi]),
+                               assign_labels_xywh(grid, faces[lo:hi], cfg, group=ids))
 
     @given(scene=grid_scenes(), strategy=st.sampled_from(list(Strategy)),
            tn=st.sampled_from([0.0, 0.2, 0.35]))
@@ -1208,18 +1235,39 @@ class TestSetRuns:
             keepable = iou > np.array(tp).reshape(-1, 1)
         else:
             keepable = iou >= tn
-        bound = anchorkit.matching.pair_bound(grid, faces, cfg)
+        bound = anchorkit.matching.plan_faces(grid, faces, cfg).pairs
         assert (keepable.sum(axis=1) <= bound).all(), (keepable.sum(axis=1), bound)
 
-    def test_one_set_or_no_faces_takes_no_bound(self, monkeypatch):
-        calls, bound = [], anchorkit.matching.pair_bound
-        monkeypatch.setattr(anchorkit.matching, "pair_bound",
-                            lambda *a: calls.append(1) or bound(*a))
+    @pytest.mark.parametrize("group, ranges", [([], 0), ([3] * 6, 1), ([0, 0, 0, 1, 1, 1], 2),
+                                               (list(range(6)), 5)])
+    def test_label_sets_plans_once_and_the_kernel_never(self, group, ranges, monkeypatch):
+        # Whatever the number of sets and of ranges, label_sets plans its
+        # faces once, and each kernel call takes the slice of that plan for
+        # its own faces and plans nothing. Under RUN_PAIRS 0 the faces of
+        # bound 0, the first two, share a range.
         anchors, faces = small_scene(7, n_faces=6)
-        set_runs = anchorkit.matching.set_runs
-        assert set_runs(anchors, faces, DEFAULT, np.full(6, 3)) == [(0, 6)]
-        assert set_runs(anchors, faces[:0], DEFAULT, np.empty(0, dtype=np.int64)) == []
-        assert calls == []
-        # Two sets take one bound; here they fit one range.
-        assert set_runs(anchors, faces, DEFAULT, [0, 0, 0, 1, 1, 1]) == [(0, 6)]
-        assert calls == [1]
+        faces, group = faces[:len(group)], np.array(group, dtype=np.int64)
+        plans, plan_faces = [], anchorkit.matching.plan_faces
+        calls, kernel = [], anchorkit.ams.assign_labels_xywh
+
+        def counted(grid, faces, cfg, group, plan):
+            calls.append((len(faces), plan.tp.size))
+            return kernel(grid, faces, cfg, group=group, plan=plan)
+
+        monkeypatch.setattr(anchorkit.matching, "plan_faces",
+                            lambda *a: plans.append(1) or plan_faces(*a))
+        monkeypatch.setattr(anchorkit.ams, "assign_labels_xywh", counted)
+        n_calls = []
+        for budget in (0, 2**40):
+            plans.clear()
+            calls.clear()
+            monkeypatch.setattr(anchorkit.matching, "RUN_PAIRS", budget)
+            anchorkit.ams.label_sets(anchors, faces, DEFAULT, group)
+            assert plans == [1]
+            assert all(n == k for n, k in calls) and sum(n for n, _ in calls) == len(faces)
+            n_calls.append(len(calls))
+        assert n_calls == [ranges, min(ranges, 1)]
+        # Called without a plan, the kernel plans its faces itself.
+        plans.clear()
+        kernel(anchors, faces, DEFAULT)
+        assert plans == [1]

@@ -1,8 +1,9 @@
 """The README's library and CLI examples run and print what their comments
-say, every public name resolves, and every module the README describes
-exists."""
+say, every public name resolves, every module the README describes exists,
+and every `module.name` it cites names an attribute of that module."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -96,3 +97,15 @@ def test_module_bullets_name_package_files():
     assert bullets
     for name in bullets:
         assert (PACKAGE / f"{name}.py").is_file(), name
+
+
+def test_module_names_resolve():
+    # `matching.set_runs` or `ams.label_sets(...)`: a module of the package,
+    # then a name, in backticks. A name deleted from the code but left in the
+    # README fails here.
+    text = README.read_text(encoding="utf-8")
+    cited = set(re.findall(r"`(\w+)\.(\w+)[`(]", text))
+    cited = {(mod, name) for mod, name in cited if (PACKAGE / f"{mod}.py").is_file()}
+    assert len(cited) >= 6, cited
+    for mod, name in sorted(cited):
+        assert hasattr(importlib.import_module(f"anchorkit.{mod}"), name), f"{mod}.{name}"
